@@ -45,15 +45,15 @@ def path_instance(T, pendants=()):
 
 T = 6000
 g, c = path_instance(T)
-print(g.m, "edges; chain tail has",
-      len(vizing_chain(c, 0, 0).tail.edges), "edges")
+chain = vizing_chain(c, 0, 0)
+print(g.m, "edges; chain tail has", len(chain.tail.edges), "edges")
 
 # The scan yields one entry per eligible edge, in path order.  On a bare
 # path the eligible positions are the odd ones from 5 on, every one a
 # Type0 (its second-order repair needs no path at all), and every one
 # superb.
 entries = []
-for entry in superb_scan(c, 0, 0, limit=12):
+for entry in superb_scan(c, chain, limit=12):
     entries.append(entry)
     print("position", entry.suitable.position, "edge", entry.suitable.edge,
           "type", entry.classification.type_tag, "superb?", entry.superb)

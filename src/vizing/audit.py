@@ -31,19 +31,22 @@ Pass/fail decisions use exact rational arithmetic throughout; floating point
 never decides anything.  Bounds that are vacuous at the chosen parameters (a
 fraction bound of at least 1, a count bound of at most 0) verdict as
 "vacuous-pass", distinct from substantive passes, so batch runs can insist
-on a minimum number of substantive checks.  Everything here re-derives
-chains from the colouring itself; nothing trusts caller-side caches.
+on a minimum number of substantive checks.  Each public call derives each
+probe's chain (one uncoloured edge and one endpoint) once, from the
+colouring itself, and passes it down to every check that needs it; nothing
+is cached across calls.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import AlternatingPath, max_fan, vizing_chain
+from .chains import AlternatingPath, VizingChain, vizing_chain
 from .colouring import Colouring
 from .iterated import superb_scan
 from .multigraph import Multigraph
@@ -132,31 +135,37 @@ class AuditGraph:
         return best
 
 
-def _chain_partners(c: Colouring, x: int, e: int) -> set[int]:
-    """Coloured edges of the augmenting chain for (x, e): every chain edge
-    except e itself."""
-    partners = set(vizing_chain(c, x, e).edges())
-    partners.discard(e)
-    return partners
+def _endpoint_chains(c: Colouring, e: int) -> tuple[VizingChain, VizingChain]:
+    """The augmenting chains of the uncoloured edge e, one per endpoint."""
+    u, v, _ = c.graph.edges[e]
+    return vizing_chain(c, u, e), vizing_chain(c, v, e)
 
 
-def _second_order_partners(
-    c: Colouring, x: int, e: int, L_cap: int | None
-) -> set[int]:
-    """Coloured edges of second-order chains through superb path edges at
-    positions up to L_cap.  Empty when the fan is augmenting (no path)."""
-    if max_fan(c, x, e).augmenting:
-        return set()
+def _partners(
+    c: Colouring, kind: str, chains: tuple[VizingChain, ...], L_cap: int | None
+) -> frozenset[int]:
+    """The audit-graph partners of one uncoloured edge, from its endpoint
+    chains: the coloured edges of those chains ("simple"), or of the
+    second-order chains through superb path edges at positions up to L_cap
+    ("iterated"; an augmenting fan has no path and contributes nothing)."""
     partners: set[int] = set()
-    scan = superb_scan(c, x, e, limit=L_cap, with_chains=True)
-    try:
-        for entry in scan:
-            if entry.superb:
-                partners.update(entry.chain.edges())
-    finally:
-        scan.close()
-    partners.discard(e)
-    return partners
+    for chain in chains:
+        if kind == SIMPLE:
+            partners.update(chain.edges())
+        elif chain.tail is not None:
+            with closing(superb_scan(c, chain, limit=L_cap, with_chains=True)) as scan:
+                for entry in scan:
+                    if entry.superb:
+                        partners.update(entry.chain.edges())
+    partners.discard(chains[0].fan.edges[0])
+    return frozenset(partners)
+
+
+def _audit_graph(kind: str, adjacency: dict[int, frozenset[int]]) -> AuditGraph:
+    reverse: Counter[int] = Counter()
+    for partners in adjacency.values():
+        reverse.update(partners)
+    return AuditGraph(kind=kind, adjacency=adjacency, reverse_degrees=dict(reverse))
 
 
 def build_audit_graph(
@@ -172,19 +181,9 @@ def build_audit_graph(
     """
     if kind not in (SIMPLE, ITERATED):
         raise ValueError(f"unknown audit graph kind {kind!r}")
-    adjacency: dict[int, frozenset[int]] = {}
-    reverse: Counter[int] = Counter()
-    for e in c.uncoloured():
-        u, v, _ = c.graph.edges[e]
-        partners: set[int] = set()
-        for x in (u, v):
-            if kind == SIMPLE:
-                partners |= _chain_partners(c, x, e)
-            else:
-                partners |= _second_order_partners(c, x, e, L_cap)
-        adjacency[e] = frozenset(partners)
-        reverse.update(partners)
-    return AuditGraph(kind=kind, adjacency=adjacency, reverse_degrees=dict(reverse))
+    return _audit_graph(kind, {
+        e: _partners(c, kind, _endpoint_chains(c, e), L_cap) for e in c.uncoloured()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +220,6 @@ def check_degree_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _second_path_length(entry_path: AlternatingPath | None) -> int:
-    return 0 if entry_path is None else len(entry_path.edges)
-
-
 def check_unimprovable(c: Colouring, L: int, mode: str = ITERATED) -> bool:
     """Whether no uncoloured edge admits a short improvement at scale L.
 
@@ -240,20 +235,15 @@ def check_unimprovable(c: Colouring, L: int, mode: str = ITERATED) -> bool:
     for e in c.uncoloured():
         u, v, _ = c.graph.edges[e]
         for x in (u, v):
-            if max_fan(c, x, e).augmenting:
-                return False
             chain = vizing_chain(c, x, e)
-            if len(chain.tail.edges) < L:
+            if chain.tail is None or len(chain.tail.edges) < L:
                 return False
             if mode == SIMPLE:
                 continue
-            scan = superb_scan(c, x, e, limit=L)
-            try:
+            with closing(superb_scan(c, chain, limit=L)) as scan:
                 for entry in scan:
-                    if entry.superb and _second_path_length(entry.second_path) < L:
+                    if entry.superb and entry.second_len < L:
                         return False
-            finally:
-                scan.close()
     return True
 
 
@@ -367,12 +357,12 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
     a shorter path (or an augmenting fan, which has no path) is an error.
     Ties prefer the lexicographically smallest pair.
     """
-    if max_fan(c, x, e).augmenting:
+    chain = vizing_chain(c, x, e)
+    if chain.tail is None:
         raise ValueError(
             "the fan around the edge is augmenting; there is no alternating "
             "path to count superb edges in"
         )
-    chain = vizing_chain(c, x, e)
     path_len = len(chain.tail.edges)
     if path_len < L:
         raise ValueError(
@@ -381,8 +371,7 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
     empty_count = 0
     by_single: Counter[int] = Counter()
     by_pair: Counter[frozenset[int]] = Counter()
-    scan = superb_scan(c, x, e, limit=L)
-    try:
+    with closing(superb_scan(c, chain, limit=L)) as scan:
         for entry in scan:
             if not entry.superb:
                 continue
@@ -393,8 +382,6 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
                 by_single[next(iter(cols))] += 1
             else:
                 by_pair[cols] += 1
-    finally:
-        scan.close()
     palette = c.graph.palette
     best: tuple[int, int, int] | None = None
     for gamma in range(1, palette + 1):
@@ -454,8 +441,13 @@ def weighted_chain_mass(c: Colouring, e: int, x: int, weights) -> Fraction:
     """
     if c.colour_of(e) != 0:
         raise ValueError(f"edge {e} is coloured; chain mass needs an uncoloured edge")
+    return _chain_mass(vizing_chain(c, x, e), weights)
+
+
+def _chain_mass(chain: VizingChain, weights) -> Fraction:
+    e = chain.fan.edges[0]
     total = Fraction(0)
-    for f in vizing_chain(c, x, e).edges():
+    for f in chain.edges():
         if f != e:
             total += Fraction(weights[f])
     return total / Fraction(weights[e])
@@ -473,15 +465,30 @@ def _frac_str(q: Fraction) -> str:
 @dataclass
 class AuditReport:
     """One colouring's worth of audit results, everything recomputable from
-    the colouring itself.  superb_count_checks rows are
-    (e, x, gamma, theta, count, bound, verdict)."""
+    the colouring itself.  simple_caps and iterated_caps are the
+    coloured-side degree checks of the two audit graphs (their worst_edge
+    attains the maximum degree); min_uncoloured is the (edge, degree) pair
+    of the simple graph's least-degree uncoloured edge.  superb_count_checks
+    rows are (e, x, gamma, theta, count, bound, verdict)."""
 
-    max_deg_simple: int
-    max_deg_iterated: int
-    min_uncoloured_deg: int
+    simple_caps: DegreeBoundCheck
+    iterated_caps: DegreeBoundCheck
+    min_uncoloured: tuple[int | None, int]
     uncoloured_fraction: Fraction
     superb_count_checks: list[tuple[int, int, int, int, int, Fraction, str]]
     weighted_min_mass: Fraction | None
+
+    @property
+    def max_deg_simple(self) -> int:
+        return self.simple_caps.max_degree
+
+    @property
+    def max_deg_iterated(self) -> int:
+        return self.iterated_caps.max_degree
+
+    @property
+    def min_uncoloured_deg(self) -> int:
+        return self.min_uncoloured[1]
 
     def to_json(self) -> str:
         doc = {
@@ -510,27 +517,32 @@ def audit_report(
     capped at L), their extreme degrees, the exact uncoloured fraction,
     superb counts for the requested (e, x) probes, and the minimum weighted
     chain mass over all uncoloured edges and endpoints (unit weights when
-    none are given; None when the colouring is full)."""
-    simple = build_audit_graph(c, SIMPLE)
-    iterated = build_audit_graph(c, ITERATED, L_cap=L)
+    none are given; None when the colouring is full).  Each uncoloured
+    edge's two chains serve both audit graphs and the chain mass."""
+    if weights is None:
+        weights = EdgeWeights.unit(c.graph)
+    simple: dict[int, frozenset[int]] = {}
+    iterated: dict[int, frozenset[int]] = {}
+    min_mass: Fraction | None = None
+    for e in c.uncoloured():
+        chains = _endpoint_chains(c, e)
+        simple[e] = _partners(c, SIMPLE, chains, None)
+        iterated[e] = _partners(c, ITERATED, chains, L)
+        for chain in chains:
+            mass = _chain_mass(chain, weights)
+            if min_mass is None or mass < min_mass:
+                min_mass = mass
     rows = []
     for e, x in superb_probes:
         sc = superb_count_check(c, e, x, L)
         rows.append((e, x, sc.gamma, sc.theta, sc.count, sc.bound, sc.verdict))
-    if weights is None:
-        weights = EdgeWeights.unit(c.graph)
-    min_mass: Fraction | None = None
-    for e in c.uncoloured():
-        u, v, _ = c.graph.edges[e]
-        for x in (u, v):
-            mass = weighted_chain_mass(c, e, x, weights)
-            if min_mass is None or mass < min_mass:
-                min_mass = mass
-    fraction = Fraction(0) if c.graph.m == 0 else Fraction(c.uncoloured_count, c.graph.m)
+    g = c.graph
+    simple_graph = _audit_graph(SIMPLE, simple)
+    fraction = Fraction(0) if g.m == 0 else Fraction(c.uncoloured_count, g.m)
     return AuditReport(
-        max_deg_simple=simple.max_coloured_degree()[1],
-        max_deg_iterated=iterated.max_coloured_degree()[1],
-        min_uncoloured_deg=simple.min_uncoloured_degree()[1],
+        simple_caps=check_degree_bounds(simple_graph, g.delta, g.pi),
+        iterated_caps=check_degree_bounds(_audit_graph(ITERATED, iterated), g.delta, g.pi),
+        min_uncoloured=simple_graph.min_uncoloured_degree(),
         uncoloured_fraction=fraction,
         superb_count_checks=rows,
         weighted_min_mass=min_mass,

@@ -69,13 +69,36 @@ class AlternatingPath:
         return len(self.edges)
 
 
-def _edge_at_with_colour(c: Colouring, x: int, col: int) -> int | None:
-    """The unique edge at x coloured col, or None (uniqueness by properness)."""
-    colours = c.colours
-    for e in c.graph.adj[x]:
+def _edge_at_with_colour(around, colours, col: int) -> int | None:
+    """The unique edge of ``around`` with colours[e] == col, or None
+    (uniqueness by properness); ``colours`` is indexable by edge id."""
+    for e in around:
         if colours[e] == col:
             return e
     return None
+
+
+def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
+    """The walk of :func:`alternating_path`, reading edge colours through
+    ``colours``: the live colour array, or an overlay of another colouring."""
+    adj = g.adj
+    edges: list[int] = []
+    v = x
+    want, succ = alpha, beta
+    guard = g.m + 1
+    while True:
+        e = _edge_at_with_colour(adj[v], colours, want)
+        if e is None:
+            break
+        edges.append(e)
+        v = g.other(e, v)
+        want, succ = succ, want
+        guard -= 1
+        if guard < 0:  # unreachable: the walk uses each edge at most once
+            raise AssertionError("alternating walk failed to terminate")
+    return AlternatingPath(
+        start_vertex=x, alpha=alpha, beta=beta, edges=edges, last_vertex=v
+    )
 
 
 def alternating_path(c: Colouring, x: int, alpha: int, beta: int) -> AlternatingPath:
@@ -99,23 +122,7 @@ def alternating_path(c: Colouring, x: int, alpha: int, beta: int) -> Alternating
         raise ValueError(f"vertex {x} out of range")
     if not c.is_missing(x, beta):
         raise ValueError(f"colour {beta} is not missing at vertex {x}")
-    edges: list[int] = []
-    v = x
-    want, succ = alpha, beta
-    guard = g.m + 1
-    while True:
-        e = _edge_at_with_colour(c, v, want)
-        if e is None:
-            break
-        edges.append(e)
-        v = g.other(e, v)
-        want, succ = succ, want
-        guard -= 1
-        if guard < 0:  # unreachable: the walk uses each edge at most once
-            raise AssertionError("alternating walk failed to terminate")
-    return AlternatingPath(
-        start_vertex=x, alpha=alpha, beta=beta, edges=edges, last_vertex=v
-    )
+    return _walk(g, c.colours, x, alpha, beta)
 
 
 def prefix_stability_check(
@@ -186,6 +193,40 @@ def _min_in_mask(mask: int, big_colour: int | None) -> int:
     return (mask & -mask).bit_length()
 
 
+def _grow_fan(view, centre: int, first: int, big_colour=None, stop_mask: int = 0):
+    """The loop of :func:`max_fan`, shared with the conditional fans of the
+    iterated machinery.  Reads through ``view``: a Colouring, or an object
+    offering its ``graph``, ``colours`` and ``missing_mask``.  The fan also
+    stops as soon as a new far endpoint misses a colour in ``stop_mask``.
+    Returns (edges, far endpoints, colour sequence, next colour, repeat
+    position); the next colour is None after such an early stop.
+    """
+    g = view.graph
+    colours = view.colours
+    around = g.adj[centre]
+    edges = [first]
+    far = [g.other(first, centre)]
+    colour_seq: list[int] = []
+    chosen_at: dict[int, int] = {}
+    while True:
+        tip = far[-1]
+        avail = view.missing_mask(tip) & ~chosen_at.get(tip, 0)
+        if avail == 0:  # cannot happen: at most pi-1 exclusions of >= pi missing
+            raise AssertionError("fan step has no available colour")
+        col = _min_in_mask(avail, big_colour)
+        nxt = _edge_at_with_colour(around, colours, col)
+        if nxt is None:
+            return edges, far, colour_seq, col, None
+        if nxt in edges:
+            return edges, far, colour_seq, col, edges.index(nxt)
+        chosen_at[tip] = chosen_at.get(tip, 0) | (1 << (col - 1))
+        edges.append(nxt)
+        far.append(g.other(nxt, centre))
+        colour_seq.append(col)
+        if stop_mask and view.missing_mask(far[-1]) & stop_mask:
+            return edges, far, colour_seq, None, None
+
+
 def max_fan(
     c: Colouring, x: int, e: int, big_colour: int | None = None
 ) -> Fan:
@@ -203,34 +244,10 @@ def max_fan(
 
     The augmenting flag evaluates the full fan as a chain.
     """
-    g = c.graph
     if c.colour_of(e) != 0:
         raise ValueError(f"edge {e} is coloured; fans start at uncoloured edges")
-    u, v, _ = g.edges[e]
-    if x != u and x != v:
-        raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
-    edges = [e]
-    far = [g.other(e, x)]
-    colour_seq: list[int] = []
-    chosen_at: dict[int, int] = {}
-    colours = c.colours
-    while True:
-        tip = far[-1]
-        avail = c.missing_mask(tip) & ~chosen_at.get(tip, 0)
-        if avail == 0:  # cannot happen: at most pi-1 exclusions of >= pi missing
-            raise AssertionError("fan step has no available colour")
-        col = _min_in_mask(avail, big_colour)
-        nxt = _edge_at_with_colour(c, x, col)
-        if nxt is None:
-            next_colour, repeat_pos = col, None
-            break
-        if nxt in edges:
-            next_colour, repeat_pos = col, edges.index(nxt)
-            break
-        chosen_at[tip] = chosen_at.get(tip, 0) | (1 << (col - 1))
-        edges.append(nxt)
-        far.append(g.other(nxt, x))
-        colour_seq.append(col)
+    # raises ValueError when x is not an endpoint of e
+    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, x, e, big_colour)
     augmenting = classify_chain(c, edges) is ChainStatus.AUGMENTING
     return Fan(
         centre=x,
@@ -369,15 +386,14 @@ def augment_in_place(c: Colouring, chain: Sequence[int]) -> int:
     whose colour actually changed.  The caller guarantees the chain is
     augmenting; the colouring's own invariants abort on violations.
     """
-    old = [c.colour_of(f) for f in chain]
-    c.shift_in_place(chain)
+    old = c.shift_in_place(chain)
     last = chain[-1]
     u, v, _ = c.graph.edges[last]
     common = c.missing_mask(u) & c.missing_mask(v)
     if common == 0:
         raise ValueError("chain is not augmenting: no common missing colour")
     c.assign(last, (common & -common).bit_length())
-    return sum(1 for f, col in zip(chain, old) if c.colour_of(f) != col)
+    return sum(1 for f, col in old if c.colour_of(f) != col)
 
 
 def augment(c: Colouring, chain) -> Colouring:

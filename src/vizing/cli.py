@@ -32,13 +32,13 @@ from typing import TextIO
 
 from .audit import (
     VERDICT_FAIL,
+    VERDICT_NOT_APPLICABLE,
     _frac_str,
     audit_report,
-    build_audit_graph,
     check_unimprovable,
     uncoloured_fraction_bounds,
 )
-from .colouring import Colouring
+from .colouring import Colouring, is_proper
 from .engine import MaxRoundsExceeded, colour_sequential, orient, run_scheduler
 from .multigraph import Multigraph, generate_random
 
@@ -63,24 +63,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an integer of at least ``low``, called ``kind``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonneg_int = _int_at_least(0, "non-negative")
 
 
 def _int_list(text: str) -> list[int]:
@@ -115,7 +112,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("colour", help="colour every edge of a graph")
     _add_io(p, "the mg graph file")
-    p.add_argument("--workers", type=_positive_int, default=1, help="reserved; runs single-threaded (default 1)")
     p.set_defaults(func=cmd_colour)
 
     p = sub.add_parser("schedule", help="colour by rounds of short chains")
@@ -123,7 +119,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--L", type=_positive_int, required=True, help="chain-length scale; must exceed 2*delta")
     p.add_argument("--seed", type=int, default=0, help="schedule shuffle seed (default 0)")
     p.add_argument("--max-rounds", type=_positive_int, default=None, help="abort after this many rounds")
-    p.add_argument("--workers", type=_positive_int, default=1, help="reserved; runs single-threaded (default 1)")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("audit", help="recompute counting checks for a colouring dump")
@@ -132,7 +127,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("simple", "iterated"), default="simple",
                    help="which no-short-chain state gates the asserted checks (default simple)")
     p.add_argument("--format", choices=("json", "tsv"), default="json", help="report format (default json)")
-    p.add_argument("--workers", type=_positive_int, default=1, help="reserved; runs single-threaded (default 1)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("stats", help="sweep the scheduler over several L values")
@@ -142,7 +136,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="schedule shuffle seed (default 0)")
     p.add_argument("--max-rounds", type=_positive_int, default=None, help="abort after this many rounds per L")
     p.add_argument("--format", choices=("json", "tsv"), default="json", help="row format (default json)")
-    p.add_argument("--workers", type=_positive_int, default=1, help="reserved; runs single-threaded (default 1)")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("orient", help="orient a fully coloured graph")
@@ -195,15 +188,11 @@ def _load_colouring(args) -> Colouring:
 
     Colour-line parse errors are renumbered to whole-file line numbers.
     """
-    text = _read_text(args)
-    lines = text.splitlines()
-    head = lines[0].split() if lines else []
-    if len(head) != 5 or head[0] != "mg":
-        raise ValueError("line 1: expected header 'mg <n> <m> <delta> <pi>'")
+    lines = _read_text(args).splitlines()
     try:
-        m = int(head[2])
-    except ValueError:
-        raise ValueError("line 1: header fields must be integers") from None
+        m = int(lines[0].split()[2])
+    except (IndexError, ValueError):
+        m = 0  # the graph parser reports the malformed header
     g = Multigraph.from_text("\n".join(lines[: m + 1]) + "\n")
     try:
         return Colouring.from_dump(g, "\n".join(lines[m + 1 :]))
@@ -222,27 +211,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _exit_for(offenders: list[str]) -> int:
+    """Describe each substantive failure on stderr; exit 2 if there is any."""
+    for line in offenders:
+        print(f"bound failure: {line}", file=sys.stderr)
+    return EXIT_BOUND if offenders else EXIT_OK
+
+
 def _colour_offenders(c: Colouring) -> list[str]:
     """Substantive failures of a supposedly full proper colouring."""
-    g = c.graph
     out: list[str] = []
     if c.uncoloured_count:
         out.append(
             f"{c.uncoloured_count} edges left uncoloured; "
             f"first is edge {c.uncoloured()[0]}"
         )
-    seen: dict[tuple[int, int], int] = {}
-    for e in range(g.m):
-        col = c.colour_of(e)
-        if col == 0:
-            continue
-        for x in g.edges[e][:2]:
-            if (x, col) in seen:
-                out.append(
-                    f"edges {seen[(x, col)]} and {e} share colour {col} at vertex {x}"
-                )
-                return out
-            seen[(x, col)] = e
+    if not is_proper(c):
+        out.append("two edges at one vertex share a colour")
     return out
 
 
@@ -250,12 +235,9 @@ def cmd_colour(args) -> int:
     g = _load_graph(args)
     c = colour_sequential(g)
     offenders = _colour_offenders(c)
-    if offenders:
-        for line in offenders:
-            print(f"bound failure: {line}", file=sys.stderr)
-        return EXIT_BOUND
-    _emit(args, _dump_colouring(c))
-    return EXIT_OK
+    if not offenders:
+        _emit(args, _dump_colouring(c))
+    return _exit_for(offenders)
 
 
 def cmd_schedule(args) -> int:
@@ -264,8 +246,7 @@ def cmd_schedule(args) -> int:
         c = run_scheduler(g, args.L, args.seed, max_rounds=args.max_rounds, log=sys.stderr)
     except MaxRoundsExceeded as ex:
         _emit(args, _dump_colouring(ex.state.colouring))
-        print(f"bound failure: {ex}", file=sys.stderr)
-        return EXIT_BOUND
+        return _exit_for([str(ex)])
     _emit(args, _dump_colouring(c))
     return EXIT_OK
 
@@ -273,37 +254,39 @@ def cmd_schedule(args) -> int:
 def _audit_offenders(c: Colouring, L: int, mode: str, report) -> list[str]:
     """Asserted checks behind the audit exit code.  The degree caps always
     apply; the minimum-degree floor applies once no chain shorter than L
-    exists; a fraction-bound verdict of fail is always substantive.
-    Offending edges are only searched for in the (rare) failure branches.
+    exists; a fraction-bound verdict of fail is always substantive.  The
+    witness edges come with the report.
     """
-    g = c.graph
     out: list[str] = []
-    cap_simple = (g.delta + g.pi) ** 4
-    cap_iter = (g.delta + g.pi) ** 9
-    if report.max_deg_simple > cap_simple:
-        f, d = build_audit_graph(c, "simple").max_coloured_degree()
-        out.append(
-            f"coloured edge {f} lies on {d} chains; the cap is {cap_simple}"
-        )
-    if report.max_deg_iterated > cap_iter:
-        f, d = build_audit_graph(c, "iterated", L_cap=L).max_coloured_degree()
-        out.append(
-            f"coloured edge {f} lies on {d} second-order chains; the cap is {cap_iter}"
-        )
-    if c.uncoloured_count and check_unimprovable(c, L, mode="simple"):
-        if report.min_uncoloured_deg < L:
-            e, d = build_audit_graph(c, "simple").min_uncoloured_degree()
+    for caps, chains in ((report.simple_caps, "chains"),
+                         (report.iterated_caps, "second-order chains")):
+        if not caps.ok:
+            out.append(
+                f"coloured edge {caps.worst_edge} lies on {caps.max_degree} "
+                f"{chains}; the cap is {caps.bound}"
+            )
+    fb = uncoloured_fraction_bounds(c, L, mode=mode)
+    e, d = report.min_uncoloured
+    if c.uncoloured_count and d < L:
+        # the simple fraction bound applies exactly when check_unimprovable
+        # holds in simple mode, so in that mode its verdict already says so
+        if mode == "simple":
+            settled = fb.verdict != VERDICT_NOT_APPLICABLE
+        else:
+            settled = check_unimprovable(c, L, mode="simple")
+        if settled:
             out.append(
                 f"uncoloured edge {e} has chain degree {d} < L={L} "
                 "although no chain shorter than L exists"
             )
-    fb = uncoloured_fraction_bounds(c, L, mode=mode)
-    if fb.verdict == VERDICT_FAIL:
-        out.append(
-            f"uncoloured fraction {_frac_str(fb.fraction)} exceeds the "
-            f"{mode} bound {_frac_str(fb.bound)} at L={L}"
-        )
-    return out
+    return out + _fraction_offenders(fb, mode, L)
+
+
+def _fraction_offenders(fb, mode: str, L: int) -> list[str]:
+    if fb.verdict != VERDICT_FAIL:
+        return []
+    return [f"uncoloured fraction {_frac_str(fb.fraction)} exceeds the "
+            f"{mode} bound {_frac_str(fb.bound)} at L={L}"]
 
 
 def _report_tsv(report) -> str:
@@ -344,11 +327,7 @@ def cmd_audit(args) -> int:
         _emit(args, _report_tsv(report))
     else:
         _emit(args, report.to_json() + "\n")
-    if offenders:
-        for line in offenders:
-            print(f"bound failure: {line}", file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
+    return _exit_for(offenders)
 
 
 def cmd_stats(args) -> int:
@@ -367,12 +346,8 @@ def cmd_stats(args) -> int:
                 "iterated_bound": _frac_str(iterated.bound),
             }
         )
-        for mode, fb in (("simple", simple), ("iterated", iterated)):
-            if fb.verdict == VERDICT_FAIL:
-                offenders.append(
-                    f"uncoloured fraction {_frac_str(fb.fraction)} exceeds the "
-                    f"{mode} bound {_frac_str(fb.bound)} at L={L}"
-                )
+        offenders += _fraction_offenders(simple, "simple", L)
+        offenders += _fraction_offenders(iterated, "iterated", L)
     if args.format == "tsv":
         header = "L\tuncoloured_fraction\tsimple_bound\titerated_bound"
         lines = [header] + [
@@ -382,11 +357,7 @@ def cmd_stats(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit(args, json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    if offenders:
-        for line in offenders:
-            print(f"bound failure: {line}", file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
+    return _exit_for(offenders)
 
 
 def cmd_orient(args) -> int:
@@ -394,16 +365,11 @@ def cmd_orient(args) -> int:
     o = orient(c)
     bound = (c.graph.delta + 3) // 2
     counts = o.out_degree_counts()
-    worst = [x for x, d in sorted(counts.items()) if d > bound]
-    if worst:
-        print(
-            f"bound failure: vertex {worst[0]} has out-degree "
-            f"{counts[worst[0]]} > {bound}",
-            file=sys.stderr,
-        )
-        return EXIT_BOUND
-    _emit(args, "".join(f"{e} {t} {h}\n" for e, (t, h) in sorted(o.direction.items())))
-    return EXIT_OK
+    offenders = [f"vertex {x} has out-degree {d} > {bound}"
+                 for x, d in sorted(counts.items()) if d > bound][:1]
+    if not offenders:
+        _emit(args, "".join(f"{e} {t} {h}\n" for e, (t, h) in sorted(o.direction.items())))
+    return _exit_for(offenders)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MaxRoundsExceeded as ex:
-        print(f"bound failure: {ex}", file=sys.stderr)
-        return EXIT_BOUND
+        return _exit_for([str(ex)])
     except (OSError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

@@ -429,8 +429,14 @@ def classify_chain(c: Colouring, chain: Sequence[int]) -> ChainStatus:
             for other in g.adj[x]:
                 if other != e and col_after(other) == new_col:
                     return ChainStatus.SHIFTABLE
-    last = chain[-1]
-    u, v, _ = g.edges[last]
+    u, v, _ = g.edges[chain[-1]]
+    if _share_missing_colour(g, col_after, u, v):
+        return ChainStatus.AUGMENTING
+    return ChainStatus.PROPER_SHIFTABLE
+
+
+def _share_missing_colour(g: Multigraph, col_after, u: int, v: int) -> bool:
+    """Do u and v miss a common colour when edge e is read as col_after(e)?"""
     full = (1 << g.palette) - 1
     masks = []
     for x in (u, v):
@@ -440,9 +446,7 @@ def classify_chain(c: Colouring, chain: Sequence[int]) -> ChainStatus:
             if col:
                 used |= 1 << (col - 1)
         masks.append(full & ~used)
-    if masks[0] & masks[1]:
-        return ChainStatus.AUGMENTING
-    return ChainStatus.PROPER_SHIFTABLE
+    return bool(masks[0] & masks[1])
 
 
 def shift_along(c: Colouring, chain: Sequence[int]) -> Colouring:

@@ -20,7 +20,7 @@ Three ways to put the chain machinery to work:
     component consistently.
 
 The scheduler's classes are pairwise more than 6L apart in the line graph,
-so the chains applied within one round are vertex-disjoint (asserted) and
+so the chains applied within one round are vertex-disjoint (checked) and
 the result does not depend on application order.  Everything is
 deterministic given (graph, L, seed); round logs are emitted as JSON lines
 with stable keys.
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import TextIO
 
 from .chains import augment_in_place, vizing_chain
 from .colouring import Colouring
 from .iterated import superb_scan
-from .multigraph import Multigraph
+from .multigraph import Multigraph, line_distances
 
 __all__ = [
     "MaxRoundsExceeded",
@@ -73,50 +74,17 @@ def colour_sequential(g: Multigraph) -> Colouring:
 # ---------------------------------------------------------------------------
 
 
-def _line_ball(g: Multigraph, start: int, radius: int) -> dict[int, int]:
-    """Line-graph distances from the edge `start`, capped at `radius`."""
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier and d < radius:
-        d += 1
-        nxt = []
-        for f in frontier:
-            u, v, _ = g.edges[f]
-            for x in (u, v):
-                for h in g.adj[x]:
-                    if h not in dist:
-                        dist[h] = d
-                        nxt.append(h)
-        frontier = nxt
-    return dist
-
-
 def _line_components(g: Multigraph) -> tuple[list[int], list[int]]:
     """Line-graph component id per edge, plus each component root's
     eccentricity (the BFS depth from the component's smallest edge id)."""
     comp = [-1] * g.m
     eccs: list[int] = []
     for root in range(g.m):
-        if comp[root] != -1:
-            continue
-        cid = len(eccs)
-        comp[root] = cid
-        frontier = [root]
-        ecc = 0
-        while frontier:
-            nxt = []
-            for f in frontier:
-                u, v, _ = g.edges[f]
-                for x in (u, v):
-                    for h in g.adj[x]:
-                        if comp[h] == -1:
-                            comp[h] = cid
-                            nxt.append(h)
-            if nxt:
-                ecc += 1
-            frontier = nxt
-        eccs.append(ecc)
+        if comp[root] == -1:
+            ball = line_distances(g, root)
+            for h in ball:
+                comp[h] = len(eccs)
+            eccs.append(max(ball.values()))
     return comp, eccs
 
 
@@ -162,7 +130,7 @@ def build_schedule(
     assigned: dict[int, int] = {}
     greedy: list[list[int]] = []
     for f in order:
-        ball = _line_ball(g, f, 6 * L)
+        ball = line_distances(g, f, 6 * L)
         used = {assigned[h] for h in ball if h in assigned}
         n = 0
         while n in used:
@@ -204,10 +172,6 @@ class MaxRoundsExceeded(RuntimeError):
         )
 
 
-def _second_len(path) -> int:
-    return 0 if path is None else len(path.edges)
-
-
 def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
     """The edge sequence to augment for e at scale L, or None when every
     route is too long.
@@ -223,13 +187,10 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
         chain = vizing_chain(c, x, e)
         if chain.tail is None or len(chain.tail.edges) < L:
             return chain.edges()
-        scan = superb_scan(c, x, e, limit=L, with_chains=True)
-        try:
+        with closing(superb_scan(c, chain, limit=L, with_chains=True)) as scan:
             for entry in scan:
-                if entry.superb and _second_len(entry.second_path) <= L:
+                if entry.superb and entry.second_len <= L:
                     return entry.chain.edges()
-        finally:
-            scan.close()
     return None
 
 
@@ -246,7 +207,7 @@ def run_scheduler(
     still-uncoloured members that admit a chain of at most 3L edges (see
     _candidate_chain), and augments all of them against the same snapshot;
     the class spacing makes those chains vertex-disjoint, which is
-    asserted, so the application order is irrelevant.  Stops once a full
+    checked, so the application order is irrelevant.  Stops once a full
     cycle of the schedule produces no candidates; the result then cannot
     be improved at scale L, which check_unimprovable re-verifies.
 
@@ -271,17 +232,22 @@ def run_scheduler(
             if c.colour_of(e) == 0:
                 q = _candidate_chain(c, e, L)
                 if q is not None:
-                    assert len(q) <= 3 * L, "chain exceeds the 3L budget"
+                    if len(q) > 3 * L:
+                        raise AssertionError(
+                            f"chain of {len(q)} edges exceeds the 3L budget ({3 * L})"
+                        )
                     chains.append(q)
         seen: set[int] = set()
         for q in chains:
             verts = {w for f in q for w in g.edges[f][:2]}
-            assert not (verts & seen), "chains within a round must be vertex-disjoint"
+            if verts & seen:
+                raise AssertionError("chains within a round must be vertex-disjoint")
             seen |= verts
         recoloured = 0
         for q in chains:
             recoloured += augment_in_place(c, q)
-        assert recoloured <= 3 * L * len(chains)
+        if recoloured > 3 * L * len(chains):
+            raise AssertionError("a round recoloured more than 3L edges per chain")
         state.round += 1
         state.changed_log.append(recoloured)
         if log is not None:
@@ -355,7 +321,7 @@ def orient(c: Colouring) -> Orientation:
 
     Colours are sorted and grouped into pairs (plus one leftover
     singleton when their number is odd).  A pair's union has max degree 2
-    (asserted), so it splits into paths and cycles, each oriented
+    (checked), so it splits into paths and cycles, each oriented
     consistently: one out-edge per vertex per group at most.  A singleton
     group is a matching, oriented from the smaller endpoint.  With at most
     delta + 1 colours this gives at most ceil((delta+2)/2) groups.
@@ -386,8 +352,8 @@ def orient(c: Colouring) -> Orientation:
             u, v, _ = g.edges[e]
             incident.setdefault(u, []).append(e)
             incident.setdefault(v, []).append(e)
-        for lst in incident.values():
-            assert len(lst) <= 2, "a colour-pair union must split into paths and cycles"
+        if any(len(lst) > 2 for lst in incident.values()):
+            raise AssertionError("a colour-pair union must split into paths and cycles")
         visited: set[int] = set()
         for start in sorted(w for w, lst in incident.items() if len(lst) == 1):
             if incident[start][0] not in visited:

@@ -29,12 +29,18 @@ The machinery here constructs that second level:
     then the conditional fan (cut at the second critical index for TypeII),
     then the second alternating path.
 
-superb_scan is the batch driver used by audits and the scheduler: it walks
-all suitable edges of one tail path in order, advancing a single in-place
-shift incrementally (shift composition makes consecutive shifted colourings
-differ only on a short segment) and reading original colours through a small
+superb_scan is the batch routine used by audits and the scheduler: given the
+first-level chain its caller already built, it walks all suitable edges of
+that chain's tail path in order, advancing a single in-place shift
+incrementally (shift composition makes consecutive shifted colourings differ
+only on a short segment) and reading original colours through a small
 overlay, so a full scan costs about one shift of the whole path rather than
 one per suitable edge.
+
+Conditional fans and second alternating paths run the fan and walk loops of
+the chains module.  Those loops read colours and missing masks either from
+the colouring itself (the pointwise operations) or from the overlay (the
+scan), which offers the same reads; there is no separate live view.
 
 Everything is deterministic; minimal-colour choices use the natural order.
 """
@@ -44,14 +50,23 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .colouring import ChainStatus, Colouring, classify_chain
+from .colouring import (
+    ChainStatus,
+    Colouring,
+    _share_missing_colour,
+    classify_chain,
+    shifted_assignment,
+)
 from .chains import (
     AlternatingPath,
     VizingChain,
+    _grow_fan,
+    _walk,
     alternating_path,
     max_fan,
     vizing_chain,
 )
+from .multigraph import line_distances
 
 __all__ = [
     "SuitableType",
@@ -187,9 +202,14 @@ class ScanEntry:
     second_path: AlternatingPath | None
     chain: IteratedChain | None = None
 
+    @property
+    def second_len(self) -> int:
+        """Edges on the second path (0 when there is none)."""
+        return 0 if self.second_path is None else len(self.second_path.edges)
+
 
 # ---------------------------------------------------------------------------
-# Colour views: live colouring vs. original colouring during a scan
+# The original colouring during a scan
 # ---------------------------------------------------------------------------
 
 
@@ -197,17 +217,26 @@ class _OrigView:
     """Read-only view of the original colouring while the underlying
     Colouring object is temporarily shifted.
 
-    overrides maps mutated edges to their original colours; dirty_masks maps
-    the few vertices whose missing masks differ (the chain's first-level
-    vertices, captured before the shift) to their original masks.  The two
-    seam vertices of the current shift frontier are corrected analytically:
-    the shift freed alpha at the current far vertex and beta at the near one.
+    It offers the reads that the fan and walk loops make on a Colouring
+    (graph, colours, colour_of, missing_mask, is_missing, min_missing), so
+    the classification code takes either; ``colours`` is the view itself,
+    indexable by edge id.  overrides maps mutated edges to their original
+    colours; dirty_masks maps the few vertices whose missing masks differ
+    (the chain's first-level vertices, captured before the shift) to their
+    original masks.  The two seam vertices of the current shift frontier
+    are corrected analytically: the shift freed alpha at the current far
+    vertex and beta at the near one.
     """
 
-    __slots__ = ("c", "overrides", "dirty_masks", "seam_y", "seam_z", "_abit", "_bbit")
+    __slots__ = (
+        "c", "graph", "live", "overrides", "dirty_masks", "seam_y", "seam_z",
+        "_abit", "_bbit",
+    )
 
     def __init__(self, c: Colouring, alpha: int, beta: int):
         self.c = c
+        self.graph = c.graph
+        self.live = c.colours
         self.overrides: dict[int, int] = {}
         self.dirty_masks: dict[int, int] = {}
         self.seam_y: int | None = None
@@ -215,9 +244,15 @@ class _OrigView:
         self._abit = 1 << (alpha - 1)
         self._bbit = 1 << (beta - 1)
 
-    def colour_of(self, e: int) -> int:
+    @property
+    def colours(self) -> "_OrigView":
+        return self
+
+    def __getitem__(self, e: int) -> int:
         got = self.overrides.get(e)
-        return self.c.colour_of(e) if got is None else got
+        return self.live[e] if got is None else got
+
+    colour_of = __getitem__
 
     def missing_mask(self, v: int) -> int:
         got = self.dirty_masks.get(v)
@@ -230,52 +265,9 @@ class _OrigView:
             return live & ~self._bbit
         return live
 
-    def is_missing(self, v: int, col: int) -> bool:
-        return bool(self.missing_mask(v) >> (col - 1) & 1)
-
-    def min_missing(self, v: int) -> int:
-        m = self.missing_mask(v)
-        return (m & -m).bit_length()
-
-    def edge_at(self, v: int, col: int) -> int | None:
-        for e in self.c.graph.adj[v]:
-            if self.colour_of(e) == col:
-                return e
-        return None
-
-    def walk(self, start: int, alpha: int, beta: int) -> AlternatingPath:
-        """Alternating-path walk under this view (mirrors the live walker)."""
-        edges: list[int] = []
-        v = start
-        want, succ = alpha, beta
-        guard = self.c.graph.m + 1
-        while True:
-            e = self.edge_at(v, want)
-            if e is None:
-                break
-            edges.append(e)
-            v = self.c.graph.other(e, v)
-            want, succ = succ, want
-            guard -= 1
-            if guard < 0:
-                raise AssertionError("alternating walk failed to terminate")
-        return AlternatingPath(
-            start_vertex=start, alpha=alpha, beta=beta, edges=edges, last_vertex=v
-        )
-
-
-class _LiveView(_OrigView):
-    """The same interface over the colouring as-is (no shift in progress)."""
-
-    def __init__(self, c: Colouring):
-        super().__init__(c, 1, 1)
-        self.seam_y = self.seam_z = None
-
-    def missing_mask(self, v: int) -> int:
-        return self.c.missing_mask(v)
-
-    def walk(self, start: int, alpha: int, beta: int) -> AlternatingPath:
-        return alternating_path(self.c, start, alpha, beta)
+    # derived from missing_mask exactly as on a Colouring
+    is_missing = Colouring.is_missing
+    min_missing = Colouring.min_missing
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +284,15 @@ class _Context:
         "chain_pos", "near_e",
     )
 
-    def __init__(self, c: Colouring, x: int, e: int):
-        vc = vizing_chain(c, x, e)
+    def __init__(self, c: Colouring, vc: VizingChain):
         if vc.tail is None:
             raise ValueError(
                 "the fan around the edge is augmenting; there is no tail path "
                 "to pick suitable edges from"
             )
         self.c = c
-        self.x = x
-        self.e = e
+        self.x = vc.fan.centre
+        self.e = vc.fan.edges[0]
         self.vc = vc
         self.alpha = vc.alpha
         self.beta = vc.beta
@@ -315,7 +306,7 @@ class _Context:
         for h in self.path_edges:
             verts.append(g.other(h, verts[-1]))
         self.path_vertices = verts
-        self.near_e = _edge_ball(g, e, radius=4)
+        self.near_e = line_distances(g, self.e, 4)
 
     def suitables(self, limit: int | None) -> list[SuitableEdge]:
         last = len(self.path_edges) - 1
@@ -348,72 +339,32 @@ class _Context:
         return self.chain_edges[: self.prefix_len + position]
 
 
-def _edge_ball(g, e: int, radius: int) -> set[int]:
-    """Edges at line-graph distance <= radius from e (BFS)."""
-    seen = {e}
-    frontier = [e]
-    for _ in range(radius):
-        nxt = []
-        for eid in frontier:
-            u, v, _ = g.edges[eid]
-            for w in (u, v):
-                for nid in g.adj[w]:
-                    if nid not in seen:
-                        seen.add(nid)
-                        nxt.append(nid)
-        frontier = nxt
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Conditional fans and classification
 # ---------------------------------------------------------------------------
 
 
-def _conditional_fan(ctx: _Context, su: SuitableEdge, view: _OrigView) -> ConditionalFan:
-    y = su.far_vertex
-    alpha, beta = ctx.alpha, ctx.beta
-    edges = [su.edge]
-    far = [su.near_vertex]
-    colour_seq: list[int] = []
-    chosen_at: dict[int, int] = {}
+def _conditional_fan(ctx: _Context, su: SuitableEdge, view) -> ConditionalFan:
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0
-    assert not (view.is_missing(far[0], alpha) or view.is_missing(far[0], beta))
-    early_stop = False
-    next_colour: int | None = None
-    repeat_pos: int | None = None
-    while True:
-        tip = far[-1]
-        avail = view.missing_mask(tip) & ~chosen_at.get(tip, 0)
-        assert avail != 0, "conditional fan step has no available colour"
-        col = (avail & -avail).bit_length()
-        nxt = view.edge_at(y, col)
-        if nxt is None:
-            next_colour, repeat_pos = col, None
-            break
-        if nxt in edges:
-            next_colour, repeat_pos = col, edges.index(nxt)
-            break
-        chosen_at[tip] = chosen_at.get(tip, 0) | (1 << (col - 1))
-        edges.append(nxt)
-        far.append(ctx.c.graph.other(nxt, y))
-        colour_seq.append(col)
-        if view.is_missing(far[-1], alpha) or view.is_missing(far[-1], beta):
-            early_stop = True
-            break
+    near = su.near_vertex
+    assert not (view.is_missing(near, ctx.alpha) or view.is_missing(near, ctx.beta))
+    stop = (1 << (ctx.alpha - 1)) | (1 << (ctx.beta - 1))
+    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(
+        view, su.far_vertex, su.edge, stop_mask=stop
+    )
     return ConditionalFan(
-        centre=y,
+        centre=su.far_vertex,
         edges=edges,
         far_endpoints=far,
         colour_seq=colour_seq,
-        early_stop=early_stop,
+        early_stop=next_colour is None,
         next_colour=next_colour,
         repeat_pos=repeat_pos,
     )
 
 
-def _classify(ctx: _Context, su: SuitableEdge, view: _OrigView) -> Classification:
+def _classify(ctx: _Context, su: SuitableEdge, view) -> Classification:
     fan = _conditional_fan(ctx, su, view)
     alpha, beta = ctx.alpha, ctx.beta
     y = su.far_vertex
@@ -443,7 +394,7 @@ def _classify(ctx: _Context, su: SuitableEdge, view: _OrigView) -> Classificatio
 
 
 def _first_segment_augmenting(
-    ctx: _Context, su: SuitableEdge, fan: ConditionalFan, view: _OrigView
+    ctx: _Context, su: SuitableEdge, fan: ConditionalFan, view
 ) -> bool:
     """Is (chain before f) + (conditional fan) augmenting, i.e. do y and the
     fan's last far endpoint share a missing colour after that shift?
@@ -456,10 +407,7 @@ def _first_segment_augmenting(
     """
     chain = ctx.chain_edges
     cut = ctx.prefix_len + su.position - 1  # edges of the chain before f
-    fan_after: dict[int, int] = {}
-    for q in range(len(fan.edges) - 1):
-        fan_after[fan.edges[q]] = view.colour_of(fan.edges[q + 1])
-    fan_after[fan.edges[-1]] = 0
+    fan_after = shifted_assignment(view, fan.edges)
 
     def col_after(h: int) -> int:
         got = fan_after.get(h)
@@ -470,17 +418,7 @@ def _first_segment_augmenting(
             return view.colour_of(chain[q + 1])
         return view.colour_of(h)
 
-    g = ctx.c.graph
-    full = (1 << g.palette) - 1
-    masks = []
-    for v in (fan.centre, fan.far_endpoints[-1]):
-        used = 0
-        for h in g.adj[v]:
-            col = col_after(h)
-            if col:
-                used |= 1 << (col - 1)
-        masks.append(full & ~used)
-    return bool(masks[0] & masks[1])
+    return _share_missing_colour(ctx.c.graph, col_after, fan.centre, fan.far_endpoints[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +427,11 @@ def _first_segment_augmenting(
 
 
 def _second_paths_c(
-    ctx: _Context, cls: Classification, view: _OrigView
-) -> tuple[list[tuple[int, int, int]], AlternatingPath | None, int | None]:
-    """The alternating-path probes a superb test must compare, under the
-    input colouring: a list of (start, colour1, colour2), plus the chain's
-    second path and second critical index when determined.
+    cls: Classification, view
+) -> tuple[list[AlternatingPath], AlternatingPath | None, int | None]:
+    """The alternating paths a superb test must compare, walked under the
+    input colouring, plus the chain's second path and second critical index
+    when determined.
 
     TypeI compares one alpha/beta path from the last far endpoint; its path
     is also the chain's second path.  TypeII compares delta/epsilon paths
@@ -501,22 +439,29 @@ def _second_paths_c(
     uses whichever avoids y (preferring the earlier index).
     """
     fan = cls.fan
+    last = len(fan.edges) - 1
     if cls.type_tag is SuitableType.TYPE1:
-        u_m = fan.far_endpoints[-1]
-        p = view.walk(u_m, cls.alpha, cls.beta)
-        return [(u_m, cls.alpha, cls.beta)], p, len(fan.edges) - 1
-    u_i = fan.far_endpoints[cls.repeat_index]
-    u_m = fan.far_endpoints[-1]
-    probes = [(u_i, cls.delta, cls.epsilon), (u_m, cls.delta, cls.epsilon)]
+        p = _walk(view.graph, view.colours, fan.far_endpoints[-1], cls.alpha, cls.beta)
+        return [p], p, last
+    p_i, p_m = (
+        _walk(view.graph, view.colours, fan.far_endpoints[q], cls.delta, cls.epsilon)
+        for q in (cls.repeat_index, last)
+    )
     # delta is missing at y, so y can only be an endpoint of a
     # delta/epsilon path and the last-vertex test decides avoidance
-    p_i = view.walk(u_i, cls.delta, cls.epsilon)
     if p_i.last_vertex != fan.centre:
-        return probes, p_i, cls.repeat_index
-    p_m = view.walk(u_m, cls.delta, cls.epsilon)
+        return [p_i, p_m], p_i, cls.repeat_index
     if p_m.last_vertex != fan.centre:
-        return probes, p_m, len(fan.edges) - 1
-    return probes, None, None
+        return [p_i, p_m], p_m, last
+    return [p_i, p_m], None, None
+
+
+def _unchanged(c: Colouring, paths: list[AlternatingPath]) -> bool:
+    """Does every path come out the same when walked again under c?"""
+    return all(
+        p.edges == alternating_path(c, p.start_vertex, p.alpha, p.beta).edges
+        for p in paths
+    )
 
 
 def _assemble(
@@ -528,6 +473,8 @@ def _assemble(
     su = cls.suitable
     first = ctx.chain_edges[: ctx.prefix_len + su.position - 1]
     if cls.type_tag is SuitableType.TYPE2:
+        if second_path is None:  # unreachable for a superb edge
+            raise AssertionError("both candidate second paths end at the centre")
         fan_part = cls.fan.edges[: second_critical_index + 1]
     else:
         fan_part = list(cls.fan.edges)
@@ -546,6 +493,16 @@ def _assemble(
     )
 
 
+def _shift_stable(ctx: _Context, su: SuitableEdge, paths: list[AlternatingPath]) -> bool:
+    """The pointwise superb test: are the second paths unchanged by the
+    shift of the chain through su (in place, reverted via the undo log)?"""
+    log = ctx.c.shift_in_place(ctx.shift_chain(su.position))
+    try:
+        return _unchanged(ctx.c, paths)
+    finally:
+        ctx.c.apply_undo(log)
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -562,7 +519,7 @@ def suitable_edges(
     every second path edge does).  Raises ValueError when the fan around
     (x, e) is augmenting, since then there is no tail path.
     """
-    return _Context(c, x, e).suitables(limit)
+    return _Context(c, vizing_chain(c, x, e)).suitables(limit)
 
 
 def conditional_fan(
@@ -578,8 +535,8 @@ def conditional_fan(
 
     Raises ValueError if f is not suitable.
     """
-    ctx = _Context(c, x, e)
-    return _conditional_fan(ctx, ctx.resolve(f), _LiveView(c))
+    ctx = _Context(c, vizing_chain(c, x, e))
+    return _conditional_fan(ctx, ctx.resolve(f), c)
 
 
 def check_shadow_fan(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
@@ -590,9 +547,9 @@ def check_shadow_fan(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> boo
     reordered to compare largest, and checks that the conditional fan is a
     prefix of it.  True for every suitable f; exposed as a test oracle.
     """
-    ctx = _Context(c, x, e)
+    ctx = _Context(c, vizing_chain(c, x, e))
     su = ctx.resolve(f)
-    fan = _conditional_fan(ctx, su, _LiveView(c))
+    fan = _conditional_fan(ctx, su, c)
     log = c.shift_in_place(ctx.shift_chain(su.position))
     try:
         shadow = max_fan(c, su.far_vertex, su.edge, big_colour=ctx.beta)
@@ -612,8 +569,8 @@ def classify_suitable(
     colour epsilon at an earlier index, with delta the smallest colour
     missing at the fan centre and {alpha, beta}, {delta, epsilon} disjoint.
     """
-    ctx = _Context(c, x, e)
-    return _classify(ctx, ctx.resolve(f), _LiveView(c))
+    ctx = _Context(c, vizing_chain(c, x, e))
+    return _classify(ctx, ctx.resolve(f), c)
 
 
 def is_superb(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
@@ -624,23 +581,13 @@ def is_superb(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
     chain through f (in place, reverted via the undo log) and must match
     exactly.
     """
-    ctx = _Context(c, x, e)
+    ctx = _Context(c, vizing_chain(c, x, e))
     su = ctx.resolve(f)
-    view = _LiveView(c)
-    cls = _classify(ctx, su, view)
+    cls = _classify(ctx, su, c)
     if cls.type_tag is SuitableType.TYPE0:
         return True
-    probes, _sec, _j = _second_paths_c(ctx, cls, view)
-    before = [view.walk(v, a, b).edges for (v, a, b) in probes]
-    log = c.shift_in_place(ctx.shift_chain(su.position))
-    try:
-        after = []
-        for v, a, b in probes:
-            assert c.is_missing(v, b)
-            after.append(alternating_path(c, v, a, b).edges)
-    finally:
-        c.apply_undo(log)
-    return before == after
+    paths, _sec, _j = _second_paths_c(cls, c)
+    return _shift_stable(ctx, su, paths)
 
 
 def iterated_chain(
@@ -654,45 +601,45 @@ def iterated_chain(
     index), and the second alternating path.  The result always classifies
     as augmenting.  Raises ValueError if f is not superb.
     """
-    ctx = _Context(c, x, e)
+    ctx = _Context(c, vizing_chain(c, x, e))
     su = ctx.resolve(f)
-    view = _LiveView(c)
-    cls = _classify(ctx, su, view)
-    if cls.type_tag is SuitableType.TYPE0:
-        chain = _assemble(ctx, cls, None, None)
-    else:
-        if not is_superb(c, x, e, su):
+    cls = _classify(ctx, su, c)
+    sec = j = None
+    if cls.type_tag is not SuitableType.TYPE0:
+        paths, sec, j = _second_paths_c(cls, c)
+        if not _shift_stable(ctx, su, paths):
             raise ValueError(
                 f"edge {su.edge} is suitable but not superb; "
                 "its chain is undefined"
             )
-        _probes, sec, j = _second_paths_c(ctx, cls, view)
-        if sec is None and cls.type_tag is SuitableType.TYPE2:
-            raise AssertionError("both candidate second paths end at the centre")
-        chain = _assemble(ctx, cls, sec, j)
-    assert classify_chain(c, chain.edges()) is ChainStatus.AUGMENTING
+    chain = _assemble(ctx, cls, sec, j)
+    if classify_chain(c, chain.edges()) is not ChainStatus.AUGMENTING:
+        raise AssertionError("the assembled second-level chain is not augmenting")
     return chain
 
 
 def superb_scan(
     c: Colouring,
-    x: int,
-    e: int,
+    chain: VizingChain,
     limit: int | None = None,
     with_chains: bool = False,
 ):
     """Classify and superb-test every suitable edge of one tail path.
 
-    Yields a :class:`ScanEntry` per suitable edge among the first ``limit``
-    path edges, in path order.  Equivalent to calling classify_suitable and
-    is_superb edge by edge, but the in-place shift advances incrementally
-    (consecutive shifted colourings differ only on the segment between two
-    suitable edges, by shift composition), and original colours and missing
-    masks are read through an overlay, so the whole scan performs one pass of
-    shifting instead of one full shift per suitable edge.  The colouring is
-    restored before the generator finishes, including on early exit.
+    ``chain`` is the first-level chain ``vizing_chain(c, x, e)`` of the
+    probe, built by the caller under the current colouring and passed down
+    so the scan does not derive it again; a chain without a tail (augmenting
+    fan) raises ValueError on the first step.  Yields a :class:`ScanEntry`
+    per suitable edge among the first ``limit`` path edges, in path order.
+    Equivalent to calling classify_suitable and is_superb edge by edge,
+    but the in-place shift advances incrementally (consecutive shifted
+    colourings differ only on the segment between two suitable edges, by
+    shift composition), and original colours and missing masks are read
+    through an overlay, so the whole scan performs one pass of shifting
+    instead of one full shift per suitable edge.  The colouring is restored
+    before the generator finishes, including on early exit.
     """
-    ctx = _Context(c, x, e)
+    ctx = _Context(c, chain)
     sus = ctx.suitables(limit)
     if not sus:
         return
@@ -720,24 +667,12 @@ def superb_scan(
             view.seam_z = su.near_vertex
             cls = _classify(ctx, su, view)
             if cls.type_tag is SuitableType.TYPE0:
-                entry = ScanEntry(su, cls, True, None)
-                if with_chains:
-                    entry.chain = _assemble(ctx, cls, None, None)
-                yield entry
-                continue
-            probes, sec, j = _second_paths_c(ctx, cls, view)
-            superb = True
-            for v, a, b in probes:
-                assert c.is_missing(v, b)
-                if view.walk(v, a, b).edges != alternating_path(c, v, a, b).edges:
-                    superb = False
-                    break
+                superb, sec, j = True, None, None
+            else:
+                paths, sec, j = _second_paths_c(cls, view)
+                superb = _unchanged(c, paths)
             entry = ScanEntry(su, cls, superb, sec)
             if with_chains and superb:
-                if sec is None and cls.type_tag is SuitableType.TYPE2:
-                    raise AssertionError(
-                        "superb TypeII edge with both paths ending at the centre"
-                    )
                 entry.chain = _assemble(ctx, cls, sec, j)
             yield entry
     finally:

@@ -26,7 +26,6 @@ Instances are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -295,39 +294,40 @@ def generate_random(
 # ---------------------------------------------------------------------------
 
 
+def line_distances(g: Multigraph, start: int, cap: int | None = None) -> dict[int, int]:
+    """Line-graph distances from the edge ``start`` to every edge within
+    distance ``cap`` of it (its whole line-graph component when cap is
+    None), as {edge: distance}.
+
+    Two edges are adjacent iff they share a vertex (parallel edges share
+    two).  Breadth-first; cost is O(edges within the cap ball * delta).
+    """
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    adj = g.adj
+    edges = g.edges
+    while frontier and (cap is None or d < cap):
+        d += 1
+        nxt: list[int] = []
+        for f in frontier:
+            u, v, _ = edges[f]
+            for x in (u, v):
+                for h in adj[x]:
+                    if h not in dist:
+                        dist[h] = d
+                        nxt.append(h)
+        frontier = nxt
+    return dist
+
+
 def line_graph_distance(
     g: Multigraph, e: int, f: int, cap: int | None = None
 ) -> int | None:
     """BFS distance between edges e and f in the line graph of g.
 
-    Two edges are adjacent iff they share a vertex (parallel edges share
-    two).  Returns 0 for e == f, and None when the distance exceeds ``cap``
+    Returns 0 for e == f, and None when the distance exceeds ``cap``
     (or when e and f lie in different components; pass cap=None to search the
-    whole component).
-
-    Cost is O(edges within the cap ball * delta); with a cap this stays local.
+    whole component).  See :func:`line_distances`.
     """
-    if e == f:
-        return 0
-    seen = bytearray(g.m)
-    seen[e] = 1
-    frontier = [e]
-    dist = 0
-    adj = g.adj
-    edges = g.edges
-    while frontier:
-        dist += 1
-        if cap is not None and dist > cap:
-            return None
-        nxt: list[int] = []
-        for eid in frontier:
-            u, v, _ = edges[eid]
-            for x in (u, v):
-                for nid in adj[x]:
-                    if not seen[nid]:
-                        if nid == f:
-                            return dist
-                        seen[nid] = 1
-                        nxt.append(nid)
-        frontier = nxt
-    return None
+    return line_distances(g, e, cap).get(f)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from vizing import (
     vizing_chain,
     weighted_chain_mass,
 )
+from vizing import chains
 from vizing.audit import (
     VERDICT_FAIL,
     VERDICT_NOT_APPLICABLE,
@@ -411,6 +413,45 @@ class TestWeightedChainMass:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+class TestOneChainPerProbe:
+    """Each public audit builds every (uncoloured edge, endpoint) probe's
+    plain fan once and passes the chain down.  Fans are counted by wrapping
+    max_fan in every vizing module that holds it."""
+
+    @pytest.fixture
+    def fans(self, monkeypatch):
+        calls = []
+        original = chains.max_fan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "vizing" and vars(module).get("max_fan") is original:
+                monkeypatch.setattr(module, "max_fan", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "call, result, probes",
+        [
+            # both endpoints of the one uncoloured edge, serving both audit
+            # graphs and the chain mass
+            (lambda inst: audit_report(inst.c, 16).min_uncoloured_deg, 32, 2),
+            (lambda inst: check_unimprovable(inst.c, 16, mode="simple"), True, 2),
+            (lambda inst: check_unimprovable(inst.c, 4, mode="iterated"), True, 2),
+            # stops at the first endpoint, whose scan finds an empty second path
+            (lambda inst: check_unimprovable(inst.c, 16, mode="iterated"), False, 1),
+            (lambda inst: superb_count_check(inst.c, inst.e, inst.x, 16).count, 6, 1),
+        ],
+        ids=["audit_report", "simple", "iterated-settled", "iterated-improvable", "superb_count"],
+    )
+    def test_one_plain_fan_per_probe(self, fans, call, result, probes):
+        inst = locked_instance(16)
+        assert call(inst) == result
+        assert len(fans) == probes
 
 
 class TestAuditReport:

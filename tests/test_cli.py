@@ -275,8 +275,8 @@ class TestUsage:
         assert cli(["schedule"], stdin=P3_MG)[0] == 1
         assert cli(["gen"])[0] == 1
 
-    def test_zero_workers_rejected(self, cli):
-        code, _, err = cli(["colour", "--workers", "0"], stdin=P3_MG)
+    def test_zero_L_rejected(self, cli):
+        code, _, err = cli(["schedule", "--L", "0"], stdin=P3_MG)
         assert code == 1
         assert "positive" in err
 

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vizing
 
 from vizing import (
     Colouring,
@@ -21,7 +27,8 @@ from vizing import (
     vizing_chain,
 )
 from vizing.chains import augment_in_place
-from vizing.engine import _candidate_chain, _line_ball
+from vizing.engine import _candidate_chain
+from vizing.multigraph import line_distances
 
 from gadgets import TYPE1, locked_instance, long_path_instance
 
@@ -127,8 +134,8 @@ class TestBuildSchedule:
 
     def test_line_ball_radius(self):
         g = long_path(199)
-        assert len(_line_ball(g, 0, 15)) == 16
-        assert _line_ball(g, 0, 15) == {e: e for e in range(16)}
+        assert len(line_distances(g, 0, 15)) == 16
+        assert line_distances(g, 0, 15) == {e: e for e in range(16)}
 
     def test_components_share_classes(self):
         # edges in different line-graph components are arbitrarily far
@@ -256,6 +263,26 @@ class TestRunScheduler:
         assert run_scheduler(build(0, []), 5, 0).assignment() == {}
         c = run_scheduler(build(2, [(0, 1, 1)]), 5, 0)
         assert c.assignment() == {0: 1}
+
+    def test_budget_check_fires_under_optimisation(self):
+        # a candidate longer than 3L must be refused even when assert
+        # statements are compiled away
+        script = (
+            "import sys\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not running under -O')\n"
+            "from vizing import build, engine\n"
+            "engine._candidate_chain = lambda c, e, L: list(range(3 * L + 1))\n"
+            "engine.run_scheduler(build(2, [(0, 1, 1)]), 5, 0)\n"
+        )
+        src = str(Path(vizing.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: chain of 16 edges exceeds the 3L budget (15)" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,7 @@ def test_frozen_instance_with_type2():
 
 def scan_matches_pointwise(g, c, e, x):
     before = c.assignment()
-    entries = list(superb_scan(c, x, e, with_chains=True))
+    entries = list(superb_scan(c, vizing_chain(c, x, e), with_chains=True))
     assert c.assignment() == before
     sus = suitable_edges(c, x, e)
     assert [en.suitable for en in entries] == sus
@@ -495,14 +495,14 @@ def test_scan_matches_pointwise_on_random_probes():
 
 def test_scan_respects_limit():
     inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
-    entries = list(superb_scan(inst.c, inst.x, inst.e, limit=9))
+    entries = list(superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e), limit=9))
     assert [en.suitable.position for en in entries] == [5, 7, 9]
 
 
 def test_scan_restores_colouring_on_early_exit():
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE1_UNSTABLE})
     before = inst.c.assignment()
-    gen = superb_scan(inst.c, inst.x, inst.e)
+    gen = superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e))
     next(gen)
     gen.close()
     assert inst.c.assignment() == before
@@ -515,7 +515,7 @@ def test_scan_second_paths_match_oracle_walks():
     vc = vizing_chain(inst.c, inst.x, inst.e)
     # snapshot: the scan shifts the live array in place while iterating
     cols = list(inst.c.colours)
-    for en in superb_scan(inst.c, inst.x, inst.e):
+    for en in superb_scan(inst.c, vc):
         if en.classification.type_tag is not SuitableType.TYPE1:
             continue
         u_m = en.classification.fan.far_endpoints[-1]
