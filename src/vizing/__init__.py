@@ -28,7 +28,6 @@ from .colouring import (
     missing_colours,
     shift_along,
     shifted_assignment,
-    split_shift_check,
 )
 from .chains import (
     AlternatingPath,
@@ -38,7 +37,6 @@ from .chains import (
     augment,
     augment_in_place,
     max_fan,
-    prefix_stability_check,
     repeated_colour_indices,
     vizing_chain,
 )
@@ -49,7 +47,6 @@ from .iterated import (
     ScanEntry,
     SuitableEdge,
     SuitableType,
-    check_shadow_fan,
     classify_suitable,
     conditional_fan,
     is_superb,
@@ -96,7 +93,6 @@ __all__ = [
     "missing_colours",
     "shift_along",
     "shifted_assignment",
-    "split_shift_check",
     "AlternatingPath",
     "Fan",
     "VizingChain",
@@ -104,7 +100,6 @@ __all__ = [
     "augment",
     "augment_in_place",
     "max_fan",
-    "prefix_stability_check",
     "repeated_colour_indices",
     "vizing_chain",
     "SuitableType",
@@ -115,7 +110,6 @@ __all__ = [
     "ScanEntry",
     "suitable_edges",
     "conditional_fan",
-    "check_shadow_fan",
     "classify_suitable",
     "is_superb",
     "iterated_chain",

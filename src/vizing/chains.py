@@ -36,7 +36,6 @@ __all__ = [
     "Fan",
     "VizingChain",
     "alternating_path",
-    "prefix_stability_check",
     "max_fan",
     "repeated_colour_indices",
     "vizing_chain",
@@ -123,31 +122,6 @@ def alternating_path(c: Colouring, x: int, alpha: int, beta: int) -> Alternating
     if not c.is_missing(x, beta):
         raise ValueError(f"colour {beta} is not missing at vertex {x}")
     return _walk(g, c.colours, x, alpha, beta)
-
-
-def prefix_stability_check(
-    c: Colouring, d: Colouring, x: int, alpha: int, beta: int
-) -> bool:
-    """Oracle: is the alpha/beta-path under c a prefix of the one under d?
-
-    Preconditions (violations raise ValueError, distinctly from a False
-    result): both colourings proper on the same graph, beta missing at x in
-    both, and c and d agree on every edge of the path under c.
-    """
-    if c.graph is not d.graph:
-        raise ValueError("colourings must colour the same graph")
-    p_c = alternating_path(c, x, alpha, beta)
-    if not d.is_missing(x, beta):
-        raise ValueError(
-            f"precondition violated: colour {beta} not missing at {x} under d"
-        )
-    for e in p_c.edges:
-        if c.colour_of(e) != d.colour_of(e):
-            raise ValueError(
-                f"precondition violated: colourings disagree on path edge {e}"
-            )
-    p_d = alternating_path(d, x, alpha, beta)
-    return p_d.edges[: len(p_c.edges)] == p_c.edges
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +213,26 @@ def max_fan(
     already in the fan, stop; otherwise append it.
 
     ``big_colour`` reorders the palette so that one colour compares larger
-    than all others; the default natural order is used everywhere except the
-    shadow-fan comparison in the iterated machinery.
+    than all others; the natural order is the default, and the reordering
+    gives the shifted-colouring shadow that a conditional fan of the iterated
+    machinery is a prefix of.
 
-    The augmenting flag evaluates the full fan as a chain.
+    The augmenting flag says whether the full fan, as a chain, is
+    augmenting.  A maximal fan is always proper-shiftable (each e_j takes a
+    colour missing at v_j and not taken by a parallel fan edge), so the flag
+    only asks whether x and v_k share a missing colour after the shift.  The
+    shift permutes the colours at the centre, so x's missing set does not
+    change.  v_k's changes only through the fan edges e_j ending at v_k,
+    which give back their old colour a_{j-1} and take their new colour a_j;
+    every fan colour sits on an edge at x, so neither change touches the
+    colours missing at x.  The flag is therefore read off the masks before
+    the shift, in O(1).
     """
     if c.colour_of(e) != 0:
         raise ValueError(f"edge {e} is coloured; fans start at uncoloured edges")
     # raises ValueError when x is not an endpoint of e
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, x, e, big_colour)
-    augmenting = classify_chain(c, edges) is ChainStatus.AUGMENTING
+    augmenting = bool(c.missing_mask(x) & c.missing_mask(far[-1]))
     return Fan(
         centre=x,
         edges=edges,
@@ -280,8 +264,10 @@ def repeated_colour_indices(
     k = len(fan.edges) - 1
     beta = fan.next_colour
     j = fan.repeat_pos - 1
-    assert 0 <= j < k and fan.colour_seq[j] == beta
-    assert fan.far_endpoints[j] != fan.far_endpoints[k]
+    if not (0 <= j < k and fan.colour_seq[j] == beta):
+        raise AssertionError("the repeat edge does not carry the stop colour")
+    if fan.far_endpoints[j] == fan.far_endpoints[k]:
+        raise AssertionError("the repeated colour pair shares a far endpoint")
     return j, k, beta
 
 
@@ -393,7 +379,8 @@ def augment_in_place(c: Colouring, chain: Sequence[int]) -> int:
     if common == 0:
         raise ValueError("chain is not augmenting: no common missing colour")
     c.assign(last, (common & -common).bit_length())
-    return sum(1 for f, col in old if c.colour_of(f) != col)
+    colours = c.colours
+    return sum(1 for f, col in old if colours[f] != col)
 
 
 def augment(c: Colouring, chain) -> Colouring:

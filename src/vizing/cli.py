@@ -40,7 +40,7 @@ from .audit import (
 )
 from .colouring import Colouring, is_proper
 from .engine import MaxRoundsExceeded, colour_sequential, orient, run_scheduler
-from .multigraph import Multigraph, generate_random
+from .multigraph import MAX_VERTICES, Multigraph, generate_random
 
 __all__ = ["main"]
 
@@ -206,6 +206,8 @@ def _load_colouring(args) -> Colouring:
 
 
 def cmd_gen(args) -> int:
+    if args.n > MAX_VERTICES:  # the output would not parse back
+        raise ValueError(f"--n {args.n} exceeds the vertex limit {MAX_VERTICES}")
     g = generate_random(args.n, args.delta, args.pi, seed=args.seed)
     _emit(args, g.to_text())
     return EXIT_OK

@@ -47,7 +47,6 @@ __all__ = [
     "classify_chain",
     "shift_along",
     "shifted_assignment",
-    "split_shift_check",
 ]
 
 
@@ -65,10 +64,11 @@ class Colouring:
     violation.
     """
 
-    __slots__ = ("graph", "_colours", "_used", "_uncoloured")
+    __slots__ = ("graph", "_colours", "_used", "_uncoloured", "_full")
 
     def __init__(self, graph: Multigraph, _colours: list[int] | None = None):
         self.graph = graph
+        self._full = (1 << graph.palette) - 1
         if _colours is None:
             self._colours = [0] * graph.m
             self._used = [0] * graph.n
@@ -131,6 +131,7 @@ class Colouring:
         dup._colours = list(self._colours)
         dup._used = list(self._used)
         dup._uncoloured = self._uncoloured
+        dup._full = self._full
         return dup
 
     # -- queries ------------------------------------------------------------
@@ -162,7 +163,7 @@ class Colouring:
 
     def missing_mask(self, x: int) -> int:
         """Bitmask of colours missing at vertex x."""
-        return ((1 << self.graph.palette) - 1) & ~self._used[x]
+        return self._full & ~self._used[x]
 
     def missing_colours(self, x: int) -> set[int]:
         """The set of palette colours not present on any edge at x."""
@@ -223,26 +224,59 @@ class Colouring:
         """Shift this colouring along a proper-shiftable chain, in place.
 
         Returns an undo log for :meth:`apply_undo`.  The caller guarantees
-        the chain is proper-shiftable; a merely-shiftable chain raises
-        ValueError mid-way (the improper state cannot be represented).
+        the chain is proper-shiftable.  A chain that repeats an edge, has an
+        uncoloured edge after the first, or whose shift would be improper
+        raises ValueError and leaves the colouring unchanged.
         """
-        old = [(e, self._colours[e]) for e in chain]
-        new_cols = [self._colours[chain[i + 1]] for i in range(len(chain) - 1)]
-        for e, col in old:
-            if col != 0:
-                self.unassign(e)
-        for i, col in enumerate(new_cols):
-            self.assign(chain[i], col)
+        cols = [self._colours[e] for e in chain]
+        if 0 in cols[1:]:
+            raise ValueError(f"edge {chain[cols.index(0, 1)]} is uncoloured")
+        if len(set(chain)) != len(cols):
+            raise ValueError("an edge repeats in the chain")
+        old = list(zip(chain, cols))
+        cols.append(0)
+        self._recolour(old, list(zip(chain, cols[1:])))
         return old
 
     def apply_undo(self, log: list[tuple[int, int]]) -> None:
-        """Revert a :meth:`shift_in_place` (or any log of (edge, colour))."""
-        for e, _ in log:
-            if self._colours[e] != 0:
-                self.unassign(e)
+        """Revert a :meth:`shift_in_place` (or any log of (edge, colour)
+        pairs on distinct edges), with the same checks as the shift."""
+        palette = self.graph.palette
         for e, col in log:
-            if col != 0:
-                self.assign(e, col)
+            if not (0 <= col <= palette):
+                raise ValueError(f"colour {col} outside palette 1..{palette}")
+        if len({e for e, _ in log}) != len(log):
+            raise ValueError("an edge repeats in the undo log")
+        self._recolour([(e, self._colours[e]) for e, _ in log], log)
+
+    def _recolour(self, old: list[tuple[int, int]], new: list[tuple[int, int]]) -> None:
+        """Replace the current colours ``old`` of distinct edges by ``new``
+        (the same edges, in the same order), writing the colour array and
+        the used masks directly.  If a new colour is already used at an
+        endpoint, the colouring is restored and ValueError is raised."""
+        colours, used, edges = self._colours, self._used, self.graph.edges
+        freed = 0
+        for e, col in old:
+            if col:
+                bit = ~(1 << (col - 1))
+                u, v, _ = edges[e]
+                used[u] &= bit
+                used[v] &= bit
+                freed += 1
+        for i, (e, col) in enumerate(new):
+            colours[e] = col
+            if not col:
+                continue
+            bit = 1 << (col - 1)
+            u, v, _ = edges[e]
+            if (used[u] | used[v]) & bit:
+                self._uncoloured += freed
+                self._recolour(new[:i], old)  # cannot fail: old was proper
+                raise ValueError(f"colour {col} already used at an endpoint of edge {e}")
+            used[u] |= bit
+            used[v] |= bit
+            freed -= 1
+        self._uncoloured += freed
 
     # -- serialisation ------------------------------------------------------
 
@@ -470,32 +504,3 @@ def shift_along(c: Colouring, chain: Sequence[int]) -> Colouring:
             "proper-shiftable); use shifted_assignment to inspect it"
         )
     return Colouring(c.graph, new_colours)
-
-
-def split_shift_check(c: Colouring, chain: Sequence[int], i: int) -> bool:
-    """Oracle for shift composition: does shifting along the (i+1)-prefix and
-    then along the suffix starting at position i reproduce the direct shift?
-
-    Works on raw colour arrays so intermediate states may be improper.  The
-    chain must be c-shiftable and 0 <= i < l(chain).
-    """
-    if not classify_chain(c, chain).at_least(ChainStatus.SHIFTABLE):
-        raise ValueError("chain is not shiftable")
-    if not (0 <= i < len(chain)):
-        raise ValueError(f"split position {i} out of range")
-
-    def raw_shift(colours: list[int], seq: Sequence[int]) -> list[int] | None:
-        if colours[seq[0]] != 0 or any(colours[e] == 0 for e in seq[1:]):
-            return None
-        out = list(colours)
-        for j in range(len(seq) - 1):
-            out[seq[j]] = colours[seq[j + 1]]
-        out[seq[-1]] = 0
-        return out
-
-    direct = raw_shift(list(c.colours), chain)
-    step1 = raw_shift(list(c.colours), chain[: i + 1])
-    if step1 is None:
-        return False
-    step2 = raw_shift(step1, chain[i:])
-    return step2 is not None and step2 == direct

@@ -12,9 +12,9 @@ The machinery here constructs that second level:
   * conditional_fan grows the fan around y.  It is defined against the
     *original* colouring: availability uses the original missing sets, and the
     fan additionally stops early upon reaching a far endpoint whose missing
-    set contains alpha or beta.  check_shadow_fan verifies the defining
-    property that this fan is a prefix of the ordinary fan around y computed
-    under the shifted colouring with beta reordered to be the largest colour;
+    set contains alpha or beta.  Its defining property is that this fan is a
+    prefix of the ordinary fan around y computed under the shifted colouring
+    with beta reordered to be the largest colour (the tests check it);
 
   * classify_suitable sorts a suitable edge into Type0 (chain-so-far already
     augmenting), TypeI (beta missing at the fan's last far endpoint), or
@@ -63,7 +63,6 @@ from .chains import (
     _grow_fan,
     _walk,
     alternating_path,
-    max_fan,
     vizing_chain,
 )
 from .multigraph import line_distances
@@ -77,7 +76,6 @@ __all__ = [
     "ScanEntry",
     "suitable_edges",
     "conditional_fan",
-    "check_shadow_fan",
     "classify_suitable",
     "is_superb",
     "iterated_chain",
@@ -348,7 +346,8 @@ def _conditional_fan(ctx: _Context, su: SuitableEdge, view) -> ConditionalFan:
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0
     near = su.near_vertex
-    assert not (view.is_missing(near, ctx.alpha) or view.is_missing(near, ctx.beta))
+    if view.is_missing(near, ctx.alpha) or view.is_missing(near, ctx.beta):
+        raise AssertionError("the suitable edge's near vertex misses a path colour")
     stop = (1 << (ctx.alpha - 1)) | (1 << (ctx.beta - 1))
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(
         view, su.far_vertex, su.edge, stop_mask=stop
@@ -374,19 +373,23 @@ def _classify(ctx: _Context, su: SuitableEdge, view) -> Classification:
         return Classification(SuitableType.TYPE0, su, fan, alpha, beta)
     if view.is_missing(u_m, beta):
         # were alpha missing at u_m too, the chain would have been augmenting
-        assert not view.is_missing(u_m, alpha)
+        if view.is_missing(u_m, alpha):
+            raise AssertionError("a TypeI fan end misses both path colours")
         fan.type_tag = SuitableType.TYPE1
         fan.second_critical_index = len(fan.edges) - 1
         return Classification(SuitableType.TYPE1, su, fan, alpha, beta)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
-    assert not fan.early_stop and fan.repeat_pos is not None
+    if fan.early_stop or fan.repeat_pos is None:
+        raise AssertionError("a TypeII fan did not stop on a repeated colour")
     fan.type_tag = SuitableType.TYPE2
     i = fan.repeat_pos - 1
     epsilon = fan.next_colour
     delta = view.min_missing(y)
-    assert fan.colour_seq[i] == epsilon
-    assert delta != epsilon and not {delta, epsilon} & {alpha, beta}
+    if fan.colour_seq[i] != epsilon:
+        raise AssertionError("the TypeII repeat edge does not carry epsilon")
+    if delta == epsilon or {delta, epsilon} & {alpha, beta}:
+        raise AssertionError("the TypeII colours are not pairwise distinct")
     return Classification(
         SuitableType.TYPE2, su, fan, alpha, beta,
         delta=delta, epsilon=epsilon, repeat_index=i,
@@ -537,25 +540,6 @@ def conditional_fan(
     """
     ctx = _Context(c, vizing_chain(c, x, e))
     return _conditional_fan(ctx, ctx.resolve(f), c)
-
-
-def check_shadow_fan(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
-    """Does the conditional fan agree with its shifted-colouring shadow?
-
-    Shifts the first-level chain through f (undoing afterwards), computes the
-    ordinary fan around the far vertex under that colouring with beta
-    reordered to compare largest, and checks that the conditional fan is a
-    prefix of it.  True for every suitable f; exposed as a test oracle.
-    """
-    ctx = _Context(c, vizing_chain(c, x, e))
-    su = ctx.resolve(f)
-    fan = _conditional_fan(ctx, su, c)
-    log = c.shift_in_place(ctx.shift_chain(su.position))
-    try:
-        shadow = max_fan(c, su.far_vertex, su.edge, big_colour=ctx.beta)
-    finally:
-        c.apply_undo(log)
-    return fan.edges == shadow.edges[: len(fan.edges)]
 
 
 def classify_suitable(

@@ -18,7 +18,9 @@ The text format is line based::
 
 with one ``u v k`` line per edge.  The parser is strict: the header bounds
 must equal the recomputed tight bounds and the k values per vertex pair must
-form exactly 1..m (the writer always emits this normal form).
+form exactly 1..m (the writer always emits this normal form).  The header's
+``n`` may not exceed :data:`MAX_VERTICES`; that is checked before anything is
+allocated, since isolated vertices make ``n`` unbounded by the input's size.
 
 Instances are immutable after construction and safe to share between threads.
 """
@@ -29,11 +31,18 @@ import random
 from dataclasses import dataclass, field
 
 __all__ = [
+    "MAX_VERTICES",
     "Multigraph",
     "build",
     "generate_random",
     "line_graph_distance",
 ]
+
+
+# The largest vertex count an ``mg`` header may announce.  Parsing a graph
+# peaks at about 75 bytes per vertex before its edges, so a header alone can
+# ask for at most about 75 MB.
+MAX_VERTICES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +213,8 @@ def _parse_mg(text: str) -> Multigraph:
         raise ValueError("line 1: header fields must be integers") from None
     if n < 0 or m < 0:
         raise ValueError("line 1: n and m must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"line 1: n = {n} exceeds the vertex limit {MAX_VERTICES}")
     body = lines[1:]
     if len(body) != m:
         raise ValueError(

@@ -1,10 +1,17 @@
-"""Small named fixture graphs used across the suite."""
+"""Small named fixture graphs used across the suite, and the settings
+profile of its property-based tests."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from vizing import build
+
+# Derandomised: every run draws the same examples, so the suite stays
+# deterministic, and no example database is written.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

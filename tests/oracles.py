@@ -4,11 +4,27 @@ Everything here recomputes results straight from the definitions, sharing no
 code or caches with the package under test: graphs are consulted only through
 their edge list, colourings are plain lists indexed by edge id (0 meaning
 uncoloured), and every lookup is a fresh scan.  Slow on purpose.
+
+The last section is the exception: three composition checks that drive the
+package's own operations (shifts, alternating paths, fans) and compare their
+results with each other, because the property they check is how those
+operations compose.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+from vizing import (
+    ChainStatus,
+    SuitableEdge,
+    alternating_path,
+    classify_chain,
+    conditional_fan,
+    max_fan,
+    suitable_edges,
+    vizing_chain,
+)
 
 
 def incident_edges(g, x):
@@ -24,6 +40,11 @@ def other_end(g, e, x):
 def oracle_missing(g, cols, x):
     used = {cols[e] for e in incident_edges(g, x) if cols[e] != 0}
     return set(range(1, g.delta + g.pi + 1)) - used
+
+
+def oracle_used_mask(g, cols, x):
+    """Bitmask (bit col-1) of the colours on the edges at x."""
+    return sum(1 << (col - 1) for col in {cols[e] for e in incident_edges(g, x)} - {0})
 
 
 def oracle_is_proper(g, cols):
@@ -173,3 +194,77 @@ def oracle_line_distance(g, e, f):
                     return dist[b]
                 q.append(b)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Composition checks on the package's own operations
+# ---------------------------------------------------------------------------
+
+
+def split_shift_check(c, chain, i):
+    """Shift composition: does shifting along the (i+1)-prefix and then
+    along the suffix starting at position i reproduce the direct shift?
+
+    Works on raw colour arrays so intermediate states may be improper.  The
+    chain must be c-shiftable and 0 <= i < l(chain) (ValueError otherwise).
+    """
+    if not classify_chain(c, chain).at_least(ChainStatus.SHIFTABLE):
+        raise ValueError("chain is not shiftable")
+    if not (0 <= i < len(chain)):
+        raise ValueError(f"split position {i} out of range")
+
+    def raw_shift(colours, seq):
+        if colours[seq[0]] != 0 or any(colours[e] == 0 for e in seq[1:]):
+            return None
+        return oracle_shift(colours, seq)
+
+    direct = raw_shift(list(c.colours), chain)
+    step1 = raw_shift(list(c.colours), chain[: i + 1])
+    if step1 is None:
+        return False
+    step2 = raw_shift(step1, chain[i:])
+    return step2 is not None and step2 == direct
+
+
+def prefix_stability_check(c, d, x, alpha, beta):
+    """Is the alpha/beta-path under c a prefix of the one under d?
+
+    Preconditions (violations raise ValueError, distinctly from a False
+    result): both colourings proper on the same graph, beta missing at x in
+    both, and c and d agree on every edge of the path under c.
+    """
+    if c.graph is not d.graph:
+        raise ValueError("colourings must colour the same graph")
+    p_c = alternating_path(c, x, alpha, beta)
+    if not d.is_missing(x, beta):
+        raise ValueError(
+            f"precondition violated: colour {beta} not missing at {x} under d"
+        )
+    for e in p_c.edges:
+        if c.colour_of(e) != d.colour_of(e):
+            raise ValueError(
+                f"precondition violated: colourings disagree on path edge {e}"
+            )
+    p_d = alternating_path(d, x, alpha, beta)
+    return p_d.edges[: len(p_c.edges)] == p_c.edges
+
+
+def check_shadow_fan(c, x, e, f):
+    """Does the conditional fan agree with its shifted-colouring shadow?
+
+    Shifts the first-level chain through the suitable edge f in place
+    (undoing afterwards), grows the ordinary fan around f's far vertex under
+    that colouring with beta reordered to compare largest, and checks that
+    the conditional fan is a prefix of it.  True for every suitable f;
+    ValueError when f is not suitable.
+    """
+    vc = vizing_chain(c, x, e)
+    fan = conditional_fan(c, x, e, f)
+    if not isinstance(f, SuitableEdge):
+        f = next(su for su in suitable_edges(c, x, e) if su.edge == f)
+    log = c.shift_in_place(vc.edges()[: vc.fan_prefix_len + f.position])
+    try:
+        shadow = max_fan(c, f.far_vertex, f.edge, big_colour=vc.beta)
+    finally:
+        c.apply_undo(log)
+    return fan.edges == shadow.edges[: len(fan.edges)]

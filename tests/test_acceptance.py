@@ -37,7 +37,6 @@ from vizing import (
     generate_random,
     max_fan,
     orient,
-    prefix_stability_check,
     run_scheduler,
     shift_along,
     vizing_chain,
@@ -189,7 +188,7 @@ def _probe_state(g, cols, c):
                     g, O.oracle_shift(cols, q[: chain.fan_prefix_len])
                 )
                 assert (
-                    prefix_stability_check(
+                    O.prefix_stability_check(
                         c, d, chain.tail.start_vertex, chain.alpha, chain.beta
                     )
                     is True

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vizing import (
     ChainStatus,
@@ -14,9 +16,9 @@ from vizing import (
     augment_in_place,
     build,
     classify_chain,
+    generate_random,
     is_proper,
     max_fan,
-    prefix_stability_check,
     repeated_colour_indices,
     vizing_chain,
 )
@@ -27,6 +29,7 @@ from oracles import (
     oracle_max_fan,
     oracle_missing,
     oracle_vizing_chain,
+    prefix_stability_check,
 )
 
 
@@ -284,6 +287,78 @@ def test_fan_matches_oracle_and_invariants():
                 if not fan.augmenting:
                     seen_nonaug += 1
     assert seen_nonaug >= 10
+
+
+# Two probes whose fans reach their last far endpoint twice, through parallel
+# edges: that endpoint's missing set then changes under the fan's own shift,
+# though only in colours used at the centre, so the masks before the shift
+# still decide the augmenting flag.
+#   A: fan 6, 8, 2, 7 around 1 with far endpoints 2, 3, 0, 2; not augmenting.
+#   B: fan 0, 1, 2 around 0 with far endpoints 1, 2, 1; augmenting.
+PARALLEL_TO_LAST = [
+    (
+        build(5, [(2, 3, 1), (3, 4, 1), (0, 1, 1), (0, 1, 2), (0, 4, 1), (0, 2, 1),
+                  (1, 2, 1), (1, 2, 2), (1, 3, 1), (0, 2, 2), (3, 4, 2)]),
+        {0: 4, 1: 7, 2: 3, 3: 6, 4: 1, 5: 5, 7: 2, 8: 1, 9: 7, 10: 2},
+        1, 6, False,
+    ),
+    (build(3, [(0, 1, 1), (0, 2, 1), (0, 1, 2)]), {1: 1, 2: 2}, 0, 0, True),
+]
+
+
+def test_parallel_fans_to_the_last_far_endpoint():
+    for g, assignment, x, e, augmenting in PARALLEL_TO_LAST:
+        c = Colouring.from_assignment(g, assignment)
+        fan = max_fan(c, x, e)
+        assert fan.far_endpoints[-1] in fan.far_endpoints[:-1]
+        assert fan.augmenting is augmenting
+        assert oracle_max_fan(g, c.colours, x, e)["augmenting"] is augmenting
+
+
+@st.composite
+def fan_probes(draw):
+    """(colouring, big_colour): a random multigraph on 4-5 vertices with
+    degree at most 4-6 and multiplicity at most 1-3 (mostly 2, for parallel
+    fan edges), a random proper partial colouring of it with at least one
+    uncoloured edge, and an optional reordered colour.  The edges are
+    visited in random order, and each takes a random colour free at both
+    its ends with probability 0.95, so the colourings are dense and fans
+    often stall."""
+    n = draw(st.integers(4, 5))
+    delta = draw(st.integers(4, 6))
+    pi = draw(st.sampled_from([1, 2, 2, 3]))
+    g = generate_random(n, delta, pi, seed=draw(st.integers(0, 2**32)))
+    rng = draw(st.randoms(use_true_random=False))
+    if g.m == 0:
+        g = build(2, [(0, 1, 1)])
+    e = rng.randrange(g.m)
+    c = Colouring.empty(g)
+    order = [f for f in range(g.m) if f != e]
+    rng.shuffle(order)
+    for f in order:
+        u, v = g.endpoints(f)
+        free = c.missing_mask(u) & c.missing_mask(v)
+        cols = [i + 1 for i in range(g.palette) if free >> i & 1]
+        if cols and rng.random() < 0.95:
+            c.assign(f, rng.choice(cols))
+    big = draw(st.none() | st.integers(1, g.palette))
+    return c, big
+
+
+@settings(max_examples=400)
+@given(fan_probes())
+@example((Colouring.from_assignment(*PARALLEL_TO_LAST[0][:2]), None))
+@example((Colouring.from_assignment(*PARALLEL_TO_LAST[1][:2]), None))
+def test_fan_augmenting_flag_matches_classifier(probe):
+    """The fan's mask test agrees with the general chain classifier at
+    both endpoints of every uncoloured edge."""
+    c, big = probe
+    for e in c.uncoloured():
+        for x in c.graph.endpoints(e):
+            fan = max_fan(c, x, e, big_colour=big)
+            assert fan.augmenting == (
+                classify_chain(c, fan.edges) is ChainStatus.AUGMENTING
+            ), (x, e)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vizing
 from vizing import Colouring, Multigraph
 from vizing.cli import main
+from vizing.multigraph import MAX_VERTICES
 
 P3_MG = "mg 3 2 2 1\n0 1 1\n1 2 1\n"
 P3_PARTIAL = P3_MG + "0 0\n1 1\n"
@@ -284,6 +289,44 @@ class TestUsage:
         code, out, _ = cli(["--help"])
         assert code == 0
         assert "gen" in out and "orient" in out
+
+    def test_gen_above_vertex_limit_rejected(self, cli):
+        code, out, err = cli(["gen", "--n", str(MAX_VERTICES + 1)])
+        assert (code, out) == (1, "")
+        assert "exceeds the vertex limit" in err
+
+    @pytest.mark.parametrize(
+        "n,code,stderr",
+        [
+            (10**9, 1, f"error: line 1: n = 1000000000 exceeds the vertex limit {MAX_VERTICES}\n"),
+            (MAX_VERTICES, 0, ""),
+        ],
+        ids=["over", "at"],
+    )
+    def test_oversized_header_fails_fast(self, tmp_path, n, code, stderr):
+        """A header alone may not make the parser allocate n adjacency lists
+        for a huge n.  The child runs under a 400 MB address-space limit, so
+        a regression shows as a MemoryError traceback on stderr instead of
+        exhausting the machine's memory; a header at the limit still fits."""
+        graph = tmp_path / "g.mg"
+        graph.write_text(f"mg {n} 0 0 0\n")
+        limit = 400 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(vizing.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vizing.cli", "colour", "--input", str(graph)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_memory,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (code, stderr)
+        if code == 0:
+            assert proc.stdout == f"mg {n} 0 0 0\n"
 
     def test_missing_input_file(self, cli, tmp_path):
         code, _, err = cli(["colour", "--input", str(tmp_path / "absent.mg")])

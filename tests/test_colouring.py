@@ -15,11 +15,17 @@ from vizing import (
     missing_colours,
     shift_along,
     shifted_assignment,
-    split_shift_check,
 )
 
 from helpers import random_instances, random_shiftable_chain
-from oracles import oracle_classify, oracle_is_proper, oracle_missing, oracle_shift
+from oracles import (
+    oracle_classify,
+    oracle_is_proper,
+    oracle_missing,
+    oracle_shift,
+    oracle_used_mask,
+    split_shift_check,
+)
 
 
 @pytest.fixture
@@ -327,22 +333,59 @@ def test_split_shift_rejects_bad_input(p3):
 
 
 def test_shift_in_place_and_undo():
+    """The shift and its undo write the colour array and the used masks
+    directly, so both are checked against a recompute after each step, and
+    so are the rejected chains, which must leave the colouring as it was."""
     rng = random.Random(39)
-    checked = 0
+
+    def state(g, c):
+        return (
+            list(c.colours),
+            [c.used_mask(x) for x in range(g.n)],
+            c.uncoloured_count,
+        )
+
+    def oracle_state(g, cols):
+        return list(cols), [oracle_used_mask(g, cols, x) for x in range(g.n)], cols.count(0)
+
+    checked = rejected_repeat = rejected_improper = rejected_gap = 0
     for g, c in random_instances(30, seed=40):
         for _ in range(3):
             chain = random_shiftable_chain(g, c, seed=rng.randrange(10**9))
             if chain is None:
                 continue
-            if not classify_chain(c, chain).at_least(ChainStatus.PROPER_SHIFTABLE):
-                continue
             before = list(c.colours)
+            status = classify_chain(c, chain)
+            if status is ChainStatus.SHIFTABLE:
+                with pytest.raises(ValueError, match="already used"):
+                    c.shift_in_place(chain)
+                assert state(g, c) == oracle_state(g, before)
+                rejected_improper += 1
+                continue
+            assert status.at_least(ChainStatus.PROPER_SHIFTABLE)
+            if len(chain) > 1:
+                with pytest.raises(ValueError, match="repeats"):
+                    c.shift_in_place(chain + chain[1:2])
+                assert state(g, c) == oracle_state(g, before)
+                rejected_repeat += 1
             log = c.shift_in_place(chain)
-            assert c.colours == oracle_shift(before, chain)
+            assert state(g, c) == oracle_state(g, oracle_shift(before, chain))
             c.apply_undo(log)
-            assert c.colours == before
+            assert state(g, c) == oracle_state(g, before)
             checked += 1
+        unc = c.uncoloured()
+        for a in unc:
+            for b in unc:
+                if a != b and set(g.endpoints(a)) & set(g.endpoints(b)):
+                    before = list(c.colours)
+                    with pytest.raises(ValueError, match="uncoloured"):
+                        c.shift_in_place([a, b])
+                    assert state(g, c) == oracle_state(g, before)
+                    rejected_gap += 1
     assert checked >= 10
+    assert rejected_repeat >= 10
+    assert rejected_improper >= 5
+    assert rejected_gap >= 5
 
 
 # ---------------------------------------------------------------------------

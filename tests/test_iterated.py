@@ -10,7 +10,6 @@ from vizing import (
     SuitableType,
     alternating_path,
     build,
-    check_shadow_fan,
     classify_chain,
     classify_suitable,
     conditional_fan,
@@ -36,6 +35,7 @@ from gadgets import (
 )
 from helpers import random_partial_colouring
 from oracles import (
+    check_shadow_fan,
     oracle_alternating_path,
     oracle_classify,
     oracle_max_fan,
