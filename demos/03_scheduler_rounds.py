@@ -2,22 +2,23 @@
 Round-based colouring with disjoint chain batches
 =================================================
 
-The scheduler colours in rounds instead of edge by edge.  Each round picks
-one class of edges that are far apart in the line graph, finds a short
-chain (at most 3L edges) for every uncoloured member, checks the chains
-are vertex-disjoint, and applies them all against the same snapshot.
-Far-apart edges cannot interfere, so the batch is safe; that is the whole
-point of the schedule.
+The scheduler colours in rounds instead of edge by edge.  The edges are
+shuffled once by the seed.  Each round walks the still-uncoloured edges in
+that order, finds a short chain (at most 3L edges) for each, and keeps
+every chain that shares no vertex with the ones it already kept; then it
+applies the whole batch against the same snapshot.  Vertex-disjoint chains
+cannot interfere, so the batch is safe and the order of application does
+not matter.  The run stops when a round finds no chain at all.
 
-Edges in different connected pieces are infinitely far apart, so a graph
-made of many disjoint blocks gets fat classes: one edge per block, all
-handled in the same round.  That is the shape this script uses.
+A graph made of many disjoint blocks shows the batches well: every block
+contributes its own chains to the same round.  That is the shape this
+script uses.
 """
 
 import io
 import json
 
-from vizing import Colouring, build, build_schedule, generate_random, is_proper, run_scheduler
+from vizing import build, generate_random, is_proper, run_scheduler
 
 # Sixty disjoint random blocks of ~20 vertices each, vertex ids shifted so
 # the union is one multigraph.
@@ -30,12 +31,9 @@ for k in range(60):
 g = build(offset, triples)
 print(g.n, "vertices,", g.m, "edges, delta", g.delta)
 
+# The run writes one JSON line per round that applied chains; capture and
+# replay the story.
 L = 12
-schedule = build_schedule(g, Colouring.empty(g), L, seed=0)
-print(len(schedule), "classes; sizes of the first five:",
-      [len(cls) for cls in schedule[:5]])
-
-# The run writes one JSON line per round; capture and replay the story.
 log = io.StringIO()
 c = run_scheduler(g, L, seed=0, log=log)
 rounds = [json.loads(line) for line in log.getvalue().splitlines()]
@@ -43,18 +41,15 @@ rounds = [json.loads(line) for line in log.getvalue().splitlines()]
 print(len(rounds), "rounds to settle")
 print("uncoloured at the end:", c.uncoloured_count, "/ proper?", is_proper(c))
 
-# Progress per busy round.  The quiet stretch at the end is the scheduler
-# confirming that no class has work left before it stops.
+# Batch size per round: the first rounds colour most of the graph at once,
+# the later ones mop up edges whose neighbourhood was busy.
 for r in rounds:
-    if r["augmented"]:
-        print("round", r["round"], "class", r["class_index"],
-              "augmented", r["augmented"], "-> remaining",
-              r["uncoloured_remaining"])
-busy = sum(1 for r in rounds if r["augmented"])
-print(busy, "busy rounds,", len(rounds) - busy, "idle rounds")
+    print("round", r["round"], "applied", r["augmented"], "chains, recoloured",
+          r["recoloured"], "edges -> remaining", r["uncoloured_remaining"])
 
 # Each chain in a batch has at most 3L edges, so a round recolours at most
 # 3L times the number of chains it applied.  The log records both numbers.
 worst = max(rounds, key=lambda r: r["recoloured"])
 print("busiest round recoloured", worst["recoloured"], "edges over",
-      worst["augmented"], "chains (cap", 3 * L, "each)")
+      worst["augmented"], "chains (cap", 3 * L, "each, so", 3 * L * worst["augmented"], "in all)")
+assert worst["recoloured"] <= 3 * L * worst["augmented"]

@@ -2,7 +2,7 @@
 Auditing a partial colouring with exact arithmetic
 ==================================================
 
-Stop the scheduler after a handful of rounds and put the half-done
+Stop the scheduler after two rounds and put the half-done
 colouring under the microscope.  The audit builds a bipartite view pairing
 each uncoloured edge with the coloured edges its chains run through, and
 reads two guarantees off it:
@@ -34,7 +34,7 @@ print(g.m, "edges, delta", g.delta, "pi", g.pi)
 
 # Interrupt the run partway to get a genuinely partial colouring.
 try:
-    run_scheduler(g, 8, seed=0, max_rounds=800)
+    run_scheduler(g, 8, seed=0, max_rounds=2)
 except MaxRoundsExceeded as ex:
     c = ex.state.colouring
 print("interrupted run:", c.uncoloured_count, "of", g.m, "edges still bare")

@@ -58,7 +58,6 @@ from .engine import (
     MaxRoundsExceeded,
     Orientation,
     ScheduleState,
-    build_schedule,
     colour_sequential,
     orient,
     run_scheduler,
@@ -117,7 +116,6 @@ __all__ = [
     "MaxRoundsExceeded",
     "Orientation",
     "ScheduleState",
-    "build_schedule",
     "colour_sequential",
     "orient",
     "run_scheduler",

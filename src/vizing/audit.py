@@ -446,11 +446,8 @@ def weighted_chain_mass(c: Colouring, e: int, x: int, weights) -> Fraction:
 
 def _chain_mass(chain: VizingChain, weights) -> Fraction:
     e = chain.fan.edges[0]
-    total = Fraction(0)
-    for f in chain.edges():
-        if f != e:
-            total += Fraction(weights[f])
-    return total / Fraction(weights[e])
+    total = sum(weights[f] for f in chain.edges() if f != e)
+    return Fraction(total) / Fraction(weights[e])
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +516,6 @@ def audit_report(
     chain mass over all uncoloured edges and endpoints (unit weights when
     none are given; None when the colouring is full).  Each uncoloured
     edge's two chains serve both audit graphs and the chain mass."""
-    if weights is None:
-        weights = EdgeWeights.unit(c.graph)
     simple: dict[int, frozenset[int]] = {}
     iterated: dict[int, frozenset[int]] = {}
     min_mass: Fraction | None = None
@@ -529,7 +524,10 @@ def audit_report(
         simple[e] = _partners(c, SIMPLE, chains, None)
         iterated[e] = _partners(c, ITERATED, chains, L)
         for chain in chains:
-            mass = _chain_mass(chain, weights)
+            if weights is None:
+                mass = Fraction(len(chain.edges()) - 1)
+            else:
+                mass = _chain_mass(chain, weights)
             if min_mass is None or mass < min_mass:
                 min_mass = mass
     rows = []

@@ -6,24 +6,23 @@ Three ways to put the chain machinery to work:
     m augmentations, one chain per edge, giving a full proper colouring
     with delta + pi colours;
 
-  * run_scheduler colours rounds of far-apart edges simultaneously, but
-    only ever applies chains of at most 3L edges: plain chains whose path
+  * run_scheduler colours in rounds, each applying a greedy maximal set
+    of vertex-disjoint chains of at most 3L edges: plain chains whose path
     is shorter than L, or second-order chains through a superb edge within
     the first L path positions whose second path is also short.  It stops
-    once a full cycle of its schedule finds nothing to do, leaving a
-    colouring that cannot be improved at scale L -- the state the audit
-    module's fraction bounds apply to;
+    once a round finds no such chain, leaving a colouring that cannot be
+    improved at scale L -- the state the audit module's fraction bounds
+    apply to;
 
   * orient turns a full colouring of a multiplicity-1 graph into an edge
     orientation with out-degree at most ceil((delta+2)/2), by pairing
     colour classes into unions of paths and cycles and orienting each
     component consistently.
 
-The scheduler's classes are pairwise more than 6L apart in the line graph,
-so the chains applied within one round are vertex-disjoint (checked) and
-the result does not depend on application order.  Everything is
-deterministic given (graph, L, seed); round logs are emitted as JSON lines
-with stable keys.
+The chains applied within one round are vertex-disjoint (checked), so the
+result does not depend on application order.  Everything is deterministic
+given (graph, L, seed); round logs are emitted as JSON lines with stable
+keys.
 """
 
 from __future__ import annotations
@@ -37,13 +36,12 @@ from typing import TextIO
 from .chains import augment_in_place, vizing_chain
 from .colouring import Colouring
 from .iterated import superb_scan
-from .multigraph import Multigraph, line_distances
+from .multigraph import Multigraph
 
 __all__ = [
     "MaxRoundsExceeded",
     "Orientation",
     "ScheduleState",
-    "build_schedule",
     "colour_sequential",
     "orient",
     "run_scheduler",
@@ -70,79 +68,6 @@ def colour_sequential(g: Multigraph) -> Colouring:
 
 
 # ---------------------------------------------------------------------------
-# Schedules
-# ---------------------------------------------------------------------------
-
-
-def _line_components(g: Multigraph) -> tuple[list[int], list[int]]:
-    """Line-graph component id per edge, plus each component root's
-    eccentricity (the BFS depth from the component's smallest edge id)."""
-    comp = [-1] * g.m
-    eccs: list[int] = []
-    for root in range(g.m):
-        if comp[root] == -1:
-            ball = line_distances(g, root)
-            for h in ball:
-                comp[h] = len(eccs)
-            eccs.append(max(ball.values()))
-    return comp, eccs
-
-
-def build_schedule(
-    g: Multigraph, c: Colouring, L: int, seed: int
-) -> list[tuple[int, ...]]:
-    """Partition the uncoloured edges of c into classes pairwise more than
-    6L apart in the line graph; the scheduler cycles through the returned
-    list forever, so every edge that stays uncoloured is revisited.
-
-    Edges in different line-graph components are arbitrarily far apart and
-    may always share a class.  When every component fits inside radius 3L
-    of its root, any two edges of one component are within 6L, so the
-    classes are exactly the round-robin transversals: the i-th class takes
-    the i-th uncoloured edge (in seed-shuffled order) of every component.
-    Otherwise a greedy colouring of the 6L-th power of the line graph
-    assigns each edge the first class free within its 6L ball.  Classes
-    come out sorted internally; requires L > 2*delta so that chain
-    modifications fit in 3L edges.
-    """
-    if L <= 2 * g.delta:
-        raise ValueError(
-            f"L={L} is too small: chain modifications must fit in 3L edges, "
-            f"which needs L > 2*delta = {2 * g.delta}"
-        )
-    order = c.uncoloured()
-    if not order:
-        return []
-    random.Random(seed).shuffle(order)
-    comp, eccs = _line_components(g)
-    if all(ecc <= 3 * L for ecc in eccs):
-        buckets: list[list[int]] = [[] for _ in eccs]
-        for f in order:
-            buckets[comp[f]].append(f)
-        classes = []
-        i = 0
-        while True:
-            cls = [b[i] for b in buckets if i < len(b)]
-            if not cls:
-                return classes
-            classes.append(tuple(sorted(cls)))
-            i += 1
-    assigned: dict[int, int] = {}
-    greedy: list[list[int]] = []
-    for f in order:
-        ball = line_distances(g, f, 6 * L)
-        used = {assigned[h] for h in ball if h in assigned}
-        n = 0
-        while n in used:
-            n += 1
-        assigned[f] = n
-        if n == len(greedy):
-            greedy.append([])
-        greedy[n].append(f)
-    return [tuple(sorted(cls)) for cls in greedy]
-
-
-# ---------------------------------------------------------------------------
 # The round scheduler
 # ---------------------------------------------------------------------------
 
@@ -150,13 +75,12 @@ def build_schedule(
 @dataclass
 class ScheduleState:
     """Scheduler progress, dumped when the round budget runs out: the
-    colouring so far, the scale L, rounds completed, the cyclic class
-    list, and per-round recoloured-edge counts."""
+    colouring so far, the scale L, rounds applied, and per-round
+    recoloured-edge counts."""
 
     colouring: Colouring
     L: int
     round: int
-    schedule: list[tuple[int, ...]]
     changed_log: list[int] = field(default_factory=list)
 
 
@@ -194,6 +118,36 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
     return None
 
 
+def _batch(c: Colouring, pending: list[int], L: int) -> list[list[int]]:
+    """A maximal set of vertex-disjoint short chains for the uncoloured
+    edges in `pending`, taken greedily in that order against the current
+    colouring.  An edge with an endpoint on an accepted chain is skipped
+    without computing its chain, since any chain of its would touch it."""
+    edges = c.graph.edges
+    covered: set[int] = set()
+    size = 0
+    batch: list[list[int]] = []
+    for e in pending:
+        u, v, _ = edges[e]
+        if u in covered or v in covered:
+            continue
+        q = _candidate_chain(c, e, L)
+        if q is None:
+            continue
+        if len(q) > 3 * L:
+            raise AssertionError(
+                f"chain of {len(q)} edges exceeds the 3L budget ({3 * L})"
+            )
+        verts = {w for f in q for w in edges[f][:2]}
+        if covered.isdisjoint(verts):
+            covered |= verts
+            size += len(verts)
+            batch.append(q)
+    if size != len(covered):
+        raise AssertionError("chains within a round must be vertex-disjoint")
+    return batch
+
+
 def run_scheduler(
     g: Multigraph,
     L: int,
@@ -203,50 +157,44 @@ def run_scheduler(
 ) -> Colouring:
     """Colour g from scratch by rounds of short augmentations.
 
-    Each round takes the next class of the cyclic schedule, collects the
-    still-uncoloured members that admit a chain of at most 3L edges (see
-    _candidate_chain), and augments all of them against the same snapshot;
-    the class spacing makes those chains vertex-disjoint, which is
-    checked, so the application order is irrelevant.  Stops once a full
-    cycle of the schedule produces no candidates; the result then cannot
-    be improved at scale L, which check_unimprovable re-verifies.
+    The edges are shuffled once by `seed`.  Each round walks the
+    still-uncoloured edges in that order and accepts, against one
+    snapshot, every chain of at most 3L edges (see _candidate_chain) that
+    shares no vertex with the chains accepted before it; then it applies
+    them all.  Vertex-disjoint chains touch neither each other's edges
+    nor each other's endpoint masks, so the order of application is
+    irrelevant.  The run stops when a round finds no chain; the result
+    then cannot be improved at scale L, which check_unimprovable
+    re-verifies.  Requires L > 2*delta, so that chain modifications fit
+    in 3L edges.
 
-    When `log` is given, one JSON object per round is written with keys
-    round, class_index, candidates, augmented, recoloured and
-    uncoloured_remaining.  Raises MaxRoundsExceeded (carrying the state)
-    if more than max_rounds rounds would be needed.
+    When `log` is given, one JSON object is written per applied round,
+    with keys augmented, recoloured, round and uncoloured_remaining; the
+    final round that finds nothing is not logged.  Raises
+    MaxRoundsExceeded (carrying the state) when a round with work to do
+    would go past max_rounds.
     """
+    if L <= 2 * g.delta:
+        raise ValueError(
+            f"L={L} is too small: chain modifications must fit in 3L edges, "
+            f"which needs L > 2*delta = {2 * g.delta}"
+        )
     c = Colouring.empty(g)
-    schedule = build_schedule(g, c, L, seed)
-    state = ScheduleState(colouring=c, L=L, round=0, schedule=schedule)
-    if not schedule:
-        return c
-    empty_streak = 0
-    index = 0
-    while empty_streak < len(schedule):
+    state = ScheduleState(colouring=c, L=L, round=0)
+    pending = list(range(g.m))
+    random.Random(seed).shuffle(pending)
+    colours = c.colours
+    while True:
+        pending = [e for e in pending if colours[e] == 0]
+        batch = _batch(c, pending, L)
+        if not batch:
+            return c
         if max_rounds is not None and state.round >= max_rounds:
             raise MaxRoundsExceeded(state)
-        cls = schedule[index]
-        chains: list[list[int]] = []
-        for e in cls:
-            if c.colour_of(e) == 0:
-                q = _candidate_chain(c, e, L)
-                if q is not None:
-                    if len(q) > 3 * L:
-                        raise AssertionError(
-                            f"chain of {len(q)} edges exceeds the 3L budget ({3 * L})"
-                        )
-                    chains.append(q)
-        seen: set[int] = set()
-        for q in chains:
-            verts = {w for f in q for w in g.edges[f][:2]}
-            if verts & seen:
-                raise AssertionError("chains within a round must be vertex-disjoint")
-            seen |= verts
         recoloured = 0
-        for q in chains:
+        for q in batch:
             recoloured += augment_in_place(c, q)
-        if recoloured > 3 * L * len(chains):
+        if recoloured > 3 * L * len(batch):
             raise AssertionError("a round recoloured more than 3L edges per chain")
         state.round += 1
         state.changed_log.append(recoloured)
@@ -255,9 +203,7 @@ def run_scheduler(
                 json.dumps(
                     {
                         "round": state.round,
-                        "class_index": index,
-                        "candidates": len(chains),
-                        "augmented": len(chains),
+                        "augmented": len(batch),
                         "recoloured": recoloured,
                         "uncoloured_remaining": c.uncoloured_count,
                     },
@@ -265,9 +211,6 @@ def run_scheduler(
                 )
                 + "\n"
             )
-        empty_streak = 0 if chains else empty_streak + 1
-        index = (index + 1) % len(schedule)
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from vizing import (
     Colouring,
     MaxRoundsExceeded,
     build,
-    build_schedule,
     check_unimprovable,
     colour_sequential,
     generate_random,
@@ -27,8 +26,7 @@ from vizing import (
     vizing_chain,
 )
 from vizing.chains import augment_in_place
-from vizing.engine import _candidate_chain
-from vizing.multigraph import line_distances
+from vizing.engine import _batch, _candidate_chain
 
 from gadgets import TYPE1, locked_instance, long_path_instance
 
@@ -88,73 +86,77 @@ class TestColourSequential:
 
 
 # ---------------------------------------------------------------------------
-# build_schedule
+# round batches
 # ---------------------------------------------------------------------------
 
 
+def _rounds(g, L, seed, **kwargs):
+    """The colouring and the parsed round log of one scheduler run."""
+    log = io.StringIO()
+    c = run_scheduler(g, L, seed, log=log, **kwargs)
+    return c, [json.loads(line) for line in log.getvalue().splitlines()]
+
+
+def _after_rounds(g, L, seed, k):
+    """The partial colouring left after k applied rounds."""
+    with pytest.raises(MaxRoundsExceeded) as exc:
+        run_scheduler(g, L, seed, max_rounds=k)
+    return exc.value.state.colouring
+
+
 class TestBuildSchedule:
+    """How the scheduler builds each round: a greedy maximal set of
+    vertex-disjoint short chains, in the seed's edge order, against one
+    snapshot of the colouring."""
+
     def test_p3_singletons_seed0(self, p3):
-        assert build_schedule(p3, Colouring.empty(p3), 5, 0) == [(0,), (1,)]
+        # both edges meet at vertex 1, so every round applies one chain;
+        # seed 0 keeps the order (0, 1)
+        assert _after_rounds(p3, 5, 0, 1).assignment() == {0: 1}
 
     def test_p3_singletons_seed1(self, p3):
-        # the seed shuffles the class order
-        assert build_schedule(p3, Colouring.empty(p3), 5, 1) == [(1,), (0,)]
+        # the seed shuffles the order, so edge 1 goes first
+        assert _after_rounds(p3, 5, 1, 1).assignment() == {1: 1}
 
     def test_small_L_rejected(self, p3):
         with pytest.raises(ValueError, match=r"L > 2\*delta"):
-            build_schedule(p3, Colouring.empty(p3), 4, 0)
+            run_scheduler(p3, 4, 0)
 
     def test_fully_coloured_empty_schedule(self, p3):
-        assert build_schedule(p3, colour_sequential(p3), 5, 0) == []
+        c = colour_sequential(p3)
+        assert _batch(c, c.uncoloured(), 5) == []
+        # a stuck edge (no chain of at most 3L edges) makes no batch either
+        inst = locked_instance(16)
+        assert _batch(inst.c, inst.c.uncoloured(), 3) == []
 
     def test_no_edges_empty_schedule(self):
-        g = build(4, [])
-        assert build_schedule(g, Colouring.empty(g), 5, 0) == []
+        c, rounds = _rounds(build(4, []), 5, 0)
+        assert c.assignment() == {} and rounds == []
 
     def test_long_path_classes_are_separated(self):
-        # a 199-edge path is far wider than 3L at L=5, so the greedy
-        # power colouring runs; on a path the line-graph distance is the
-        # id difference, making the 6L separation easy to verify
+        # on an empty colouring every edge's chain is the edge itself, so
+        # the batch in index order is the maximal matching of even edges
         g = long_path(199)
-        sched = build_schedule(g, Colouring.empty(g), 5, 0)
-        assert len(sched) == 43
-        for cls in sched:
-            assert cls == tuple(sorted(cls))
-            for a, b in zip(cls, cls[1:]):
-                assert b - a > 30
-        assert sorted(e for cls in sched for e in cls) == list(range(199))
-
-    def test_long_path_shortcut_when_L_covers(self):
-        # 3L = 210 exceeds the line-graph diameter 198, so one ball covers
-        # everything and every class is a singleton
-        g = long_path(199)
-        sched = build_schedule(g, Colouring.empty(g), 70, 0)
-        assert len(sched) == 199
-        assert all(len(cls) == 1 for cls in sched)
-
-    def test_line_ball_radius(self):
-        g = long_path(199)
-        assert len(line_distances(g, 0, 15)) == 16
-        assert line_distances(g, 0, 15) == {e: e for e in range(16)}
+        batch = _batch(Colouring.empty(g), list(range(199)), 5)
+        assert batch == [[e] for e in range(0, 199, 2)]
 
     def test_components_share_classes(self):
-        # edges in different line-graph components are arbitrarily far
-        # apart, so the classes are round-robin transversals
+        # edges in different components never meet, so both components
+        # are coloured in round 1
         g = build(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
-        sched = build_schedule(g, Colouring.empty(g), 5, 0)
-        assert sched == [(0, 2), (1, 3)]
-        c = run_scheduler(g, 5, seed=0)
+        c, rounds = _rounds(g, 5, 0)
+        assert rounds[0]["augmented"] == 2
+        first = _after_rounds(g, 5, 0, 1).assignment()
+        assert {g.edges[e][0] < 3 for e in first} == {True, False}
         assert c.uncoloured_count == 0
         assert is_proper(c)
 
     def test_only_uncoloured_edges_scheduled(self, path8):
         c = Colouring.empty(path8)
-        chain = vizing_chain(c, 0, 0)
-        augment_in_place(c, chain.edges())
-        sched = build_schedule(path8, c, 5, 0)
-        scheduled = {e for cls in sched for e in cls}
-        assert scheduled == set(c.uncoloured())
-        assert 0 not in scheduled
+        augment_in_place(c, vizing_chain(c, 0, 0).edges())
+        batch = _batch(c, c.uncoloured(), 5)
+        assert {q[0] for q in batch} <= set(c.uncoloured())
+        assert all(q[0] != 0 for q in batch)
 
 
 # ---------------------------------------------------------------------------
@@ -162,55 +164,30 @@ class TestBuildSchedule:
 # ---------------------------------------------------------------------------
 
 
+LOG_KEYS = ["augmented", "recoloured", "round", "uncoloured_remaining"]
+
+
 class TestRunScheduler:
     def test_p3_converges(self, p3):
-        log = io.StringIO()
-        c = run_scheduler(p3, 5, seed=0, log=log)
+        c, rounds = _rounds(p3, 5, 0)
         assert c.uncoloured_count == 0
         assert is_proper(c)
-        lines = log.getvalue().strip().split("\n")
-        assert len(lines) == 4
-        assert json.loads(lines[0]) == {
-            "round": 1,
-            "class_index": 0,
-            "candidates": 1,
-            "augmented": 1,
-            "recoloured": 1,
-            "uncoloured_remaining": 1,
-        }
-        assert json.loads(lines[-1]) == {
-            "round": 4,
-            "class_index": 1,
-            "candidates": 0,
-            "augmented": 0,
-            "recoloured": 0,
-            "uncoloured_remaining": 0,
-        }
+        assert rounds == [
+            {"round": 1, "augmented": 1, "recoloured": 1, "uncoloured_remaining": 1},
+            {"round": 2, "augmented": 1, "recoloured": 2, "uncoloured_remaining": 0},
+        ]
 
     def test_log_keys_sorted_and_stable(self, c4):
         log = io.StringIO()
         run_scheduler(c4, 9, seed=0, log=log)
         for line in log.getvalue().strip().split("\n"):
-            record = json.loads(line)
-            assert list(record) == sorted(record)
-            assert set(record) == {
-                "round",
-                "class_index",
-                "candidates",
-                "augmented",
-                "recoloured",
-                "uncoloured_remaining",
-            }
+            assert list(json.loads(line)) == LOG_KEYS
 
     def test_uncoloured_monotone_in_log(self):
         g = generate_random(60, 3, 1, seed=42)
-        log = io.StringIO()
-        c = run_scheduler(g, 7, seed=0, log=log)
-        remaining = [
-            json.loads(line)["uncoloured_remaining"]
-            for line in log.getvalue().strip().split("\n")
-        ]
-        assert remaining == sorted(remaining, reverse=True)
+        c, rounds = _rounds(g, 7, 0)
+        remaining = [r["uncoloured_remaining"] for r in rounds]
+        assert all(a > b for a, b in zip(remaining, remaining[1:]))
         assert remaining[-1] == 0
         assert c.uncoloured_count == 0
 
@@ -224,12 +201,10 @@ class TestRunScheduler:
             assert check_unimprovable(c, L)
 
     def test_multi_member_classes(self):
-        # at L=5 the long path's classes hold several edges apiece, so
-        # rounds apply several vertex-disjoint chains at once
+        # rounds on the long path apply several vertex-disjoint chains at once
         g = long_path(199)
-        sched = build_schedule(g, Colouring.empty(g), 5, 0)
-        assert max(len(cls) for cls in sched) > 1
-        c = run_scheduler(g, 5, seed=0)
+        c, rounds = _rounds(g, 5, 0)
+        assert max(r["augmented"] for r in rounds) > 1
         assert c.uncoloured_count == 0
         assert is_proper(c)
         assert check_unimprovable(c, 5, mode="simple")
@@ -244,13 +219,15 @@ class TestRunScheduler:
 
     def test_max_rounds_exceeded(self):
         g = generate_random(60, 3, 1, seed=42)
+        log = io.StringIO()
         with pytest.raises(MaxRoundsExceeded) as exc:
-            run_scheduler(g, 7, seed=0, max_rounds=1)
+            run_scheduler(g, 7, seed=0, max_rounds=1, log=log)
         state = exc.value.state
+        (first,) = [json.loads(line) for line in log.getvalue().splitlines()]
         assert state.round == 1
         assert state.L == 7
-        assert state.changed_log == [1]
-        assert state.colouring.uncoloured_count == g.m - 1
+        assert state.changed_log == [first["recoloured"]]
+        assert state.colouring.uncoloured_count == first["uncoloured_remaining"]
         assert "1 rounds" in str(exc.value)
 
     def test_deterministic_per_seed(self):
@@ -263,6 +240,26 @@ class TestRunScheduler:
         assert run_scheduler(build(0, []), 5, 0).assignment() == {}
         c = run_scheduler(build(2, [(0, 1, 1)]), 5, 0)
         assert c.assignment() == {0: 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_log_invariants(self, seed):
+        g = generate_random(80, 4, 2, seed=seed)
+        for L in (9, 13):
+            c, rounds = _rounds(g, L, seed)
+            assert all(r["augmented"] >= 1 for r in rounds)
+            remaining = [g.m] + [r["uncoloured_remaining"] for r in rounds]
+            assert all(a > b for a, b in zip(remaining, remaining[1:]))
+            assert sum(r["augmented"] for r in rounds) == g.m - c.uncoloured_count
+            assert [r["round"] for r in rounds] == list(range(1, len(rounds) + 1))
+
+    def test_budget_equal_to_busy_rounds_returns(self):
+        # the settling round that finds nothing does not count
+        g = generate_random(60, 3, 1, seed=42)
+        c, rounds = _rounds(g, 7, 0)
+        again = run_scheduler(g, 7, 0, max_rounds=len(rounds))
+        assert again.assignment() == c.assignment()
+        with pytest.raises(MaxRoundsExceeded):
+            run_scheduler(g, 7, 0, max_rounds=len(rounds) - 1)
 
     def test_budget_check_fires_under_optimisation(self):
         # a candidate longer than 3L must be refused even when assert

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from vizing import Multigraph, build, generate_random, line_graph_distance
+from vizing.multigraph import line_distances
 
 from helpers import random_instances
 from oracles import oracle_line_distance
@@ -195,6 +196,13 @@ def test_distance_disconnected():
 
 def test_distance_parallel_edges(dbl):
     assert line_graph_distance(dbl, 0, 1) == 1
+
+
+def test_line_distances_radius():
+    # on a path the line-graph distance from edge 0 is the edge id
+    g = build(200, [(i, i + 1, 1) for i in range(199)])
+    assert line_distances(g, 0, 15) == {e: e for e in range(16)}
+    assert line_distances(g, 0) == {e: e for e in range(199)}
 
 
 def test_distance_matches_oracle():
