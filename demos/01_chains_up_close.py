@@ -6,7 +6,7 @@ Build a small multigraph by hand, colour most of it, and watch what the
 chain machinery does to fit in one more edge.
 """
 
-from vizing import Colouring, augment, build, max_fan, shift_along, vizing_chain
+from vizing import Colouring, augment_in_place, build, max_fan, vizing_chain
 
 # Two triangles sharing vertex 2, plus a parallel edge on (0, 1).
 g = build(5, [
@@ -34,15 +34,18 @@ print("chain edges:", chain.edges())
 print("has alternating tail?", chain.tail is not None)
 
 # Shifting along the chain slides the hole down it: each edge takes its
-# successor's colour and the last edge goes bare.  With a one-edge chain
-# the shift is a no-op, which is easy to see directly:
-d = shift_along(c, chain.edges())
+# successor's colour and the last edge goes bare.  Shifts work in place,
+# so try them on a copy.  With a one-edge chain the shift is a no-op, which
+# is easy to see directly:
+d = c.copy()
+d.shift_in_place(chain.edges())
 print("after the bare shift, edge 3 has colour", d.colour_of(3), "(0 = none)")
 
 # Augmenting is the shift plus one more step: the freed-up last edge takes
 # a colour missing at both its endpoints.  That is what actually shrinks
 # the uncoloured set.
-d = augment(c, chain.edges())
+d = c.copy()
+augment_in_place(d, chain.edges())
 print("after augmenting, edge 3 has colour", d.colour_of(3))
 print("all", g.m, "edges coloured?", d.uncoloured() == [])
 
@@ -50,7 +53,8 @@ print("all", g.m, "edges coloured?", d.uncoloured() == [])
 # edges, and see the fan wind through them before augmenting.
 fan2 = max_fan(c, 2, 3)
 print("fan at vertex 2:", list(fan2.edges), "augmenting?", fan2.augmenting)
-d2 = augment(c, vizing_chain(c, 2, 3).edges())
+d2 = c.copy()
+augment_in_place(d2, vizing_chain(c, 2, 3).edges())
 print("that route also finishes:", d2.uncoloured() == [])
 
 # Chains are not always this short.  In a tighter colouring the fan stalls
@@ -69,7 +73,8 @@ print("chain with a tail:", ch.edges())
 print("  fan part:", ch.edges()[:ch.fan_prefix_len])
 print("  tail in colours", ch.alpha, "/", ch.beta, "over edges", list(ch.tail.edges))
 before = [c2.colour_of(f) for f in ch.tail.edges]
-d3 = augment(c2, ch.edges())
+d3 = c2.copy()
+augment_in_place(d3, ch.edges())
 print("  tail colours before:", before)
 print("  tail colours after: ", [d3.colour_of(f) for f in ch.tail.edges])
 print("  edge 5 landed colour", d3.colour_of(5))

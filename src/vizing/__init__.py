@@ -19,14 +19,12 @@ Modules:
 
 from __future__ import annotations
 
-from .multigraph import Multigraph, build, generate_random, line_graph_distance
+from .multigraph import Multigraph, build, generate_random
 from .colouring import (
     ChainStatus,
     Colouring,
     classify_chain,
     is_proper,
-    missing_colours,
-    shift_along,
     shifted_assignment,
 )
 from .chains import (
@@ -34,7 +32,6 @@ from .chains import (
     Fan,
     VizingChain,
     alternating_path,
-    augment,
     augment_in_place,
     max_fan,
     repeated_colour_indices,
@@ -66,7 +63,6 @@ from .audit import (
     AuditGraph,
     AuditReport,
     DegreeBoundCheck,
-    EdgeWeights,
     FractionBound,
     SuperbCount,
     audit_report,
@@ -75,7 +71,6 @@ from .audit import (
     check_unimprovable,
     superb_count_check,
     uncoloured_fraction_bounds,
-    weighted_chain_mass,
 )
 
 __version__ = "0.1.0"
@@ -84,19 +79,15 @@ __all__ = [
     "Multigraph",
     "build",
     "generate_random",
-    "line_graph_distance",
     "Colouring",
     "ChainStatus",
     "classify_chain",
     "is_proper",
-    "missing_colours",
-    "shift_along",
     "shifted_assignment",
     "AlternatingPath",
     "Fan",
     "VizingChain",
     "alternating_path",
-    "augment",
     "augment_in_place",
     "max_fan",
     "repeated_colour_indices",
@@ -122,7 +113,6 @@ __all__ = [
     "AuditGraph",
     "AuditReport",
     "DegreeBoundCheck",
-    "EdgeWeights",
     "FractionBound",
     "SuperbCount",
     "audit_report",
@@ -131,5 +121,4 @@ __all__ = [
     "check_unimprovable",
     "superb_count_check",
     "uncoloured_fraction_bounds",
-    "weighted_chain_mass",
 ]

@@ -24,8 +24,8 @@ colourings:
   * superb-edge counting: among the first L path edges, some colour pair
     collects many superb edges whose second paths use only those colours;
 
-  * weighted chain mass: the chain's total weight relative to its starting
-    edge, reducing to chain length minus one at unit weights.
+  * chain mass: the report's minimum, over uncoloured edges and endpoints,
+    of the chain's length minus one (its mass at unit edge weights).
 
 Pass/fail decisions use exact rational arithmetic throughout; floating point
 never decides anything.  Bounds that are vacuous at the chosen parameters (a
@@ -49,13 +49,11 @@ from typing import NamedTuple
 from .chains import AlternatingPath, VizingChain, vizing_chain
 from .colouring import Colouring
 from .iterated import superb_scan
-from .multigraph import Multigraph
 
 __all__ = [
     "AuditGraph",
     "AuditReport",
     "DegreeBoundCheck",
-    "EdgeWeights",
     "FractionBound",
     "SuperbCount",
     "VERDICT_PASS",
@@ -68,7 +66,6 @@ __all__ = [
     "check_unimprovable",
     "superb_count_check",
     "uncoloured_fraction_bounds",
-    "weighted_chain_mass",
 ]
 
 VERDICT_PASS = "pass"
@@ -409,48 +406,6 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
 
 
 # ---------------------------------------------------------------------------
-# Weighted chain mass
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EdgeWeights:
-    """Positive rational weights on edges, looked up by edge id."""
-
-    weight: dict[int, Fraction]
-
-    def __post_init__(self) -> None:
-        self.weight = {e: Fraction(w) for e, w in self.weight.items()}
-        for e, w in self.weight.items():
-            if w <= 0:
-                raise ValueError(f"edge {e}: weight {w} is not positive")
-
-    @classmethod
-    def unit(cls, graph: Multigraph) -> "EdgeWeights":
-        return cls({e: Fraction(1) for e in range(graph.m)})
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self.weight[e]
-
-
-def weighted_chain_mass(c: Colouring, e: int, x: int, weights) -> Fraction:
-    """Total weight of the chain for (x, e) relative to e's own weight:
-    sum of weight(f)/weight(e) over the chain's edges f other than e.
-    With unit weights this is the chain length minus one.  weights may be
-    an EdgeWeights or any mapping from edge id to a positive rational.
-    """
-    if c.colour_of(e) != 0:
-        raise ValueError(f"edge {e} is coloured; chain mass needs an uncoloured edge")
-    return _chain_mass(vizing_chain(c, x, e), weights)
-
-
-def _chain_mass(chain: VizingChain, weights) -> Fraction:
-    e = chain.fan.edges[0]
-    total = sum(weights[f] for f in chain.edges() if f != e)
-    return Fraction(total) / Fraction(weights[e])
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -505,17 +460,14 @@ class AuditReport:
 
 
 def audit_report(
-    c: Colouring,
-    L: int,
-    superb_probes: tuple[tuple[int, int], ...] = (),
-    weights=None,
+    c: Colouring, L: int, superb_probes: tuple[tuple[int, int], ...] = ()
 ) -> AuditReport:
     """Assemble the standard report: both audit graphs (second-order search
     capped at L), their extreme degrees, the exact uncoloured fraction,
-    superb counts for the requested (e, x) probes, and the minimum weighted
-    chain mass over all uncoloured edges and endpoints (unit weights when
-    none are given; None when the colouring is full).  Each uncoloured
-    edge's two chains serve both audit graphs and the chain mass."""
+    superb counts for the requested (e, x) probes, and the minimum chain
+    mass over all uncoloured edges and endpoints (None when the colouring
+    is full).  Each uncoloured edge's two chains serve both audit graphs and
+    the chain mass."""
     simple: dict[int, frozenset[int]] = {}
     iterated: dict[int, frozenset[int]] = {}
     min_mass: Fraction | None = None
@@ -524,10 +476,7 @@ def audit_report(
         simple[e] = _partners(c, SIMPLE, chains, None)
         iterated[e] = _partners(c, ITERATED, chains, L)
         for chain in chains:
-            if weights is None:
-                mass = Fraction(len(chain.edges()) - 1)
-            else:
-                mass = _chain_mass(chain, weights)
+            mass = Fraction(len(chain.edges()) - 1)
             if min_mass is None or mass < min_mass:
                 min_mass = mass
     rows = []

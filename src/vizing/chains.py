@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from .colouring import ChainStatus, Colouring, classify_chain
+from .colouring import Colouring
 
 __all__ = [
     "AlternatingPath",
@@ -39,7 +39,6 @@ __all__ = [
     "max_fan",
     "repeated_colour_indices",
     "vizing_chain",
-    "augment",
     "augment_in_place",
 ]
 
@@ -381,16 +380,3 @@ def augment_in_place(c: Colouring, chain: Sequence[int]) -> int:
     c.assign(last, (common & -common).bit_length())
     colours = c.colours
     return sum(1 for f, col in old if colours[f] != col)
-
-
-def augment(c: Colouring, chain) -> Colouring:
-    """Pure augmentation: returns a new colouring with one more coloured
-    edge, all changes confined to the chain.  Accepts an edge sequence or
-    any chain object with an ``edges()`` method.  The chain must classify
-    as augmenting (ValueError otherwise)."""
-    seq = chain.edges() if callable(getattr(chain, "edges", None)) else list(chain)
-    if classify_chain(c, seq) is not ChainStatus.AUGMENTING:
-        raise ValueError("chain is not augmenting")
-    out = c.copy()
-    augment_in_place(out, seq)
-    return out

@@ -20,8 +20,12 @@ edge becomes uncoloured.  A chain is
 
 :class:`Colouring` maintains properness as a class invariant (dense colour
 array plus one used-colour bitmask per vertex, so missing-set probes are
-O(1) in the palette size).  States that may be improper, such as the result
-of shifting a merely-shiftable chain, are handled as plain colour maps via
+O(1) in the palette size).  Shifts happen in place:
+:meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
+an undo log for :meth:`Colouring.apply_undo`, so a trial shift copies
+nothing.  :func:`classify_chain` labels a chain without touching the
+colouring; states that may be improper, such as the result of shifting a
+merely-shiftable chain, are handled as plain colour maps via
 :func:`shifted_assignment` and never materialised as Colouring objects.
 
 Shifts along infinite chains never arise here: all inputs are finite, so
@@ -42,10 +46,8 @@ from .multigraph import Multigraph
 __all__ = [
     "Colouring",
     "ChainStatus",
-    "missing_colours",
     "is_proper",
     "classify_chain",
-    "shift_along",
     "shifted_assignment",
 ]
 
@@ -333,15 +335,8 @@ class Colouring:
 
 
 # ---------------------------------------------------------------------------
-# Free-function views of the basic queries
+# Properness
 # ---------------------------------------------------------------------------
-
-
-def missing_colours(c: Colouring, x: int) -> set[int]:
-    """Palette colours not present on any coloured edge at vertex x."""
-    if not (0 <= x < c.graph.n):
-        raise ValueError(f"vertex {x} out of range")
-    return c.missing_colours(x)
 
 
 def is_proper(
@@ -463,44 +458,14 @@ def classify_chain(c: Colouring, chain: Sequence[int]) -> ChainStatus:
             for other in g.adj[x]:
                 if other != e and col_after(other) == new_col:
                     return ChainStatus.SHIFTABLE
-    u, v, _ = g.edges[chain[-1]]
-    if _share_missing_colour(g, col_after, u, v):
-        return ChainStatus.AUGMENTING
-    return ChainStatus.PROPER_SHIFTABLE
-
-
-def _share_missing_colour(g: Multigraph, col_after, u: int, v: int) -> bool:
-    """Do u and v miss a common colour when edge e is read as col_after(e)?"""
-    full = (1 << g.palette) - 1
-    masks = []
-    for x in (u, v):
-        used = 0
+    # the last edge's endpoints share a missing colour iff some palette
+    # colour is used at neither of them
+    used = 0
+    for x in g.edges[chain[-1]][:2]:
         for e in g.adj[x]:
             col = col_after(e)
             if col:
                 used |= 1 << (col - 1)
-        masks.append(full & ~used)
-    return bool(masks[0] & masks[1])
-
-
-def shift_along(c: Colouring, chain: Sequence[int]) -> Colouring:
-    """Return the shift of ``c`` along ``chain`` as a new colouring.
-
-    The first edge takes the second edge's old colour, each later edge takes
-    its successor's, and the last edge becomes uncoloured; the uncoloured
-    count is conserved.  The chain must be shiftable (ValueError otherwise),
-    and the result must be proper (Colouring represents only proper states;
-    inspect a merely-shiftable chain's shift via :func:`shifted_assignment`).
-    """
-    status = classify_chain(c, chain)
-    if not status.at_least(ChainStatus.SHIFTABLE):
-        raise ValueError(f"chain is not shiftable: {status.value}")
-    new_colours = list(c.colours)
-    for e, col in shifted_assignment(c, chain).items():
-        new_colours[e] = col
-    if not status.at_least(ChainStatus.PROPER_SHIFTABLE):
-        raise ValueError(
-            "shift result is improper (chain is shiftable but not "
-            "proper-shiftable); use shifted_assignment to inspect it"
-        )
-    return Colouring(c.graph, new_colours)
+    if ((1 << g.palette) - 1) & ~used:
+        return ChainStatus.AUGMENTING
+    return ChainStatus.PROPER_SHIFTABLE

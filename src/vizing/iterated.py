@@ -19,7 +19,10 @@ The machinery here constructs that second level:
   * classify_suitable sorts a suitable edge into Type0 (chain-so-far already
     augmenting), TypeI (beta missing at the fan's last far endpoint), or
     TypeII (the fan stopped on a repeated colour epsilon; delta is the
-    smallest colour missing at y);
+    smallest colour missing at y).  The Type0 test shifts nothing: it reads
+    the missing masks of y and the fan's last far endpoint under the
+    original colouring, adds alpha, which the shift through f frees at y,
+    and intersects them;
 
   * is_superb checks that the second alternating path is unaffected by the
     shift (for TypeII, both candidate paths), by performing the shift with an
@@ -50,13 +53,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .colouring import (
-    ChainStatus,
-    Colouring,
-    _share_missing_colour,
-    classify_chain,
-    shifted_assignment,
-)
+from .colouring import ChainStatus, Colouring, classify_chain
 from .chains import (
     AlternatingPath,
     VizingChain,
@@ -98,7 +95,9 @@ class SuitableEdge:
 
     position is 1-based within the tail path, so the path prefix of that
     length ends with f.  far_vertex (y) is f's endpoint farther along the
-    path; near_vertex (z) is the closer one.
+    path; near_vertex (z) is the closer one.  The pointwise operations take
+    f as an edge id or as a SuitableEdge; either must name an entry of
+    :func:`suitable_edges` for the probe, or they raise ValueError.
     """
 
     edge: int
@@ -127,8 +126,6 @@ class ConditionalFan:
     early_stop: bool
     next_colour: int | None
     repeat_pos: int | None
-    type_tag: SuitableType | None = None
-    second_critical_index: int | None = None
 
 
 @dataclass
@@ -279,7 +276,7 @@ class _Context:
     __slots__ = (
         "c", "x", "e", "vc", "alpha", "beta",
         "path_edges", "path_vertices", "prefix_len", "chain_edges",
-        "chain_pos", "near_e",
+        "fan_vertices", "near_e",
     )
 
     def __init__(self, c: Colouring, vc: VizingChain):
@@ -297,7 +294,8 @@ class _Context:
         self.path_edges = vc.tail.edges
         self.prefix_len = vc.fan_prefix_len
         self.chain_edges = vc.edges()
-        self.chain_pos = {h: q for q, h in enumerate(self.chain_edges)}
+        # the vertices whose missing masks the first-level fan's shift moves
+        self.fan_vertices = {self.x, *vc.fan.far_endpoints[: self.prefix_len]}
         # vertices along the tail path: path_vertices[t] is where edge t starts
         verts = [vc.tail.start_vertex]
         g = c.graph
@@ -323,11 +321,11 @@ class _Context:
                 )
         return out
 
-    def resolve(self, f: int | SuitableEdge, limit: int | None = None) -> SuitableEdge:
-        if isinstance(f, SuitableEdge):
-            return f
-        for su in self.suitables(limit):
-            if su.edge == f:
+    def resolve(self, f: int | SuitableEdge) -> SuitableEdge:
+        """The suitable edge named by an edge id or by a SuitableEdge, which
+        must equal one that suitables() lists."""
+        for su in self.suitables(None):
+            if su == f or su.edge == f:
                 return su
         raise ValueError(f"edge {f} is not suitable for this chain")
 
@@ -369,20 +367,16 @@ def _classify(ctx: _Context, su: SuitableEdge, view) -> Classification:
     y = su.far_vertex
     u_m = fan.far_endpoints[-1]
     if _first_segment_augmenting(ctx, su, fan, view):
-        fan.type_tag = SuitableType.TYPE0
         return Classification(SuitableType.TYPE0, su, fan, alpha, beta)
     if view.is_missing(u_m, beta):
         # were alpha missing at u_m too, the chain would have been augmenting
         if view.is_missing(u_m, alpha):
             raise AssertionError("a TypeI fan end misses both path colours")
-        fan.type_tag = SuitableType.TYPE1
-        fan.second_critical_index = len(fan.edges) - 1
         return Classification(SuitableType.TYPE1, su, fan, alpha, beta)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
     if fan.early_stop or fan.repeat_pos is None:
         raise AssertionError("a TypeII fan did not stop on a repeated colour")
-    fan.type_tag = SuitableType.TYPE2
     i = fan.repeat_pos - 1
     epsilon = fan.next_colour
     delta = view.min_missing(y)
@@ -400,28 +394,31 @@ def _first_segment_augmenting(
     ctx: _Context, su: SuitableEdge, fan: ConditionalFan, view
 ) -> bool:
     """Is (chain before f) + (conditional fan) augmenting, i.e. do y and the
-    fan's last far endpoint share a missing colour after that shift?
+    fan's last far endpoint u_m share a missing colour after that shift?
 
     The chain is proper-shiftable (the shadow-fan property guarantees it), so
-    only the missing masks of the last edge's endpoints are needed, and the
-    shift changes edge colours only along the chain: inside the chain's
-    first-level part every edge takes its successor's colour, and inside the
-    fan part g_i takes c(g_{i+1}) with the last fan edge uncoloured.
+    only the missing masks of y and u_m after the shift matter, and they are
+    read off the original colouring's masks in O(1):
+
+      * shifting the first-level chain through f uncolours f (colour alpha)
+        and recolours its predecessor on the path from beta to alpha, so
+        alpha becomes missing at y and beta at the near vertex z.  The path
+        edge after f keeps beta at y, so the beta freed at z is never
+        missing at y and needs no term;
+      * every other vertex the fan can reach keeps its mask: the shift
+        changes masks elsewhere only at x and the first-level fan's far
+        endpoints, each an endpoint of a fan edge sharing x with e.  Were
+        u_m one of them, the fan edge from y to u_m would put f within line
+        distance 3 of e, but f lies beyond 4;
+      * the fan's own shift permutes the colours at y, and changes u_m's
+        mask only by fan colours, which are all used at y, so neither
+        change touches a colour missing at both.
     """
-    chain = ctx.chain_edges
-    cut = ctx.prefix_len + su.position - 1  # edges of the chain before f
-    fan_after = shifted_assignment(view, fan.edges)
-
-    def col_after(h: int) -> int:
-        got = fan_after.get(h)
-        if got is not None:
-            return got
-        q = ctx.chain_pos.get(h)
-        if q is not None and q < cut:
-            return view.colour_of(chain[q + 1])
-        return view.colour_of(h)
-
-    return _share_missing_colour(ctx.c.graph, col_after, fan.centre, fan.far_endpoints[-1])
+    u_m = fan.far_endpoints[-1]
+    if u_m in ctx.fan_vertices:
+        raise AssertionError("the conditional fan reached the first-level fan")
+    at_y = view.missing_mask(su.far_vertex) | (1 << (ctx.alpha - 1))
+    return bool(at_y & view.missing_mask(u_m))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +478,6 @@ def _assemble(
         fan_part = cls.fan.edges[: second_critical_index + 1]
     else:
         fan_part = list(cls.fan.edges)
-    cls.fan.second_critical_index = second_critical_index
     return IteratedChain(
         suitable=su,
         type_tag=cls.type_tag,
@@ -630,7 +626,7 @@ def superb_scan(
     view = _OrigView(c, ctx.alpha, ctx.beta)
     # missing masks that the first-level shift disturbs beyond the moving
     # seam: the fan centre and the fan's far endpoints
-    for v in {ctx.x, *ctx.vc.fan.far_endpoints[: ctx.prefix_len]}:
+    for v in ctx.fan_vertices:
         view.dirty_masks[v] = c.missing_mask(v)
     undo: dict[int, int] = {}
     shifted_len = 0

@@ -35,7 +35,6 @@ __all__ = [
     "Multigraph",
     "build",
     "generate_random",
-    "line_graph_distance",
 ]
 
 
@@ -330,15 +329,3 @@ def line_distances(g: Multigraph, start: int, cap: int | None = None) -> dict[in
                         nxt.append(h)
         frontier = nxt
     return dist
-
-
-def line_graph_distance(
-    g: Multigraph, e: int, f: int, cap: int | None = None
-) -> int | None:
-    """BFS distance between edges e and f in the line graph of g.
-
-    Returns 0 for e == f, and None when the distance exceeds ``cap``
-    (or when e and f lie in different components; pass cap=None to search the
-    whole component).  See :func:`line_distances`.
-    """
-    return line_distances(g, e, cap).get(f)

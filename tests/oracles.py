@@ -5,23 +5,30 @@ code or caches with the package under test: graphs are consulted only through
 their edge list, colourings are plain lists indexed by edge id (0 meaning
 uncoloured), and every lookup is a fresh scan.  Slow on purpose.
 
-The last section is the exception: three composition checks that drive the
+The last two sections are the exception.  Three composition checks drive the
 package's own operations (shifts, alternating paths, fans) and compare their
 results with each other, because the property they check is how those
-operations compose.
+operations compose.  And a few pure conveniences over the package's
+operations -- a copying shift and augmentation, and weighted chain mass --
+serve only the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 
 from vizing import (
     ChainStatus,
+    Colouring,
     SuitableEdge,
     alternating_path,
+    augment_in_place,
     classify_chain,
     conditional_fan,
     max_fan,
+    shifted_assignment,
     suitable_edges,
     vizing_chain,
 )
@@ -268,3 +275,76 @@ def check_shadow_fan(c, x, e, f):
     finally:
         c.apply_undo(log)
     return fan.edges == shadow.edges[: len(fan.edges)]
+
+
+# ---------------------------------------------------------------------------
+# Test-only conveniences over the package's operations
+# ---------------------------------------------------------------------------
+
+
+def shift_along(c, chain):
+    """Return the shift of ``c`` along ``chain`` as a new colouring.
+
+    The first edge takes the second edge's old colour, each later edge takes
+    its successor's, and the last edge becomes uncoloured; the uncoloured
+    count is conserved.  The chain must be shiftable (ValueError otherwise),
+    and the result must be proper (Colouring represents only proper states;
+    inspect a merely-shiftable chain's shift via ``shifted_assignment``).
+    """
+    status = classify_chain(c, chain)
+    if not status.at_least(ChainStatus.SHIFTABLE):
+        raise ValueError(f"chain is not shiftable: {status.value}")
+    if not status.at_least(ChainStatus.PROPER_SHIFTABLE):
+        raise ValueError(
+            "shift result is improper (chain is shiftable but not "
+            "proper-shiftable); use shifted_assignment to inspect it"
+        )
+    new_colours = list(c.colours)
+    for e, col in shifted_assignment(c, chain).items():
+        new_colours[e] = col
+    return Colouring(c.graph, new_colours)
+
+
+def augment(c, chain):
+    """Pure augmentation: a new colouring with one more coloured edge, all
+    changes confined to the chain.  Accepts an edge sequence or any chain
+    object with an ``edges()`` method.  The chain must classify as
+    augmenting (ValueError otherwise)."""
+    seq = chain.edges() if callable(getattr(chain, "edges", None)) else list(chain)
+    if classify_chain(c, seq) is not ChainStatus.AUGMENTING:
+        raise ValueError("chain is not augmenting")
+    out = c.copy()
+    augment_in_place(out, seq)
+    return out
+
+
+@dataclass
+class EdgeWeights:
+    """Positive rational weights on edges, looked up by edge id."""
+
+    weight: dict
+
+    def __post_init__(self):
+        self.weight = {e: Fraction(w) for e, w in self.weight.items()}
+        for e, w in self.weight.items():
+            if w <= 0:
+                raise ValueError(f"edge {e}: weight {w} is not positive")
+
+    @classmethod
+    def unit(cls, graph):
+        return cls({e: Fraction(1) for e in range(graph.m)})
+
+    def __getitem__(self, e):
+        return self.weight[e]
+
+
+def weighted_chain_mass(c, e, x, weights):
+    """Total weight of the chain for (x, e) relative to e's own weight:
+    sum of weight(f)/weight(e) over the chain's edges f other than e.
+    With unit weights this is the chain length minus one.  weights may be
+    an EdgeWeights or any mapping from edge id to a positive rational.
+    """
+    if c.colour_of(e) != 0:
+        raise ValueError(f"edge {e} is coloured; chain mass needs an uncoloured edge")
+    total = sum(weights[f] for f in vizing_chain(c, x, e).edges() if f != e)
+    return Fraction(total) / Fraction(weights[e])

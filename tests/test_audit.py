@@ -11,7 +11,6 @@ import pytest
 
 from vizing import (
     Colouring,
-    EdgeWeights,
     audit_report,
     build,
     build_audit_graph,
@@ -21,7 +20,6 @@ from vizing import (
     superb_count_check,
     uncoloured_fraction_bounds,
     vizing_chain,
-    weighted_chain_mass,
 )
 from vizing import chains
 from vizing.audit import (
@@ -43,6 +41,7 @@ from gadgets import (
     long_path_instance,
 )
 from helpers import random_partial_colouring
+from oracles import EdgeWeights, weighted_chain_mass
 
 
 def audit_instances():

