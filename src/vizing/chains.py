@@ -22,6 +22,12 @@ Everything is a pure function of a colouring snapshot and deterministic:
 minimal-colour choices use the natural integer order, and the one place the
 construction could branch (two candidate critical indices) has a fixed
 preference.  Safe to run concurrently on shared read-only snapshots.
+
+The fan and walk loops scan the incident edges for the wanted colour and
+unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
+records are slotted dataclasses built positionally (a keyword call costs
+about twice as much).  Augmentation is one pass of
+:meth:`Colouring.augment_in_place`.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class AlternatingPath:
     """A maximal alternating path.
 
@@ -67,36 +73,29 @@ class AlternatingPath:
         return len(self.edges)
 
 
-def _edge_at_with_colour(around, colours, col: int) -> int | None:
-    """The unique edge of ``around`` with colours[e] == col, or None
-    (uniqueness by properness); ``colours`` is indexable by edge id."""
-    for e in around:
-        if colours[e] == col:
-            return e
-    return None
-
-
 def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
-    """The walk of :func:`alternating_path`, reading edge colours through
-    ``colours``: the live colour array, or an overlay of another colouring."""
-    adj = g.adj
+    """The walk of :func:`alternating_path`, without its precondition
+    checks, reading edge colours through ``colours``: the live colour array,
+    or an overlay of another colouring."""
+    adj, ends = g.adj, g.edges
     edges: list[int] = []
     v = x
     want, succ = alpha, beta
     guard = g.m + 1
     while True:
-        e = _edge_at_with_colour(adj[v], colours, want)
-        if e is None:
-            break
+        # properness makes the wanted edge at v unique
+        for e in adj[v]:
+            if colours[e] == want:
+                break
+        else:
+            return AlternatingPath(x, alpha, beta, edges, v)
         edges.append(e)
-        v = g.other(e, v)
+        a, b, _ = ends[e]
+        v = b if v == a else a
         want, succ = succ, want
         guard -= 1
         if guard < 0:  # unreachable: the walk uses each edge at most once
             raise AssertionError("alternating walk failed to terminate")
-    return AlternatingPath(
-        start_vertex=x, alpha=alpha, beta=beta, edges=edges, last_vertex=v
-    )
 
 
 def alternating_path(c: Colouring, x: int, alpha: int, beta: int) -> AlternatingPath:
@@ -128,7 +127,7 @@ def alternating_path(c: Colouring, x: int, alpha: int, beta: int) -> Alternating
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Fan:
     """A maximal fan around ``centre`` starting at an uncoloured edge.
 
@@ -156,16 +155,6 @@ class Fan:
     repeat_pos: int | None
 
 
-def _min_in_mask(mask: int, big_colour: int | None) -> int:
-    """Minimal colour in a nonzero mask; big_colour, if given, compares
-    larger than every other colour."""
-    if big_colour is not None:
-        rest = mask & ~(1 << (big_colour - 1))
-        if rest:
-            mask = rest
-    return (mask & -mask).bit_length()
-
-
 def _grow_fan(view, centre: int, first: int, big_colour=None, stop_mask: int = 0):
     """The loop of :func:`max_fan`, shared with the conditional fans of the
     iterated machinery.  Reads through ``view``: a Colouring, or an object
@@ -176,27 +165,42 @@ def _grow_fan(view, centre: int, first: int, big_colour=None, stop_mask: int = 0
     """
     g = view.graph
     colours = view.colours
+    missing_mask = view.missing_mask
+    ends = g.edges
     around = g.adj[centre]
+    u, v, _ = ends[first]
+    if centre != u and centre != v:
+        raise ValueError(f"vertex {centre} is not an endpoint of edge {first}")
+    tip = v if u == centre else u
+    # big_colour compares larger than every other colour
+    not_big = -1 if big_colour is None else ~(1 << (big_colour - 1))
     edges = [first]
-    far = [g.other(first, centre)]
+    far = [tip]
     colour_seq: list[int] = []
     chosen_at: dict[int, int] = {}
     while True:
-        tip = far[-1]
-        avail = view.missing_mask(tip) & ~chosen_at.get(tip, 0)
+        avail = missing_mask(tip) & ~chosen_at.get(tip, 0)
         if avail == 0:  # cannot happen: at most pi-1 exclusions of >= pi missing
             raise AssertionError("fan step has no available colour")
-        col = _min_in_mask(avail, big_colour)
-        nxt = _edge_at_with_colour(around, colours, col)
-        if nxt is None:
+        if avail & not_big:
+            avail &= not_big
+        bit = avail & -avail
+        col = bit.bit_length()
+        # properness makes the centre's col-edge unique
+        for nxt in around:
+            if colours[nxt] == col:
+                break
+        else:
             return edges, far, colour_seq, col, None
         if nxt in edges:
             return edges, far, colour_seq, col, edges.index(nxt)
-        chosen_at[tip] = chosen_at.get(tip, 0) | (1 << (col - 1))
+        chosen_at[tip] = chosen_at.get(tip, 0) | bit
         edges.append(nxt)
-        far.append(g.other(nxt, centre))
+        u, v, _ = ends[nxt]
+        tip = v if u == centre else u
+        far.append(tip)
         colour_seq.append(col)
-        if stop_mask and view.missing_mask(far[-1]) & stop_mask:
+        if stop_mask and missing_mask(tip) & stop_mask:
             return edges, far, colour_seq, None, None
 
 
@@ -227,20 +231,12 @@ def max_fan(
     colours missing at x.  The flag is therefore read off the masks before
     the shift, in O(1).
     """
-    if c.colour_of(e) != 0:
+    if c.colours[e] != 0:
         raise ValueError(f"edge {e} is coloured; fans start at uncoloured edges")
     # raises ValueError when x is not an endpoint of e
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, x, e, big_colour)
     augmenting = bool(c.missing_mask(x) & c.missing_mask(far[-1]))
-    return Fan(
-        centre=x,
-        edges=edges,
-        far_endpoints=far,
-        colour_seq=colour_seq,
-        augmenting=augmenting,
-        next_colour=next_colour,
-        repeat_pos=repeat_pos,
-    )
+    return Fan(x, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
 
 
 def repeated_colour_indices(
@@ -275,22 +271,23 @@ def repeated_colour_indices(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class VizingChain:
     """An augmenting chain: a fan prefix, possibly followed by a path.
 
     When the fan is augmenting the chain is the whole fan and there is no
     tail.  Otherwise the chain keeps the fan prefix through the first
     critical index i (that is, i+1 edges) and appends the alternating
-    alpha/beta-path from v_i, which avoids the centre.
+    alpha/beta-path from v_i, which avoids the centre.  Without a tail, the
+    last four fields are None.
     """
 
     fan: Fan
     fan_prefix_len: int
-    tail: AlternatingPath | None
-    first_critical_index: int | None
-    alpha: int | None
-    beta: int | None
+    tail: AlternatingPath | None = None
+    first_critical_index: int | None = None
+    alpha: int | None = None
+    beta: int | None = None
     _edge_list: list[int] = field(default=None, repr=False)  # type: ignore[assignment]
 
     def edges(self) -> list[int]:
@@ -330,34 +327,23 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
     """
     fan = max_fan(c, x, e)
     if fan.augmenting:
-        return VizingChain(
-            fan=fan,
-            fan_prefix_len=len(fan.edges),
-            tail=None,
-            first_critical_index=None,
-            alpha=None,
-            beta=None,
-        )
+        return VizingChain(fan, len(fan.edges))
     j, k, beta = repeated_colour_indices(c, x, e, fan)
     alpha = c.min_missing(x)
     # beta sits on an edge at x (the repeat edge), hence beta differs from
-    # every colour missing at x, in particular from alpha.
-    path_j = alternating_path(c, fan.far_endpoints[j], alpha, beta)
+    # every colour missing at x, in particular from alpha; and beta, the
+    # colour chosen at v_j and v_k, is missing at both.  So both walks meet
+    # alternating_path's preconditions.
+    g, colours = c.graph, c.colours
+    path_j = _walk(g, colours, fan.far_endpoints[j], alpha, beta)
     if _path_avoids(path_j, x):
         i, tail = j, path_j
     else:
-        path_k = alternating_path(c, fan.far_endpoints[k], alpha, beta)
+        path_k = _walk(g, colours, fan.far_endpoints[k], alpha, beta)
         if not _path_avoids(path_k, x):  # unreachable: both ends at x
             raise AssertionError("both candidate alternating paths end at x")
         i, tail = k, path_k
-    return VizingChain(
-        fan=fan,
-        fan_prefix_len=i + 1,
-        tail=tail,
-        first_critical_index=i,
-        alpha=alpha,
-        beta=beta,
-    )
+    return VizingChain(fan, i + 1, tail, i, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +353,9 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
 
 def augment_in_place(c: Colouring, chain: Sequence[int]) -> int:
     """Shift c along an augmenting chain and colour its last edge with the
-    minimal colour missing at both endpoints.  Returns the number of edges
-    whose colour actually changed.  The caller guarantees the chain is
-    augmenting; the colouring's own invariants abort on violations.
+    minimal colour missing at both endpoints, in the one pass of
+    :meth:`Colouring.augment_in_place`.  Returns the number of edges whose
+    colour actually changed.  A chain that is not augmenting raises
+    ValueError and leaves c unchanged.
     """
-    old = c.shift_in_place(chain)
-    last = chain[-1]
-    u, v, _ = c.graph.edges[last]
-    common = c.missing_mask(u) & c.missing_mask(v)
-    if common == 0:
-        raise ValueError("chain is not augmenting: no common missing colour")
-    c.assign(last, (common & -common).bit_length())
-    colours = c.colours
-    return sum(1 for f, col in old if colours[f] != col)
+    return c.augment_in_place(chain)

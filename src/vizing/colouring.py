@@ -23,10 +23,12 @@ array plus one used-colour bitmask per vertex, so missing-set probes are
 O(1) in the palette size).  Shifts happen in place:
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
 an undo log for :meth:`Colouring.apply_undo`, so a trial shift copies
-nothing.  :func:`classify_chain` labels a chain without touching the
-colouring; states that may be improper, such as the result of shifting a
-merely-shiftable chain, are handled as plain colour maps via
-:func:`shifted_assignment` and never materialised as Colouring objects.
+nothing.  :meth:`Colouring.augment_in_place` is one pass: the shift and the
+colouring of the chain's last edge, undone on failure.  :func:`classify_chain`
+labels a chain without touching the colouring; states that may be improper,
+such as the result of shifting a merely-shiftable chain, are handled as plain
+colour maps via :func:`shifted_assignment` and never materialised as
+Colouring objects.
 
 Shifts along infinite chains never arise here: all inputs are finite, so
 every chain is a finite list.
@@ -63,7 +65,8 @@ class Colouring:
     The colour of edge e is an integer in 1..graph.palette, or 0 when e is
     uncoloured.  Properness (no two incident coloured edges share a colour)
     is an invariant: every mutation validates it and raises ValueError on
-    violation.
+    violation.  The readers missing_mask, min_missing and is_missing sit on
+    the chain builders' hot path: they take a valid vertex 0..n-1 unchecked.
     """
 
     __slots__ = ("graph", "_colours", "_used", "_uncoloured", "_full")
@@ -168,7 +171,10 @@ class Colouring:
         return self._full & ~self._used[x]
 
     def missing_colours(self, x: int) -> set[int]:
-        """The set of palette colours not present on any edge at x."""
+        """The set of palette colours not present on any edge at x.
+        Raises ValueError unless 0 <= x < n."""
+        if not (0 <= x < self.graph.n):
+            raise ValueError(f"vertex {x} out of range")
         m = self.missing_mask(x)
         return {c + 1 for c in range(self.graph.palette) if (m >> c) & 1}
 
@@ -230,15 +236,50 @@ class Colouring:
         uncoloured edge after the first, or whose shift would be improper
         raises ValueError and leaves the colouring unchanged.
         """
-        cols = [self._colours[e] for e in chain]
+        old, new = self._shift_logs(chain)
+        self._recolour(old, new)
+        return old
+
+    def augment_in_place(self, chain: Sequence[int]) -> int:
+        """Shift along an augmenting chain and colour its last edge with the
+        smallest colour then missing at both endpoints, in one pass.
+
+        Returns the number of edges whose colour changed.  Raises ValueError
+        on every chain :meth:`shift_in_place` rejects, and when the shifted
+        last edge's endpoints share no missing colour; the colouring is
+        then left unchanged.
+        """
+        old, new = self._shift_logs(chain)
+        self._recolour(old, new)
+        last = chain[-1]
+        u, v, _ = self.graph.edges[last]
+        used = self._used
+        common = self._full & ~(used[u] | used[v])
+        if not common:
+            self._recolour(new, old)  # cannot fail: old was proper
+            raise ValueError("chain is not augmenting: no common missing colour")
+        # the colour is missing at both endpoints, so assign's checks hold
+        bit = common & -common
+        colours = self._colours
+        colours[last] = bit.bit_length()
+        used[u] |= bit
+        used[v] |= bit
+        self._uncoloured -= 1
+        return sum([colours[e] != col for e, col in old])
+
+    def _shift_logs(self, chain: Sequence[int]):
+        """The (edge, colour) pairs of ``chain`` before and after a shift,
+        for :meth:`_recolour`.  Raises ValueError when an edge repeats or an
+        edge after the first is uncoloured."""
+        colours = self._colours
+        cols = [colours[e] for e in chain]
         if 0 in cols[1:]:
             raise ValueError(f"edge {chain[cols.index(0, 1)]} is uncoloured")
         if len(set(chain)) != len(cols):
             raise ValueError("an edge repeats in the chain")
         old = list(zip(chain, cols))
         cols.append(0)
-        self._recolour(old, list(zip(chain, cols[1:])))
-        return old
+        return old, list(zip(chain, cols[1:]))
 
     def apply_undo(self, log: list[tuple[int, int]]) -> None:
         """Revert a :meth:`shift_in_place` (or any log of (edge, colour)

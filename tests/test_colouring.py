@@ -11,11 +11,12 @@ from vizing import (
     Colouring,
     build,
     classify_chain,
+    generate_random,
     is_proper,
     shifted_assignment,
 )
 
-from helpers import random_instances, random_shiftable_chain
+from helpers import random_instances, random_partial_colouring, random_shiftable_chain
 from oracles import (
     oracle_classify,
     oracle_is_proper,
@@ -55,6 +56,15 @@ def test_missing_saturated_star(star3):
     c = Colouring.from_assignment(star3, {0: 1, 1: 2, 2: 3})
     assert c.missing_colours(0) == {4}
     assert len(c.missing_colours(0)) == star3.pi
+
+
+def test_missing_colours_rejects_vertex_out_of_range(p3):
+    c = Colouring.from_assignment(p3, {1: 1})
+    assert c.missing_colours(0) == {1, 2, 3}
+    assert c.missing_colours(2) == {2, 3}
+    for x in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            c.missing_colours(x)
 
 
 def test_missing_size_at_least_pi_and_matches_oracle():
@@ -325,22 +335,24 @@ def test_split_shift_rejects_bad_input(p3):
         split_shift_check(d, [0, 1], 2)
 
 
+def _state(g, c):
+    """What the in-place mutations write: colours, used masks, count."""
+    return (
+        list(c.colours),
+        [c.used_mask(x) for x in range(g.n)],
+        c.uncoloured_count,
+    )
+
+
+def _oracle_state(g, cols):
+    return list(cols), [oracle_used_mask(g, cols, x) for x in range(g.n)], cols.count(0)
+
+
 def test_shift_in_place_and_undo():
     """The shift and its undo write the colour array and the used masks
     directly, so both are checked against a recompute after each step, and
     so are the rejected chains, which must leave the colouring as it was."""
     rng = random.Random(39)
-
-    def state(g, c):
-        return (
-            list(c.colours),
-            [c.used_mask(x) for x in range(g.n)],
-            c.uncoloured_count,
-        )
-
-    def oracle_state(g, cols):
-        return list(cols), [oracle_used_mask(g, cols, x) for x in range(g.n)], cols.count(0)
-
     checked = rejected_repeat = rejected_improper = rejected_gap = 0
     for g, c in random_instances(30, seed=40):
         for _ in range(3):
@@ -352,19 +364,19 @@ def test_shift_in_place_and_undo():
             if status is ChainStatus.SHIFTABLE:
                 with pytest.raises(ValueError, match="already used"):
                     c.shift_in_place(chain)
-                assert state(g, c) == oracle_state(g, before)
+                assert _state(g, c) == _oracle_state(g, before)
                 rejected_improper += 1
                 continue
             assert status.at_least(ChainStatus.PROPER_SHIFTABLE)
             if len(chain) > 1:
                 with pytest.raises(ValueError, match="repeats"):
                     c.shift_in_place(chain + chain[1:2])
-                assert state(g, c) == oracle_state(g, before)
+                assert _state(g, c) == _oracle_state(g, before)
                 rejected_repeat += 1
             log = c.shift_in_place(chain)
-            assert state(g, c) == oracle_state(g, oracle_shift(before, chain))
+            assert _state(g, c) == _oracle_state(g, oracle_shift(before, chain))
             c.apply_undo(log)
-            assert state(g, c) == oracle_state(g, before)
+            assert _state(g, c) == _oracle_state(g, before)
             checked += 1
         unc = c.uncoloured()
         for a in unc:
@@ -373,12 +385,58 @@ def test_shift_in_place_and_undo():
                     before = list(c.colours)
                     with pytest.raises(ValueError, match="uncoloured"):
                         c.shift_in_place([a, b])
-                    assert state(g, c) == oracle_state(g, before)
+                    assert _state(g, c) == _oracle_state(g, before)
                     rejected_gap += 1
     assert checked >= 10
     assert rejected_repeat >= 10
     assert rejected_improper >= 5
     assert rejected_gap >= 5
+
+
+def test_augment_in_place_is_atomic():
+    """The augment pass writes the colour array and the used masks directly,
+    so its result is checked against a recompute: an augmenting chain gives
+    the shift with the last edge coloured by the smallest common missing
+    colour, and every rejected chain -- one whose shifted ends share no
+    missing colour, an improper shift, a repeated edge -- leaves the
+    colours, every used mask and the uncoloured count as they were."""
+    counts = dict.fromkeys(("augmenting", "proper-shiftable", "shiftable", "repeat"), 0)
+    for t in range(400):
+        g = generate_random(6, 3, 1, seed=t)
+        if g.m == 0:
+            continue
+        c = random_partial_colouring(g, t)
+        for k in range(4):
+            chain = random_shiftable_chain(g, c, seed=k)
+            if chain is None:
+                break
+            for end in range(1, len(chain) + 1):
+                prefix = chain[:end]
+                before = list(c.colours)
+                status = oracle_classify(g, before, prefix)
+                if status == "augmenting":
+                    d = c.copy()
+                    changed = d.augment_in_place(prefix)
+                    want = oracle_shift(before, prefix)
+                    u, v, _ = g.edges[prefix[-1]]
+                    common = oracle_missing(g, want, u) & oracle_missing(g, want, v)
+                    want[prefix[-1]] = min(common)
+                    assert _state(g, d) == _oracle_state(g, want)
+                    assert changed == sum(a != b for a, b in zip(before, want))
+                elif status == "proper-shiftable":
+                    with pytest.raises(ValueError, match="not augmenting"):
+                        c.augment_in_place(prefix)
+                elif status == "shiftable":
+                    with pytest.raises(ValueError, match="already used"):
+                        c.augment_in_place(prefix)
+                counts[status] += 1
+                assert _state(g, c) == _oracle_state(g, before)
+                if end > 1:
+                    with pytest.raises(ValueError, match="repeats"):
+                        c.augment_in_place(prefix + prefix[1:2])
+                    assert _state(g, c) == _oracle_state(g, before)
+                    counts["repeat"] += 1
+    assert min(counts.values()) >= 500, counts
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -83,6 +84,46 @@ class TestColourSequential:
     def test_deterministic(self):
         g = generate_random(100, 5, 2, seed=77)
         assert colour_sequential(g).assignment() == colour_sequential(g).assignment()
+
+
+def _digest(c):
+    """SHA-256 of the colour array written as comma-separated decimals."""
+    return hashlib.sha256(",".join(map(str, c.colours)).encode()).hexdigest()
+
+
+# Pinned colour arrays on generate_random(2000, 4, pi, seed): a change to
+# how a chain is built or applied that alters any colour choice alters
+# these.  The pi = 2 and pi = 3 graphs coincide, since the generator's
+# multiplicity stays at 2 there.
+GOLDEN_SEQUENTIAL = {
+    (1, 0): "a281506eb1d50038aefb064bb0996858311a62c76713fead987cacac28d5bb80",
+    (1, 1): "85a3b573fb7749c70aa91c1b4c3b17ffbfaed125f498818384890eb94b271df9",
+    (1, 2): "c200539150f75103eede0f7d967d843a6975bcf203a58f95cae42c462c448716",
+    (2, 0): "52c53e9c9e49e1510403887427729f2482a2f612bce14fdfc1951cf59c60d077",
+    (2, 1): "2da964186edaaa80dae1a9aaa754bd26d43b628c5c754fd5545ecaeedec36a1c",
+    (2, 2): "d78a1dfa04e00d9499778624e3d215bfae560b40807ea3b7608c3d8705775eb6",
+    (3, 0): "52c53e9c9e49e1510403887427729f2482a2f612bce14fdfc1951cf59c60d077",
+    (3, 1): "2da964186edaaa80dae1a9aaa754bd26d43b628c5c754fd5545ecaeedec36a1c",
+    (3, 2): "d78a1dfa04e00d9499778624e3d215bfae560b40807ea3b7608c3d8705775eb6",
+}
+# run_scheduler(generate_random(2000, 4, 1, s), 16, s)
+GOLDEN_SCHEDULED = {
+    0: "51aa6aa9864605942f50c037516b071f1274db8b626739557249321faaba2065",
+    1: "fd487036a5224b2fa3e9fccb0c2a5e44857ff8e541411098c3d9b812a7cbba28",
+}
+
+
+@pytest.mark.parametrize("pi, seed", sorted(GOLDEN_SEQUENTIAL))
+def test_sequential_colouring_matches_golden_digest(pi, seed):
+    c = colour_sequential(generate_random(2000, 4, pi, seed=seed))
+    assert c.uncoloured_count == 0
+    assert _digest(c) == GOLDEN_SEQUENTIAL[pi, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SCHEDULED))
+def test_scheduled_colouring_matches_golden_digest(seed):
+    c = run_scheduler(generate_random(2000, 4, 1, seed=seed), 16, seed)
+    assert _digest(c) == GOLDEN_SCHEDULED[seed]
 
 
 # ---------------------------------------------------------------------------
