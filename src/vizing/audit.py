@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -150,10 +149,9 @@ def _partners(
         if kind == SIMPLE:
             partners.update(chain.edges())
         elif chain.tail is not None:
-            with closing(superb_scan(c, chain, limit=L_cap, with_chains=True)) as scan:
-                for entry in scan:
-                    if entry.superb:
-                        partners.update(entry.chain.edges())
+            for entry in superb_scan(c, chain, limit=L_cap, with_chains=True):
+                if entry.superb:
+                    partners.update(entry.chain.edges())
     partners.discard(chains[0].fan.edges[0])
     return frozenset(partners)
 
@@ -174,7 +172,7 @@ def build_audit_graph(
     two plain chains (one per endpoint); kind "iterated" pairs it with the
     coloured edges of its second-order chains, searching superb edges among
     the first L_cap path positions (no cap when L_cap is None).  Exact and
-    deterministic; the colouring is restored to its input state.
+    deterministic; the colouring is only read.
     """
     if kind not in (SIMPLE, ITERATED):
         raise ValueError(f"unknown audit graph kind {kind!r}")
@@ -237,10 +235,9 @@ def check_unimprovable(c: Colouring, L: int, mode: str = ITERATED) -> bool:
                 return False
             if mode == SIMPLE:
                 continue
-            with closing(superb_scan(c, chain, limit=L)) as scan:
-                for entry in scan:
-                    if entry.superb and entry.second_len < L:
-                        return False
+            for entry in superb_scan(c, chain, limit=L):
+                if entry.superb and entry.second_len < L:
+                    return False
     return True
 
 
@@ -368,17 +365,16 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
     empty_count = 0
     by_single: Counter[int] = Counter()
     by_pair: Counter[frozenset[int]] = Counter()
-    with closing(superb_scan(c, chain, limit=L)) as scan:
-        for entry in scan:
-            if not entry.superb:
-                continue
-            cols = _path_colour_set(entry.second_path)
-            if len(cols) == 0:
-                empty_count += 1
-            elif len(cols) == 1:
-                by_single[next(iter(cols))] += 1
-            else:
-                by_pair[cols] += 1
+    for entry in superb_scan(c, chain, limit=L):
+        if not entry.superb:
+            continue
+        cols = _path_colour_set(entry.second_path)
+        if len(cols) == 0:
+            empty_count += 1
+        elif len(cols) == 1:
+            by_single[next(iter(cols))] += 1
+        else:
+            by_pair[cols] += 1
     palette = c.graph.palette
     best: tuple[int, int, int] | None = None
     for gamma in range(1, palette + 1):

@@ -76,7 +76,7 @@ class AlternatingPath:
 def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
     """The walk of :func:`alternating_path`, without its precondition
     checks, reading edge colours through ``colours``: the live colour array,
-    or an overlay of another colouring."""
+    or an overlay holding a shifted chain's colours."""
     adj, ends = g.adj, g.edges
     edges: list[int] = []
     v = x
@@ -155,17 +155,16 @@ class Fan:
     repeat_pos: int | None
 
 
-def _grow_fan(view, centre: int, first: int, big_colour=None, stop_mask: int = 0):
+def _grow_fan(c: Colouring, centre: int, first: int, big_colour=None, stop_mask: int = 0):
     """The loop of :func:`max_fan`, shared with the conditional fans of the
-    iterated machinery.  Reads through ``view``: a Colouring, or an object
-    offering its ``graph``, ``colours`` and ``missing_mask``.  The fan also
-    stops as soon as a new far endpoint misses a colour in ``stop_mask``.
-    Returns (edges, far endpoints, colour sequence, next colour, repeat
-    position); the next colour is None after such an early stop.
+    iterated machinery.  The fan also stops as soon as a new far endpoint
+    misses a colour in ``stop_mask``.  Returns (edges, far endpoints, colour
+    sequence, next colour, repeat position); the next colour is None after
+    such an early stop.
     """
-    g = view.graph
-    colours = view.colours
-    missing_mask = view.missing_mask
+    g = c.graph
+    colours = c.colours
+    missing_mask = c.missing_mask
     ends = g.edges
     around = g.adj[centre]
     u, v, _ = ends[first]

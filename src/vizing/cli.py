@@ -190,7 +190,7 @@ def _load_colouring(args) -> Colouring:
     """
     lines = _read_text(args).splitlines()
     try:
-        m = int(lines[0].split()[2])
+        m = max(int(lines[0].split()[2]), 0)
     except (IndexError, ValueError):
         m = 0  # the graph parser reports the malformed header
     g = Multigraph.from_text("\n".join(lines[: m + 1]) + "\n")

@@ -118,17 +118,7 @@ class Colouring:
         Unmentioned edges are uncoloured; colour 0 also means uncoloured.
         Raises ValueError if the assignment is out of range or improper.
         """
-        colours = [0] * graph.m
-        if isinstance(assignment, Mapping):
-            for e, col in assignment.items():
-                if not (0 <= e < graph.m):
-                    raise ValueError(f"edge id {e} out of range")
-                colours[e] = col
-        else:
-            if len(assignment) != graph.m:
-                raise ValueError("colour array length does not match edge count")
-            colours = list(assignment)
-        return cls(graph, colours)
+        return cls(graph, _colour_array(graph, assignment))
 
     def copy(self) -> "Colouring":
         dup = Colouring.__new__(Colouring)
@@ -380,6 +370,24 @@ class Colouring:
 # ---------------------------------------------------------------------------
 
 
+def _colour_array(
+    graph: Multigraph, assignment: Mapping[int, int] | Sequence[int]
+) -> list[int]:
+    """A dict {edge: colour} or a dense colour sequence as a fresh colour
+    array.  Raises ValueError for an edge id out of range or a sequence
+    whose length is not the edge count; the colours are not checked."""
+    if isinstance(assignment, Mapping):
+        colours = [0] * graph.m
+        for e, col in assignment.items():
+            if not (0 <= e < graph.m):
+                raise ValueError(f"edge id {e} out of range")
+            colours[e] = col
+        return colours
+    if len(assignment) != graph.m:
+        raise ValueError("colour array length does not match edge count")
+    return list(assignment)
+
+
 def is_proper(
     c: Colouring | Mapping[int, int] | Sequence[int],
     graph: Multigraph | None = None,
@@ -388,7 +396,10 @@ def is_proper(
 
     Accepts a Colouring, or a raw assignment (dict or dense sequence) plus
     the graph it colours.  True iff no two edges sharing a vertex carry the
-    same non-zero colour.
+    same non-zero colour.  A raw assignment is range-checked as
+    :meth:`Colouring.from_assignment` does: an edge id out of range, a
+    sequence whose length is not the edge count, or a colour outside
+    0..palette raises ValueError.
     """
     if isinstance(c, Colouring):
         graph = c.graph
@@ -396,12 +407,11 @@ def is_proper(
     else:
         if graph is None:
             raise ValueError("graph required when passing a raw assignment")
-        if isinstance(c, Mapping):
-            colours = [0] * graph.m
-            for e, col in c.items():
-                colours[e] = col
-        else:
-            colours = list(c)
+        colours = _colour_array(graph, c)
+        palette = graph.palette
+        for e, col in enumerate(colours):
+            if not (0 <= col <= palette):
+                raise ValueError(f"edge {e}: colour {col} outside palette 1..{palette}")
     for x in range(graph.n):
         seen = 0
         for e in graph.adj[x]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import closing
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -111,10 +110,9 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
         chain = vizing_chain(c, x, e)
         if chain.tail is None or len(chain.tail.edges) < L:
             return chain.edges()
-        with closing(superb_scan(c, chain, limit=L, with_chains=True)) as scan:
-            for entry in scan:
-                if entry.superb and entry.second_len <= L:
-                    return entry.chain.edges()
+        for entry in superb_scan(c, chain, limit=L, with_chains=True):
+            if entry.superb and entry.second_len <= L:
+                return entry.chain.edges()
     return None
 
 

@@ -34,16 +34,13 @@ The machinery here constructs that second level:
 
 superb_scan is the batch routine used by audits and the scheduler: given the
 first-level chain its caller already built, it walks all suitable edges of
-that chain's tail path in order, advancing a single in-place shift
-incrementally (shift composition makes consecutive shifted colourings differ
-only on a short segment) and reading original colours through a small
-overlay, so a full scan costs about one shift of the whole path rather than
-one per suitable edge.
-
-Conditional fans and second alternating paths run the fan and walk loops of
-the chains module.  Those loops read colours and missing masks either from
-the colouring itself (the pointwise operations) or from the overlay (the
-scan), which offers the same reads; there is no separate live view.
+that chain's tail path in order.  It classifies each edge and walks its
+second paths on the colouring itself, as the pointwise operations do, and
+never writes to it.  The superb test walks the second paths once more under
+a small overlay holding the shifted chain's colours.  The overlay grows one
+path segment per suitable edge, because shift composition makes consecutive
+shifted colourings differ only on that segment, so a full scan costs about
+one pass over the path rather than one shift per suitable edge.
 
 Everything is deterministic; minimal-colour choices use the natural order.
 """
@@ -204,68 +201,6 @@ class ScanEntry:
 
 
 # ---------------------------------------------------------------------------
-# The original colouring during a scan
-# ---------------------------------------------------------------------------
-
-
-class _OrigView:
-    """Read-only view of the original colouring while the underlying
-    Colouring object is temporarily shifted.
-
-    It offers the reads that the fan and walk loops make on a Colouring
-    (graph, colours, colour_of, missing_mask, is_missing, min_missing), so
-    the classification code takes either; ``colours`` is the view itself,
-    indexable by edge id.  overrides maps mutated edges to their original
-    colours; dirty_masks maps the few vertices whose missing masks differ
-    (the chain's first-level vertices, captured before the shift) to their
-    original masks.  The two seam vertices of the current shift frontier
-    are corrected analytically: the shift freed alpha at the current far
-    vertex and beta at the near one.
-    """
-
-    __slots__ = (
-        "c", "graph", "live", "overrides", "dirty_masks", "seam_y", "seam_z",
-        "_abit", "_bbit",
-    )
-
-    def __init__(self, c: Colouring, alpha: int, beta: int):
-        self.c = c
-        self.graph = c.graph
-        self.live = c.colours
-        self.overrides: dict[int, int] = {}
-        self.dirty_masks: dict[int, int] = {}
-        self.seam_y: int | None = None
-        self.seam_z: int | None = None
-        self._abit = 1 << (alpha - 1)
-        self._bbit = 1 << (beta - 1)
-
-    @property
-    def colours(self) -> "_OrigView":
-        return self
-
-    def __getitem__(self, e: int) -> int:
-        got = self.overrides.get(e)
-        return self.live[e] if got is None else got
-
-    colour_of = __getitem__
-
-    def missing_mask(self, v: int) -> int:
-        got = self.dirty_masks.get(v)
-        if got is not None:
-            return got
-        live = self.c.missing_mask(v)
-        if v == self.seam_y:
-            return live & ~self._abit
-        if v == self.seam_z:
-            return live & ~self._bbit
-        return live
-
-    # derived from missing_mask exactly as on a Colouring
-    is_missing = Colouring.is_missing
-    min_missing = Colouring.min_missing
-
-
-# ---------------------------------------------------------------------------
 # Context shared by every operation on one (c, x, e)
 # ---------------------------------------------------------------------------
 
@@ -274,7 +209,7 @@ class _Context:
     """First-level chain data reused across suitable-edge operations."""
 
     __slots__ = (
-        "c", "x", "e", "vc", "alpha", "beta",
+        "c", "alpha", "beta",
         "path_edges", "path_vertices", "prefix_len", "chain_edges",
         "fan_vertices", "near_e",
     )
@@ -286,23 +221,20 @@ class _Context:
                 "to pick suitable edges from"
             )
         self.c = c
-        self.x = vc.fan.centre
-        self.e = vc.fan.edges[0]
-        self.vc = vc
         self.alpha = vc.alpha
         self.beta = vc.beta
         self.path_edges = vc.tail.edges
         self.prefix_len = vc.fan_prefix_len
         self.chain_edges = vc.edges()
         # the vertices whose missing masks the first-level fan's shift moves
-        self.fan_vertices = {self.x, *vc.fan.far_endpoints[: self.prefix_len]}
+        self.fan_vertices = {vc.fan.centre, *vc.fan.far_endpoints[: self.prefix_len]}
         # vertices along the tail path: path_vertices[t] is where edge t starts
         verts = [vc.tail.start_vertex]
         g = c.graph
         for h in self.path_edges:
             verts.append(g.other(h, verts[-1]))
         self.path_vertices = verts
-        self.near_e = line_distances(g, self.e, 4)
+        self.near_e = line_distances(g, vc.fan.edges[0], 4)
 
     def suitables(self, limit: int | None) -> list[SuitableEdge]:
         last = len(self.path_edges) - 1
@@ -329,26 +261,21 @@ class _Context:
                 return su
         raise ValueError(f"edge {f} is not suitable for this chain")
 
-    def shift_chain(self, position: int) -> list[int]:
-        """The chain whose shift makes the suitable edge at ``position``
-        uncoloured: the first-level chain cut right after that edge."""
-        return self.chain_edges[: self.prefix_len + position]
-
 
 # ---------------------------------------------------------------------------
 # Conditional fans and classification
 # ---------------------------------------------------------------------------
 
 
-def _conditional_fan(ctx: _Context, su: SuitableEdge, view) -> ConditionalFan:
+def _conditional_fan(ctx: _Context, su: SuitableEdge) -> ConditionalFan:
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0
-    near = su.near_vertex
-    if view.is_missing(near, ctx.alpha) or view.is_missing(near, ctx.beta):
+    c, near = ctx.c, su.near_vertex
+    if c.is_missing(near, ctx.alpha) or c.is_missing(near, ctx.beta):
         raise AssertionError("the suitable edge's near vertex misses a path colour")
     stop = (1 << (ctx.alpha - 1)) | (1 << (ctx.beta - 1))
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(
-        view, su.far_vertex, su.edge, stop_mask=stop
+        c, su.far_vertex, su.edge, stop_mask=stop
     )
     return ConditionalFan(
         centre=su.far_vertex,
@@ -361,16 +288,16 @@ def _conditional_fan(ctx: _Context, su: SuitableEdge, view) -> ConditionalFan:
     )
 
 
-def _classify(ctx: _Context, su: SuitableEdge, view) -> Classification:
-    fan = _conditional_fan(ctx, su, view)
-    alpha, beta = ctx.alpha, ctx.beta
+def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
+    fan = _conditional_fan(ctx, su)
+    c, alpha, beta = ctx.c, ctx.alpha, ctx.beta
     y = su.far_vertex
     u_m = fan.far_endpoints[-1]
-    if _first_segment_augmenting(ctx, su, fan, view):
+    if _first_segment_augmenting(ctx, su, fan):
         return Classification(SuitableType.TYPE0, su, fan, alpha, beta)
-    if view.is_missing(u_m, beta):
+    if c.is_missing(u_m, beta):
         # were alpha missing at u_m too, the chain would have been augmenting
-        if view.is_missing(u_m, alpha):
+        if c.is_missing(u_m, alpha):
             raise AssertionError("a TypeI fan end misses both path colours")
         return Classification(SuitableType.TYPE1, su, fan, alpha, beta)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
@@ -379,7 +306,7 @@ def _classify(ctx: _Context, su: SuitableEdge, view) -> Classification:
         raise AssertionError("a TypeII fan did not stop on a repeated colour")
     i = fan.repeat_pos - 1
     epsilon = fan.next_colour
-    delta = view.min_missing(y)
+    delta = c.min_missing(y)
     if fan.colour_seq[i] != epsilon:
         raise AssertionError("the TypeII repeat edge does not carry epsilon")
     if delta == epsilon or {delta, epsilon} & {alpha, beta}:
@@ -391,7 +318,7 @@ def _classify(ctx: _Context, su: SuitableEdge, view) -> Classification:
 
 
 def _first_segment_augmenting(
-    ctx: _Context, su: SuitableEdge, fan: ConditionalFan, view
+    ctx: _Context, su: SuitableEdge, fan: ConditionalFan
 ) -> bool:
     """Is (chain before f) + (conditional fan) augmenting, i.e. do y and the
     fan's last far endpoint u_m share a missing colour after that shift?
@@ -417,8 +344,8 @@ def _first_segment_augmenting(
     u_m = fan.far_endpoints[-1]
     if u_m in ctx.fan_vertices:
         raise AssertionError("the conditional fan reached the first-level fan")
-    at_y = view.missing_mask(su.far_vertex) | (1 << (ctx.alpha - 1))
-    return bool(at_y & view.missing_mask(u_m))
+    at_y = ctx.c.missing_mask(su.far_vertex) | (1 << (ctx.alpha - 1))
+    return bool(at_y & ctx.c.missing_mask(u_m))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +353,8 @@ def _first_segment_augmenting(
 # ---------------------------------------------------------------------------
 
 
-def _second_paths_c(
-    cls: Classification, view
+def _second_paths(
+    c: Colouring, cls: Classification
 ) -> tuple[list[AlternatingPath], AlternatingPath | None, int | None]:
     """The alternating paths a superb test must compare, walked under the
     input colouring, plus the chain's second path and second critical index
@@ -441,10 +368,10 @@ def _second_paths_c(
     fan = cls.fan
     last = len(fan.edges) - 1
     if cls.type_tag is SuitableType.TYPE1:
-        p = _walk(view.graph, view.colours, fan.far_endpoints[-1], cls.alpha, cls.beta)
+        p = _walk(c.graph, c.colours, fan.far_endpoints[-1], cls.alpha, cls.beta)
         return [p], p, last
     p_i, p_m = (
-        _walk(view.graph, view.colours, fan.far_endpoints[q], cls.delta, cls.epsilon)
+        _walk(c.graph, c.colours, fan.far_endpoints[q], cls.delta, cls.epsilon)
         for q in (cls.repeat_index, last)
     )
     # delta is missing at y, so y can only be an endpoint of a
@@ -454,14 +381,6 @@ def _second_paths_c(
     if p_m.last_vertex != fan.centre:
         return [p_i, p_m], p_m, last
     return [p_i, p_m], None, None
-
-
-def _unchanged(c: Colouring, paths: list[AlternatingPath]) -> bool:
-    """Does every path come out the same when walked again under c?"""
-    return all(
-        p.edges == alternating_path(c, p.start_vertex, p.alpha, p.beta).edges
-        for p in paths
-    )
 
 
 def _assemble(
@@ -494,12 +413,71 @@ def _assemble(
 
 def _shift_stable(ctx: _Context, su: SuitableEdge, paths: list[AlternatingPath]) -> bool:
     """The pointwise superb test: are the second paths unchanged by the
-    shift of the chain through su (in place, reverted via the undo log)?"""
-    log = ctx.c.shift_in_place(ctx.shift_chain(su.position))
+    shift of the first-level chain cut right after su (in place, reverted
+    via the undo log)?"""
+    c = ctx.c
+    log = c.shift_in_place(ctx.chain_edges[: ctx.prefix_len + su.position])
     try:
-        return _unchanged(ctx.c, paths)
+        return all(
+            p.edges == alternating_path(c, p.start_vertex, p.alpha, p.beta).edges
+            for p in paths
+        )
     finally:
-        ctx.c.apply_undo(log)
+        c.apply_undo(log)
+
+
+class _Shifted(dict):
+    """Edge colours under the shift of a first-level chain prefix, with c
+    left as it is: the shifted edges' colours, and c's for every other edge.
+
+    The two checks a real shift would make stay explicit raises:
+    :meth:`advance` rejects an improper shift, and :meth:`stable` a second
+    path whose start no longer misses its second colour (the precondition
+    of :func:`alternating_path`).
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: Colouring):
+        super().__init__()
+        self.c = c
+
+    def __missing__(self, e: int) -> int:
+        return self.c.colours[e]
+
+    def advance(self, seg: list[int]) -> None:
+        """Extend the shift along ``seg``, whose first edge is the last one
+        shifted so far (or the chain's first edge).  Raises the ValueErrors
+        of :meth:`Colouring.shift_in_place`: a repeated edge, an uncoloured
+        edge after the first, or a colour already used at an endpoint."""
+        _old, new = self.c._shift_logs(seg)
+        colours, get = self.c.colours, self.get
+        adj, ends = self.c.graph.adj, self.c.graph.edges
+        # as Colouring._recolour does: free the segment's colours, then
+        # place each new colour only where it is free
+        for h, _col in new:
+            self[h] = 0
+        for h, col in new:
+            if col:
+                u, v, _ = ends[h]
+                for other in adj[u] + adj[v]:
+                    if get(other, colours[other]) == col:
+                        raise ValueError(
+                            f"colour {col} already used at an endpoint of edge {h}"
+                        )
+                self[h] = col
+
+    def stable(self, paths: list[AlternatingPath]) -> bool:
+        """Does every path come out the same when walked under the shift?"""
+        g = self.c.graph
+        for p in paths:
+            if any(self[h] == p.beta for h in g.adj[p.start_vertex]):
+                raise ValueError(
+                    f"colour {p.beta} is not missing at vertex {p.start_vertex}"
+                )
+            if _walk(g, self, p.start_vertex, p.alpha, p.beta).edges != p.edges:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +513,7 @@ def conditional_fan(
     Raises ValueError if f is not suitable.
     """
     ctx = _Context(c, vizing_chain(c, x, e))
-    return _conditional_fan(ctx, ctx.resolve(f), c)
+    return _conditional_fan(ctx, ctx.resolve(f))
 
 
 def classify_suitable(
@@ -550,7 +528,7 @@ def classify_suitable(
     missing at the fan centre and {alpha, beta}, {delta, epsilon} disjoint.
     """
     ctx = _Context(c, vizing_chain(c, x, e))
-    return _classify(ctx, ctx.resolve(f), c)
+    return _classify(ctx, ctx.resolve(f))
 
 
 def is_superb(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
@@ -563,10 +541,10 @@ def is_superb(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
     """
     ctx = _Context(c, vizing_chain(c, x, e))
     su = ctx.resolve(f)
-    cls = _classify(ctx, su, c)
+    cls = _classify(ctx, su)
     if cls.type_tag is SuitableType.TYPE0:
         return True
-    paths, _sec, _j = _second_paths_c(cls, c)
+    paths, _sec, _j = _second_paths(c, cls)
     return _shift_stable(ctx, su, paths)
 
 
@@ -583,10 +561,10 @@ def iterated_chain(
     """
     ctx = _Context(c, vizing_chain(c, x, e))
     su = ctx.resolve(f)
-    cls = _classify(ctx, su, c)
+    cls = _classify(ctx, su)
     sec = j = None
     if cls.type_tag is not SuitableType.TYPE0:
-        paths, sec, j = _second_paths_c(cls, c)
+        paths, sec, j = _second_paths(c, cls)
         if not _shift_stable(ctx, su, paths):
             raise ValueError(
                 f"edge {su.edge} is suitable but not superb; "
@@ -611,49 +589,32 @@ def superb_scan(
     so the scan does not derive it again; a chain without a tail (augmenting
     fan) raises ValueError on the first step.  Yields a :class:`ScanEntry`
     per suitable edge among the first ``limit`` path edges, in path order.
-    Equivalent to calling classify_suitable and is_superb edge by edge,
-    but the in-place shift advances incrementally (consecutive shifted
-    colourings differ only on the segment between two suitable edges, by
-    shift composition), and original colours and missing masks are read
-    through an overlay, so the whole scan performs one pass of shifting
-    instead of one full shift per suitable edge.  The colouring is restored
-    before the generator finishes, including on early exit.
+    Equivalent to calling classify_suitable and is_superb edge by edge.
+    The scan only reads c, so stopping early needs no clean-up.  Each
+    edge's second paths are walked on c and again under an overlay of the
+    shifted chain's colours, which grows by the segment since the previous
+    suitable edge (shift composition), so the whole scan reads the path once
+    instead of shifting it once per suitable edge.  A stale chain whose
+    shift c no longer admits (an uncoloured edge after the first, or an
+    improper result) raises ValueError, as the shift would.
     """
     ctx = _Context(c, chain)
-    sus = ctx.suitables(limit)
-    if not sus:
-        return
-    view = _OrigView(c, ctx.alpha, ctx.beta)
-    # missing masks that the first-level shift disturbs beyond the moving
-    # seam: the fan centre and the fan's far endpoints
-    for v in ctx.fan_vertices:
-        view.dirty_masks[v] = c.missing_mask(v)
-    undo: dict[int, int] = {}
-    shifted_len = 0
-    try:
-        for su in sus:
-            target = ctx.prefix_len + su.position
-            if shifted_len == 0:
-                seg = ctx.chain_edges[:target]
-            else:
-                seg = ctx.chain_edges[shifted_len - 1 : target]
-            log = c.shift_in_place(seg)
-            for h, old in log:
-                if h not in undo:
-                    undo[h] = old
-                    view.overrides[h] = old
-            shifted_len = target
-            view.seam_y = su.far_vertex
-            view.seam_z = su.near_vertex
-            cls = _classify(ctx, su, view)
-            if cls.type_tag is SuitableType.TYPE0:
-                superb, sec, j = True, None, None
-            else:
-                paths, sec, j = _second_paths_c(cls, view)
-                superb = _unchanged(c, paths)
-            entry = ScanEntry(su, cls, superb, sec)
-            if with_chains and superb:
-                entry.chain = _assemble(ctx, cls, sec, j)
-            yield entry
-    finally:
-        c.apply_undo(list(undo.items()))
+    shifted = _Shifted(c)
+    # the overlay holds the shift of chain_edges[:end] (the identity while
+    # end is 1: the first edge is uncoloured); each segment starts at the
+    # last edge shifted so far
+    end = 1
+    for su in ctx.suitables(limit):
+        target = ctx.prefix_len + su.position
+        shifted.advance(ctx.chain_edges[end - 1 : target])
+        end = target
+        cls = _classify(ctx, su)
+        if cls.type_tag is SuitableType.TYPE0:
+            superb, sec, j = True, None, None
+        else:
+            paths, sec, j = _second_paths(c, cls)
+            superb = shifted.stable(paths)
+        entry = ScanEntry(su, cls, superb, sec)
+        if with_chains and superb:
+            entry.chain = _assemble(ctx, cls, sec, j)
+        yield entry

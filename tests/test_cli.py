@@ -324,6 +324,12 @@ class TestUsage:
         if code == 0:
             assert proc.stdout == f"mg {n} 0 0 0\n"
 
+    @pytest.mark.parametrize("command", [["colour"], ["audit", "--L", "5"], ["orient"]])
+    def test_negative_edge_count_in_header(self, cli, command):
+        # the dump readers (audit, orient) report it as the graph reader does
+        code, out, err = cli(command, stdin="mg 2 -1 1 1\n")
+        assert (code, out, err) == (1, "", "error: line 1: n and m must be non-negative\n")
+
     def test_missing_input_file(self, cli, tmp_path):
         code, _, err = cli(["colour", "--input", str(tmp_path / "absent.mg")])
         assert code == 1

@@ -102,6 +102,22 @@ def test_is_proper_needs_graph_for_raw():
         is_proper([1, 2])
 
 
+def test_is_proper_rejects_raw_input_out_of_range(p3):
+    # raw input is range-checked exactly as Colouring.from_assignment does
+    for raw, match in (
+        ({-1: 1, 1: 1}, "edge id -1 out of range"),
+        ({0: 1, 5: 2}, "edge id 5 out of range"),
+        ([1], "length does not match"),
+        ([1, 2, 3], "length does not match"),
+        ({0: 99}, "colour 99 outside palette"),
+        ([0, -1], "colour -1 outside palette"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            is_proper(raw, p3)
+        with pytest.raises(ValueError, match=match):
+            Colouring.from_assignment(p3, raw)
+
+
 # ---------------------------------------------------------------------------
 # the Colouring class
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from vizing import (
+    AlternatingPath,
     ChainStatus,
     SuitableEdge,
     SuitableType,
@@ -21,6 +22,7 @@ from vizing import (
     superb_scan,
     vizing_chain,
 )
+from vizing import iterated
 from vizing.colouring import Colouring
 from vizing.multigraph import line_distances
 
@@ -531,13 +533,63 @@ def test_scan_respects_limit():
     assert [en.suitable.position for en in entries] == [5, 7, 9]
 
 
-def test_scan_restores_colouring_on_early_exit():
+def _state(c):
+    return list(c.colours), [c.used_mask(v) for v in range(c.graph.n)], c.uncoloured_count
+
+
+def test_scan_never_mutates_the_colouring():
+    """The scan only reads the colouring: it equals the input after every
+    step, so a caller may stop early without clean-up."""
+    for label, inst in gadget_instances():
+        before = _state(inst.c)
+        steps = 0
+        for _entry in superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e),
+                                  with_chains=True):
+            assert _state(inst.c) == before, (label, steps)
+            steps += 1
+        assert steps >= 4, label
+
+
+def test_scan_rejects_a_stale_chain():
+    """A chain built before the colouring changed is checked as the shift it
+    stands for: an uncoloured edge after the first, or a cut whose shift
+    would be improper, raises ValueError instead of yielding a verdict."""
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE1_UNSTABLE})
-    before = inst.c.assignment()
-    gen = superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e))
-    next(gen)
-    gen.close()
-    assert inst.c.assignment() == before
+    vc = vizing_chain(inst.c, inst.x, inst.e)
+    assert inst.path_edges[3] == 8
+    stale = inst.c.copy()
+    stale.unassign(8)
+    with pytest.raises(ValueError, match=r"^edge 8 is uncoloured$"):
+        list(superb_scan(stale, vc))
+    # path edge 6 recoloured 2: the cut through position 7 hands 2 to path
+    # edge 5, whose far end q5 keeps the type1 pendant coloured 2
+    stale = inst.c.copy()
+    h = inst.path_edges[6]
+    stale.unassign(h)
+    stale.assign(h, 2)
+    scan = superb_scan(stale, vc)
+    assert next(scan).suitable.position == 5
+    with pytest.raises(ValueError, match="colour 2 already used at an endpoint "
+                       f"of edge {inst.path_edges[5]}"):
+        next(scan)
+
+
+def test_scan_checks_each_second_path_start(monkeypatch):
+    """A second path is walked under the shift only from a start that still
+    misses its second colour there (the precondition of alternating_path);
+    a path breaking it raises ValueError, also under python -O."""
+    real = iterated._second_paths
+
+    def swapped(c, cls):
+        paths, sec, j = real(c, cls)
+        return [AlternatingPath(p.start_vertex, p.beta, p.alpha, p.edges, p.last_vertex)
+                for p in paths], sec, j
+
+    monkeypatch.setattr(iterated, "_second_paths", swapped)
+    inst = long_path_instance(16, {5: TYPE1})
+    w = inst.decorations[5].w
+    with pytest.raises(ValueError, match=f"colour 3 is not missing at vertex {w}"):
+        list(superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e)))
 
 
 def test_scan_second_paths_match_oracle_walks():
@@ -545,7 +597,7 @@ def test_scan_second_paths_match_oracle_walks():
     assignment, both under the input colouring and under the shifted one."""
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE1_UNSTABLE})
     vc = vizing_chain(inst.c, inst.x, inst.e)
-    # snapshot: the scan shifts the live array in place while iterating
+    # a plain copy of the input colour array, for the oracles
     cols = list(inst.c.colours)
     for en in superb_scan(inst.c, vc):
         if en.classification.type_tag is not SuitableType.TYPE1:
