@@ -6,7 +6,7 @@ Build a small multigraph by hand, colour most of it, and watch what the
 chain machinery does to fit in one more edge.
 """
 
-from vizing import Colouring, augment_in_place, build, max_fan, vizing_chain
+from vizing import Colouring, build, max_fan, vizing_chain
 
 # Two triangles sharing vertex 2, plus a parallel edge on (0, 1).
 g = build(5, [
@@ -45,7 +45,7 @@ print("after the bare shift, edge 3 has colour", d.colour_of(3), "(0 = none)")
 # a colour missing at both its endpoints.  That is what actually shrinks
 # the uncoloured set.
 d = c.copy()
-augment_in_place(d, chain.edges())
+d.augment_in_place(chain.edges())
 print("after augmenting, edge 3 has colour", d.colour_of(3))
 print("all", g.m, "edges coloured?", d.uncoloured() == [])
 
@@ -54,7 +54,7 @@ print("all", g.m, "edges coloured?", d.uncoloured() == [])
 fan2 = max_fan(c, 2, 3)
 print("fan at vertex 2:", list(fan2.edges), "augmenting?", fan2.augmenting)
 d2 = c.copy()
-augment_in_place(d2, vizing_chain(c, 2, 3).edges())
+d2.augment_in_place(vizing_chain(c, 2, 3).edges())
 print("that route also finishes:", d2.uncoloured() == [])
 
 # Chains are not always this short.  In a tighter colouring the fan stalls
@@ -74,7 +74,7 @@ print("  fan part:", ch.edges()[:ch.fan_prefix_len])
 print("  tail in colours", ch.alpha, "/", ch.beta, "over edges", list(ch.tail.edges))
 before = [c2.colour_of(f) for f in ch.tail.edges]
 d3 = c2.copy()
-augment_in_place(d3, ch.edges())
+d3.augment_in_place(ch.edges())
 print("  tail colours before:", before)
 print("  tail colours after: ", [d3.colour_of(f) for f in ch.tail.edges])
 print("  edge 5 landed colour", d3.colour_of(5))

@@ -32,7 +32,6 @@ from .chains import (
     Fan,
     VizingChain,
     alternating_path,
-    augment_in_place,
     max_fan,
     repeated_colour_indices,
     vizing_chain,
@@ -44,10 +43,6 @@ from .iterated import (
     ScanEntry,
     SuitableEdge,
     SuitableType,
-    classify_suitable,
-    conditional_fan,
-    is_superb,
-    iterated_chain,
     suitable_edges,
     superb_scan,
 )
@@ -88,7 +83,6 @@ __all__ = [
     "Fan",
     "VizingChain",
     "alternating_path",
-    "augment_in_place",
     "max_fan",
     "repeated_colour_indices",
     "vizing_chain",
@@ -99,10 +93,6 @@ __all__ = [
     "IteratedChain",
     "ScanEntry",
     "suitable_edges",
-    "conditional_fan",
-    "classify_suitable",
-    "is_superb",
-    "iterated_chain",
     "superb_scan",
     "MaxRoundsExceeded",
     "Orientation",

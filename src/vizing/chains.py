@@ -26,14 +26,13 @@ preference.  Safe to run concurrently on shared read-only snapshots.
 The fan and walk loops scan the incident edges for the wanted colour and
 unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
 records are slotted dataclasses built positionally (a keyword call costs
-about twice as much).  Augmentation is one pass of
+about twice as much).  Callers augment along a chain's ``edges()`` with
 :meth:`Colouring.augment_in_place`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from .colouring import Colouring
 
@@ -45,7 +44,6 @@ __all__ = [
     "max_fan",
     "repeated_colour_indices",
     "vizing_chain",
-    "augment_in_place",
 ]
 
 
@@ -343,18 +341,3 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
             raise AssertionError("both candidate alternating paths end at x")
         i, tail = k, path_k
     return VizingChain(fan, i + 1, tail, i, alpha, beta)
-
-
-# ---------------------------------------------------------------------------
-# Augmentation
-# ---------------------------------------------------------------------------
-
-
-def augment_in_place(c: Colouring, chain: Sequence[int]) -> int:
-    """Shift c along an augmenting chain and colour its last edge with the
-    minimal colour missing at both endpoints, in the one pass of
-    :meth:`Colouring.augment_in_place`.  Returns the number of edges whose
-    colour actually changed.  A chain that is not augmenting raises
-    ValueError and leaves c unchanged.
-    """
-    return c.augment_in_place(chain)

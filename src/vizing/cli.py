@@ -151,10 +151,17 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(args) -> str:
+    """The input file's or stdin's bytes, decoded alike: a byte outside
+    ASCII becomes a lone surrogate, which the parsers reject with its line
+    number."""
     if args.input:
-        with open(args.input, "r", encoding="ascii") as fh:
-            return fh.read()
-    return sys.stdin.read()
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:  # a text stream in place of stdin, as when main() runs in-process
+        return sys.stdin.read()
+    return data.decode("ascii", "surrogateescape")
 
 
 def _emit(args, text: str) -> None:

@@ -21,14 +21,16 @@ edge becomes uncoloured.  A chain is
 :class:`Colouring` maintains properness as a class invariant (dense colour
 array plus one used-colour bitmask per vertex, so missing-set probes are
 O(1) in the palette size).  Shifts happen in place:
+:meth:`Colouring.augment_in_place`, which the colourers call, is one pass:
+the shift and the colouring of the chain's last edge, undone on failure.
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
 an undo log for :meth:`Colouring.apply_undo`, so a trial shift copies
-nothing.  :meth:`Colouring.augment_in_place` is one pass: the shift and the
-colouring of the chain's last edge, undone on failure.  :func:`classify_chain`
-labels a chain without touching the colouring; states that may be improper,
-such as the result of shifting a merely-shiftable chain, are handled as plain
-colour maps via :func:`shifted_assignment` and never materialised as
-Colouring objects.
+nothing; no library path calls it (the superb scan shifts a colours-only
+overlay instead), and it serves callers that look at a shifted state.
+:func:`classify_chain` labels a chain without touching the colouring; states
+that may be improper, such as the result of shifting a merely-shiftable
+chain, are handled as plain colour maps via :func:`shifted_assignment` and
+never materialised as Colouring objects.
 
 Shifts along infinite chains never arise here: all inputs are finite, so
 every chain is a finite list.
@@ -43,7 +45,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping, Sequence
 
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _check_characters
 
 __all__ = [
     "Colouring",
@@ -329,6 +331,7 @@ class Colouring:
 
         Raises ValueError with a 1-based line number on malformed input.
         """
+        _check_characters(text)
         lines = text.splitlines()
         if len(lines) != graph.m:
             raise ValueError(
@@ -361,7 +364,7 @@ class Colouring:
 
     @staticmethod
     def load(graph: Multigraph, path: str) -> "Colouring":
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return Colouring.from_dump(graph, fh.read())
 
 

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from .chains import augment_in_place, vizing_chain
+from .chains import vizing_chain
 from .colouring import Colouring
 from .iterated import superb_scan
 from .multigraph import Multigraph
@@ -62,7 +62,7 @@ def colour_sequential(g: Multigraph) -> Colouring:
     """
     c = Colouring.empty(g)
     for e in range(g.m):
-        augment_in_place(c, vizing_chain(c, g.edges[e][0], e).edges())
+        c.augment_in_place(vizing_chain(c, g.edges[e][0], e).edges())
     return c
 
 
@@ -191,7 +191,7 @@ def run_scheduler(
             raise MaxRoundsExceeded(state)
         recoloured = 0
         for q in batch:
-            recoloured += augment_in_place(c, q)
+            recoloured += c.augment_in_place(q)
         if recoloured > 3 * L * len(batch):
             raise AssertionError("a round recoloured more than 3L edges per chain")
         state.round += 1

@@ -5,42 +5,37 @@ alternating path.  Instead of augmenting along that path directly, one can
 pick a *suitable* edge f on it (far from the start, not the last edge, and
 carrying the path's primary colour alpha), imagine shifting the chain up to f
 so that f becomes uncoloured, and grow a second fan around f's far endpoint y.
-The machinery here constructs that second level:
+suitable_edges lists the eligible path edges, and superb_scan, used by the
+audits and the scheduler, builds the second level for each of them in path
+order:
 
-  * suitable_edges lists the eligible path edges;
-
-  * conditional_fan grows the fan around y.  It is defined against the
-    *original* colouring: availability uses the original missing sets, and the
-    fan additionally stops early upon reaching a far endpoint whose missing
-    set contains alpha or beta.  Its defining property is that this fan is a
+  * the conditional fan around y is defined against the *original*
+    colouring: availability uses the original missing sets, and the fan
+    additionally stops early upon reaching a far endpoint whose missing set
+    contains alpha or beta.  Its defining property is that this fan is a
     prefix of the ordinary fan around y computed under the shifted colouring
     with beta reordered to be the largest colour (the tests check it);
 
-  * classify_suitable sorts a suitable edge into Type0 (chain-so-far already
-    augmenting), TypeI (beta missing at the fan's last far endpoint), or
-    TypeII (the fan stopped on a repeated colour epsilon; delta is the
-    smallest colour missing at y).  The Type0 test shifts nothing: it reads
-    the missing masks of y and the fan's last far endpoint under the
-    original colouring, adds alpha, which the shift through f frees at y,
-    and intersects them;
+  * the classification sorts a suitable edge into Type0 (chain-so-far
+    already augmenting), TypeI (beta missing at the fan's last far
+    endpoint), or TypeII (the fan stopped on a repeated colour epsilon;
+    delta is the smallest colour missing at y).  The Type0 test shifts
+    nothing: it reads the missing masks of y and the fan's last far endpoint
+    under the original colouring, adds alpha, which the shift through f
+    frees at y, and intersects them;
 
-  * is_superb checks that the second alternating path is unaffected by the
-    shift (for TypeII, both candidate paths), by performing the shift with an
-    undo log and comparing paths before and after;
+  * the superb test checks that the second alternating path (for TypeII,
+    both candidate paths) is unaffected by the shift: the paths are walked
+    on the colouring itself and again under a small overlay holding the
+    shifted chain's colours.  The overlay grows one path segment per
+    suitable edge, because shift composition makes consecutive shifted
+    colourings differ only on that segment, so a full scan costs about one
+    pass over the path rather than one shift per suitable edge.  The scan
+    never writes to the colouring;
 
-  * iterated_chain assembles the full augmenting chain: everything before f,
-    then the conditional fan (cut at the second critical index for TypeII),
-    then the second alternating path.
-
-superb_scan is the batch routine used by audits and the scheduler: given the
-first-level chain its caller already built, it walks all suitable edges of
-that chain's tail path in order.  It classifies each edge and walks its
-second paths on the colouring itself, as the pointwise operations do, and
-never writes to it.  The superb test walks the second paths once more under
-a small overlay holding the shifted chain's colours.  The overlay grows one
-path segment per suitable edge, because shift composition makes consecutive
-shifted colourings differ only on that segment, so a full scan costs about
-one pass over the path rather than one shift per suitable edge.
+  * a superb edge's chain is everything before f, then the conditional fan
+    (cut at the second critical index for TypeII), then the second
+    alternating path.
 
 Everything is deterministic; minimal-colour choices use the natural order.
 """
@@ -50,15 +45,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .colouring import ChainStatus, Colouring, classify_chain
-from .chains import (
-    AlternatingPath,
-    VizingChain,
-    _grow_fan,
-    _walk,
-    alternating_path,
-    vizing_chain,
-)
+from .colouring import Colouring
+from .chains import AlternatingPath, VizingChain, _grow_fan, _walk, vizing_chain
 from .multigraph import line_distances
 
 __all__ = [
@@ -69,10 +57,6 @@ __all__ = [
     "IteratedChain",
     "ScanEntry",
     "suitable_edges",
-    "conditional_fan",
-    "classify_suitable",
-    "is_superb",
-    "iterated_chain",
     "superb_scan",
 ]
 
@@ -92,9 +76,7 @@ class SuitableEdge:
 
     position is 1-based within the tail path, so the path prefix of that
     length ends with f.  far_vertex (y) is f's endpoint farther along the
-    path; near_vertex (z) is the closer one.  The pointwise operations take
-    f as an edge id or as a SuitableEdge; either must name an entry of
-    :func:`suitable_edges` for the probe, or they raise ValueError.
+    path; near_vertex (z) is the closer one.
     """
 
     edge: int
@@ -152,18 +134,14 @@ class IteratedChain:
     The edge sequence is: the first-level chain cut just before the suitable
     edge, then the conditional fan (trimmed to the second critical index for
     TypeII), then the second alternating path (absent for Type0).
+    classification is the suitable edge's verdict the chain was built from.
     """
 
-    suitable: SuitableEdge
-    type_tag: SuitableType
+    classification: Classification
     first_segment: list[int]
     fan_segment: list[int]
     second_path: AlternatingPath | None
     second_critical_index: int | None
-    alpha: int
-    beta: int
-    delta: int | None
-    epsilon: int | None
     _edge_list: list[int] = field(default=None, repr=False)  # type: ignore[assignment]
 
     def edges(self) -> list[int]:
@@ -252,14 +230,6 @@ class _Context:
                     )
                 )
         return out
-
-    def resolve(self, f: int | SuitableEdge) -> SuitableEdge:
-        """The suitable edge named by an edge id or by a SuitableEdge, which
-        must equal one that suitables() lists."""
-        for su in self.suitables(None):
-            if su == f or su.edge == f:
-                return su
-        raise ValueError(f"edge {f} is not suitable for this chain")
 
 
 # ---------------------------------------------------------------------------
@@ -397,33 +367,7 @@ def _assemble(
         fan_part = cls.fan.edges[: second_critical_index + 1]
     else:
         fan_part = list(cls.fan.edges)
-    return IteratedChain(
-        suitable=su,
-        type_tag=cls.type_tag,
-        first_segment=first,
-        fan_segment=fan_part,
-        second_path=second_path,
-        second_critical_index=second_critical_index,
-        alpha=cls.alpha,
-        beta=cls.beta,
-        delta=cls.delta,
-        epsilon=cls.epsilon,
-    )
-
-
-def _shift_stable(ctx: _Context, su: SuitableEdge, paths: list[AlternatingPath]) -> bool:
-    """The pointwise superb test: are the second paths unchanged by the
-    shift of the first-level chain cut right after su (in place, reverted
-    via the undo log)?"""
-    c = ctx.c
-    log = c.shift_in_place(ctx.chain_edges[: ctx.prefix_len + su.position])
-    try:
-        return all(
-            p.edges == alternating_path(c, p.start_vertex, p.alpha, p.beta).edges
-            for p in paths
-        )
-    finally:
-        c.apply_undo(log)
+    return IteratedChain(cls, first, fan_part, second_path, second_critical_index)
 
 
 class _Shifted(dict):
@@ -499,83 +443,6 @@ def suitable_edges(
     return _Context(c, vizing_chain(c, x, e)).suitables(limit)
 
 
-def conditional_fan(
-    c: Colouring, x: int, e: int, f: int | SuitableEdge
-) -> ConditionalFan:
-    """The maximal conditional fan around the suitable edge's far vertex.
-
-    Starting from g_0 = f, repeatedly pick the minimal colour missing at the
-    current far endpoint (excluding colours chosen at earlier steps with the
-    same far endpoint) and follow the centre's edge of that colour.  Stops
-    when that edge does not exist or already sits in the fan, or early, as
-    soon as a far endpoint misses one of the path's two colours.
-
-    Raises ValueError if f is not suitable.
-    """
-    ctx = _Context(c, vizing_chain(c, x, e))
-    return _conditional_fan(ctx, ctx.resolve(f))
-
-
-def classify_suitable(
-    c: Colouring, x: int, e: int, f: int | SuitableEdge
-) -> Classification:
-    """Type of the suitable edge f with its colour witnesses.
-
-    Type0 iff the chain up to f followed by the conditional fan is
-    augmenting; else TypeI iff beta is missing at the fan's last far
-    endpoint; else TypeII, which always exhibits a repeated minimal available
-    colour epsilon at an earlier index, with delta the smallest colour
-    missing at the fan centre and {alpha, beta}, {delta, epsilon} disjoint.
-    """
-    ctx = _Context(c, vizing_chain(c, x, e))
-    return _classify(ctx, ctx.resolve(f))
-
-
-def is_superb(c: Colouring, x: int, e: int, f: int | SuitableEdge) -> bool:
-    """Is the suitable edge's second-level chain stable under the shift?
-
-    Type0 edges are always superb.  For TypeI and TypeII the relevant
-    alternating paths are computed before and after shifting the first-level
-    chain through f (in place, reverted via the undo log) and must match
-    exactly.
-    """
-    ctx = _Context(c, vizing_chain(c, x, e))
-    su = ctx.resolve(f)
-    cls = _classify(ctx, su)
-    if cls.type_tag is SuitableType.TYPE0:
-        return True
-    paths, _sec, _j = _second_paths(c, cls)
-    return _shift_stable(ctx, su, paths)
-
-
-def iterated_chain(
-    c: Colouring, x: int, e: int, f: int | SuitableEdge
-) -> IteratedChain:
-    """The assembled second-level chain for a superb edge f.
-
-    The edge sequence is the first-level chain cut just before f, the
-    conditional fan (trimmed to the second critical index for TypeII, which
-    is chosen so its path avoids the fan centre, preferring the earlier
-    index), and the second alternating path.  The result always classifies
-    as augmenting.  Raises ValueError if f is not superb.
-    """
-    ctx = _Context(c, vizing_chain(c, x, e))
-    su = ctx.resolve(f)
-    cls = _classify(ctx, su)
-    sec = j = None
-    if cls.type_tag is not SuitableType.TYPE0:
-        paths, sec, j = _second_paths(c, cls)
-        if not _shift_stable(ctx, su, paths):
-            raise ValueError(
-                f"edge {su.edge} is suitable but not superb; "
-                "its chain is undefined"
-            )
-    chain = _assemble(ctx, cls, sec, j)
-    if classify_chain(c, chain.edges()) is not ChainStatus.AUGMENTING:
-        raise AssertionError("the assembled second-level chain is not augmenting")
-    return chain
-
-
 def superb_scan(
     c: Colouring,
     chain: VizingChain,
@@ -589,7 +456,6 @@ def superb_scan(
     so the scan does not derive it again; a chain without a tail (augmenting
     fan) raises ValueError on the first step.  Yields a :class:`ScanEntry`
     per suitable edge among the first ``limit`` path edges, in path order.
-    Equivalent to calling classify_suitable and is_superb edge by edge.
     The scan only reads c, so stopping early needs no clean-up.  Each
     edge's second paths are walked on c and again under an overlay of the
     shifted chain's colours, which grows by the segment since the previous

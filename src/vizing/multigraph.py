@@ -16,9 +16,10 @@ The text format is line based::
     u v k
     ...
 
-with one ``u v k`` line per edge.  The parser is strict: the header bounds
-must equal the recomputed tight bounds and the k values per vertex pair must
-form exactly 1..m (the writer always emits this normal form).  The header's
+with one ``u v k`` line per edge; every field is an optional ``-`` followed
+by ASCII digits.  The parser is strict: the header bounds must equal the
+recomputed tight bounds and the k values per vertex pair must form exactly
+1..m (the writer always emits this normal form).  The header's
 ``n`` may not exceed :data:`MAX_VERTICES`; that is checked before anything is
 allocated, since isolated vertices make ``n`` unbounded by the input's size.
 
@@ -134,7 +135,7 @@ class Multigraph:
     @staticmethod
     def load(path: str) -> "Multigraph":
         """Read a graph from an ``mg`` file written by :meth:`save`."""
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return _parse_mg(fh.read())
 
 
@@ -199,7 +200,24 @@ def _finish(
     )
 
 
+def _check_characters(text: str, header: bool = False) -> None:
+    """Reject what int() accepts beyond the text formats' integers (an
+    optional '-' then ASCII digits): non-ASCII digits and spaces, '+' and
+    '_'.  One scan of the whole text clears the usual input; the lines are
+    searched for the message only on failure.  ``header`` names line 1's
+    fields as the ``mg`` header's."""
+    if text.isascii() and "+" not in text and "_" not in text:
+        return
+    for lineno, line in enumerate(text.splitlines(True), 1):
+        if not line.isascii():
+            raise ValueError(f"line {lineno}: non-ASCII character")
+        if "+" in line or "_" in line:
+            kind = "header fields" if header and lineno == 1 else "fields"
+            raise ValueError(f"line {lineno}: {kind} must be integers")
+
+
 def _parse_mg(text: str) -> Multigraph:
+    _check_characters(text, header=True)
     lines = text.splitlines()
     if not lines:
         raise ValueError("line 1: empty input, expected 'mg' header")

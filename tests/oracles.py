@@ -3,14 +3,17 @@
 Everything here recomputes results straight from the definitions, sharing no
 code or caches with the package under test: graphs are consulted only through
 their edge list, colourings are plain lists indexed by edge id (0 meaning
-uncoloured), and every lookup is a fresh scan.  Slow on purpose.
+uncoloured), and every lookup is a fresh scan.  Slow on purpose.  The
+superb reference, :func:`oracle_superb`, reads a suitable edge's
+classification as plain data and shifts a raw colour list.
 
 The last two sections are the exception.  Three composition checks drive the
 package's own operations (shifts, alternating paths, fans) and compare their
 results with each other, because the property they check is how those
 operations compose.  And a few pure conveniences over the package's
-operations -- a copying shift and augmentation, and weighted chain mass --
-serve only the tests, so they live here rather than in the library.
+operations -- a copying shift and augmentation, weighted chain mass, and
+pointwise reads of one suitable edge's :func:`superb_scan` entry -- serve
+only the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from vizing import (
     Colouring,
     SuitableEdge,
     alternating_path,
-    augment_in_place,
     classify_chain,
-    conditional_fan,
     max_fan,
     shifted_assignment,
     suitable_edges,
+    superb_scan,
     vizing_chain,
 )
 
@@ -185,6 +187,38 @@ def oracle_vizing_chain(g, cols, x, e):
     raise AssertionError("no critical index with an x-avoiding path")
 
 
+def oracle_superb(g, cols, chain, cls):
+    """Is a suitable edge superb: do its second paths survive the shift?
+
+    ``chain`` is the first-level chain cut right after the suitable edge and
+    ``cls`` the edge's classification, read as plain data.  Type0 is superb
+    by definition.  Otherwise the shift of a copy of ``cols`` along the
+    chain must be proper at the endpoints of the shifted edges (ValueError
+    if not), and each compared walk must come out the same before and after
+    it: for TypeI the alpha/beta walk from the fan's last far endpoint, for
+    TypeII the delta/epsilon walks from the repeated index's far endpoint
+    and from the last one.
+    """
+    kind, far = cls.type_tag.value, cls.fan.far_endpoints
+    if kind == "Type0":
+        return True
+    if kind == "TypeI":
+        walks = [(far[-1], cls.alpha, cls.beta)]
+    else:
+        walks = [(far[q], cls.delta, cls.epsilon) for q in (cls.repeat_index, -1)]
+    shifted = oracle_shift(cols, chain)
+    for h in chain:
+        col = shifted[h]
+        u, v, _ = g.edges[h]
+        if col and any(shifted[k] == col for k in incident_edges(g, u) + incident_edges(g, v)
+                       if k != h):
+            raise ValueError(f"the shift puts colour {col} twice at an endpoint of edge {h}")
+    return all(
+        oracle_alternating_path(g, cols, *w)[0] == oracle_alternating_path(g, shifted, *w)[0]
+        for w in walks
+    )
+
+
 def oracle_line_distance(g, e, f):
     """BFS distance in the line graph (edges adjacent iff sharing a vertex)."""
     if e == f:
@@ -314,8 +348,46 @@ def augment(c, chain):
     if classify_chain(c, seq) is not ChainStatus.AUGMENTING:
         raise ValueError("chain is not augmenting")
     out = c.copy()
-    augment_in_place(out, seq)
+    out.augment_in_place(seq)
     return out
+
+
+def scan_entry(c, x, e, f, with_chains=False):
+    """The :func:`superb_scan` entry of the probe (x, e) for the suitable
+    edge f, named by its edge id or by a SuitableEdge equal to one the scan
+    lists; ValueError when f names none."""
+    for entry in superb_scan(c, vizing_chain(c, x, e), with_chains=with_chains):
+        if entry.suitable == f or entry.suitable.edge == f:
+            return entry
+    raise ValueError(f"edge {f} is not suitable for this chain")
+
+
+def conditional_fan(c, x, e, f):
+    """The conditional fan grown around the suitable edge's far vertex."""
+    return scan_entry(c, x, e, f).classification.fan
+
+
+def classify_suitable(c, x, e, f):
+    """The suitable edge's type with its colour witnesses."""
+    return scan_entry(c, x, e, f).classification
+
+
+def is_superb(c, x, e, f):
+    """Is the suitable edge's second-level chain stable under the shift?"""
+    return scan_entry(c, x, e, f).superb
+
+
+def iterated_chain(c, x, e, f):
+    """The assembled second-level chain of a superb edge f, checked to be
+    augmenting; ValueError if f is suitable but not superb."""
+    entry = scan_entry(c, x, e, f, with_chains=True)
+    if not entry.superb:
+        raise ValueError(
+            f"edge {entry.suitable.edge} is suitable but not superb; its chain is undefined"
+        )
+    if classify_chain(c, entry.chain.edges()) is not ChainStatus.AUGMENTING:
+        raise AssertionError("the assembled second-level chain is not augmenting")
+    return entry.chain
 
 
 @dataclass

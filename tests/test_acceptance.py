@@ -40,7 +40,6 @@ from vizing import (
     vizing_chain,
 )
 from vizing.audit import superb_count_bound, superb_count_check
-from vizing.chains import augment_in_place
 from vizing.cli import main as cli_main
 
 import oracles as O
@@ -193,7 +192,7 @@ def _probe_state(g, cols, c):
                     is True
                 )
             c2 = c.copy()
-            augment_in_place(c2, q)
+            c2.augment_in_place(q)
             children.append(tuple(c2.colours))
     return children
 

@@ -12,7 +12,6 @@ from vizing import (
     ChainStatus,
     Colouring,
     alternating_path,
-    augment_in_place,
     build,
     classify_chain,
     generate_random,
@@ -516,7 +515,7 @@ def test_augment_rejects_non_augmenting(p3):
 
 def test_augment_in_place_counts_changes(p3):
     c = Colouring.from_assignment(p3, {1: 1})
-    assert augment_in_place(c, [0, 1]) == 2
+    assert c.augment_in_place([0, 1]) == 2
     assert c.assignment() == {0: 1, 1: 2}
 
 
@@ -546,7 +545,7 @@ def test_full_colouring_by_repeated_augmentation():
         while c.uncoloured_count > 0:
             e = c.uncoloured()[0]
             x = min(g.endpoints(e))
-            augment_in_place(c, vizing_chain(c, x, e).edges())
+            c.augment_in_place(vizing_chain(c, x, e).edges())
             steps += 1
             assert steps <= g.m
         assert c.uncoloured_count == 0

@@ -337,6 +337,54 @@ class TestUsage:
 
 
 # ---------------------------------------------------------------------------
+# integer fields
+# ---------------------------------------------------------------------------
+
+
+class TestIntegerFields:
+    """A field is an optional '-' then ASCII digits, read alike from stdin
+    and from --input: what int() accepts beyond that ('+', '_', non-ASCII
+    digits) fails with its line number."""
+
+    CASES = [
+        (["colour"], "mg 3 2 2 1\n0 +2 1\n1 2 1\n", "line 2: fields must be integers"),
+        (["colour"], "mg 3 2 2 1\n0 \u0662 1\n1 2 1\n", "line 2: non-ASCII character"),
+        (["colour"], "mg 3 2 +2 1\n0 1 1\n1 2 1\n", "line 1: header fields must be integers"),
+        (["audit", "--L", "5"], P3_MG + "0 0\n1 0_1\n", "line 5: fields must be integers"),
+        (["orient"], C4_DUMP.replace("1 2\n2 1", "1 \u0662\n2 1"), "line 7: non-ASCII character"),
+    ]
+    IDS = ["plus", "arabic-digit", "header-plus", "dump-underscore", "dump-arabic-digit"]
+
+    @pytest.mark.parametrize("args,text,message", CASES, ids=IDS)
+    def test_stdin(self, cli, args, text, message):
+        assert cli(args, stdin=text) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args,text,message", CASES, ids=IDS)
+    def test_input_file(self, cli, tmp_path, args, text, message):
+        path = tmp_path / "input"
+        path.write_bytes(text.encode("utf-8"))
+        assert cli([*args, "--input", str(path)]) == (1, "", f"error: {message}\n")
+
+    def test_same_bytes_on_both_routes(self, tmp_path):
+        """Bytes that are not UTF-8 fail alike on the process's real stdin
+        and from a file."""
+        data = b"mg 3 2 2 1\n0 \xff 1\n1 2 1\n"
+        path = tmp_path / "g.mg"
+        path.write_bytes(data)
+        src = str(Path(vizing.__file__).resolve().parent.parent)
+        results = [
+            subprocess.run(
+                [sys.executable, "-m", "vizing.cli", "colour", *extra],
+                env=dict(os.environ, PYTHONPATH=src), input=data, capture_output=True,
+            )
+            for extra in ([], ["--input", str(path)])
+        ]
+        for proc in results:
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr == b"error: line 2: non-ASCII character\n"
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 

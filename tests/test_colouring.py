@@ -474,6 +474,13 @@ def test_dump_file_round_trip(tmp_path, p3):
     assert Colouring.load(p3, path) == c
 
 
+def test_dump_load_reports_a_non_ascii_byte_with_its_line(tmp_path, p3):
+    path = tmp_path / "c.dump"
+    path.write_bytes(b"0 0\n1 \xff\n")
+    with pytest.raises(ValueError, match=r"^line 2: non-ASCII character$"):
+        Colouring.load(p3, str(path))
+
+
 @pytest.mark.parametrize(
     "text, lineno",
     [

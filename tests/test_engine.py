@@ -26,7 +26,6 @@ from vizing import (
     run_scheduler,
     vizing_chain,
 )
-from vizing.chains import augment_in_place
 from vizing.engine import _batch, _candidate_chain
 
 from gadgets import TYPE1, locked_instance, long_path_instance
@@ -194,7 +193,7 @@ class TestBuildSchedule:
 
     def test_only_uncoloured_edges_scheduled(self, path8):
         c = Colouring.empty(path8)
-        augment_in_place(c, vizing_chain(c, 0, 0).edges())
+        c.augment_in_place(vizing_chain(c, 0, 0).edges())
         batch = _batch(c, c.uncoloured(), 5)
         assert {q[0] for q in batch} <= set(c.uncoloured())
         assert all(q[0] != 0 for q in batch)
@@ -362,7 +361,7 @@ class TestCandidateChain:
         inst = locked_instance(16)
         q = _candidate_chain(inst.c, inst.e, 5)
         c2 = inst.c.copy()
-        assert augment_in_place(c2, q) == 6
+        assert c2.augment_in_place(q) == 6
         assert c2.colour_of(inst.e) != 0
         assert is_proper(c2)
 
@@ -371,7 +370,7 @@ class TestCandidateChain:
         q = _candidate_chain(inst.c, inst.e, 7)
         assert q is not None and len(q) <= 21
         c2 = inst.c.copy()
-        augment_in_place(c2, q)
+        c2.augment_in_place(q)
         assert c2.colour_of(inst.e) != 0
         assert is_proper(c2)
 

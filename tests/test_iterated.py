@@ -13,11 +13,7 @@ from vizing import (
     alternating_path,
     build,
     classify_chain,
-    classify_suitable,
-    conditional_fan,
     generate_random,
-    is_superb,
-    iterated_chain,
     suitable_edges,
     superb_scan,
     vizing_chain,
@@ -38,10 +34,15 @@ from helpers import random_partial_colouring
 from oracles import (
     augment,
     check_shadow_fan,
+    classify_suitable,
+    conditional_fan,
+    is_superb,
+    iterated_chain,
     oracle_alternating_path,
     oracle_classify,
     oracle_max_fan,
     oracle_shift,
+    oracle_superb,
     shift_along,
 )
 
@@ -386,7 +387,9 @@ def test_type2_paths_on_forked_gadget():
     assert p_m.edges == dec.second_path
     assert not is_superb(inst.c, inst.x, inst.e, dec.f)
     vc = vizing_chain(inst.c, inst.x, inst.e)
-    cf = shift_along(inst.c, vc.edges()[: vc.fan_prefix_len + 7])
+    chain = vc.edges()[: vc.fan_prefix_len + 7]
+    assert not oracle_superb(inst.g, list(inst.c.colours), chain, cls)
+    cf = shift_along(inst.c, chain)
     assert alternating_path(cf, u_m, cls.delta, cls.epsilon).edges == \
         dec.second_path[:3]
 
@@ -409,16 +412,16 @@ def test_iterated_chain_composition_on_gadgets():
             first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
             assert chain.first_segment == first, (label, su.position)
             if dec is None or dec.kind == BARE:
-                assert chain.type_tag is SuitableType.TYPE0
+                assert chain.classification.type_tag is SuitableType.TYPE0
                 assert chain.edges() == first + [su.edge]
                 assert chain.second_path is None
             elif dec.kind == TYPE1:
-                assert chain.type_tag is SuitableType.TYPE1
+                assert chain.classification.type_tag is SuitableType.TYPE1
                 assert chain.fan_segment == dec.fan_edges
                 assert chain.second_path.edges == dec.second_path
                 assert chain.edges() == first + dec.fan_edges + dec.second_path
             else:  # TYPE2, superb, repeat index 0 with an empty path
-                assert chain.type_tag is SuitableType.TYPE2
+                assert chain.classification.type_tag is SuitableType.TYPE2
                 assert chain.second_critical_index == 0
                 assert chain.fan_segment == [su.edge]
                 assert chain.second_path.edges == []
@@ -493,23 +496,26 @@ def test_frozen_instance_with_type2():
 
 
 def scan_matches_pointwise(g, c, e, x):
+    """Every scan entry of the probe against the brute-force references,
+    edge by edge: its superb flag equals :func:`oracles.oracle_superb` and
+    a superb entry's chain starts with the first-level chain cut before the
+    suitable edge and classifies as augmenting on the raw colours."""
     before = c.assignment()
-    entries = list(superb_scan(c, vizing_chain(c, x, e), with_chains=True))
+    vc = vizing_chain(c, x, e)
+    entries = list(superb_scan(c, vc, with_chains=True))
     assert c.assignment() == before
-    sus = suitable_edges(c, x, e)
-    assert [en.suitable for en in entries] == sus
+    assert [en.suitable for en in entries] == suitable_edges(c, x, e)
+    cols = list(c.colours)
     for en in entries:
-        cls = classify_suitable(c, x, e, en.suitable)
-        assert en.classification.type_tag is cls.type_tag
-        assert en.classification.fan.edges == cls.fan.edges
-        assert (en.classification.delta, en.classification.epsilon) == \
-            (cls.delta, cls.epsilon)
-        assert en.superb == is_superb(c, x, e, en.suitable)
+        su, cls = en.suitable, en.classification
+        first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
+        assert en.superb == oracle_superb(g, cols, first + [su.edge], cls)
         if en.superb:
-            chain = iterated_chain(c, x, e, en.suitable)
-            assert en.chain.edges() == chain.edges()
+            assert en.chain.classification is cls
+            assert en.chain.edges()[: len(first)] == first
+            assert oracle_classify(g, cols, en.chain.edges()) == "augmenting"
             if en.chain.second_path is not None:
-                assert en.second_path.edges == chain.second_path.edges
+                assert en.second_path.edges == en.chain.second_path.edges
         else:
             assert en.chain is None
     return len(entries)

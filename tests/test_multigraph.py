@@ -111,6 +111,13 @@ def test_round_trip_file(tmp_path, star3):
     assert Multigraph.load(path) == star3
 
 
+def test_load_reports_a_non_ascii_byte_with_its_line(tmp_path):
+    path = tmp_path / "g.mg"
+    path.write_bytes("mg 2 1 1 1\n0 \u0661 1\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=r"^line 2: non-ASCII character$"):
+        Multigraph.load(str(path))
+
+
 @pytest.mark.parametrize(
     "text, lineno",
     [

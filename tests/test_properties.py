@@ -1,7 +1,7 @@
 """Property-based checks on arbitrary small multigraphs: the colourers end
 proper and settled, the scheduler is deterministic and indifferent to edge
 numbering, the text formats round-trip and fail only with ValueError, and
-the batch superb scan agrees with the pointwise second-level operations."""
+the batch superb scan agrees with the brute-force superb reference."""
 
 from __future__ import annotations
 
@@ -17,12 +17,9 @@ from vizing import (
     SuitableType,
     build,
     check_unimprovable,
-    classify_suitable,
     colour_sequential,
     generate_random,
     is_proper,
-    is_superb,
-    iterated_chain,
     run_scheduler,
     suitable_edges,
     superb_scan,
@@ -31,7 +28,7 @@ from vizing import (
 
 from gadgets import BARE, TYPE1, TYPE1_UNSTABLE, TYPE2, long_path_instance
 from helpers import random_partial_colouring
-from oracles import oracle_classify
+from oracles import iterated_chain, oracle_classify, oracle_superb
 
 
 @st.composite
@@ -105,7 +102,7 @@ def test_mg_and_dump_round_trip(g, rng):
 def _mutations():
     """Edits of a text: cut it short, or delete, replace or insert one
     character from a small hostile alphabet."""
-    alphabet = st.sampled_from(list("0123456789 -\nxm"))
+    alphabet = st.sampled_from(list("0123456789 -\nxm+_\u0662"))
     return st.one_of(
         st.tuples(st.just("cut"), st.integers(0, 10**4), st.just("")),
         st.tuples(st.just("delete"), st.integers(0, 10**4), st.just("")),
@@ -146,7 +143,7 @@ def test_dump_parser_raises_only_value_error(g, edit):
 
 
 # ---------------------------------------------------------------------------
-# The superb scan against the pointwise operations
+# The superb scan against the brute-force reference
 # ---------------------------------------------------------------------------
 
 
@@ -188,10 +185,12 @@ def random_probes(draw):
 
 
 def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
-    """Every superb_scan entry of the probe equals the pointwise verdicts for
-    its edge, its Type0 verdict equals a brute-force classification of
-    (chain before f) + (conditional fan), and the colouring comes back
-    unchanged."""
+    """Every superb_scan entry of the probe, edge by edge: its superb flag
+    equals :func:`oracles.oracle_superb`, its Type0 verdict a brute-force
+    classification of (chain before f) + (conditional fan), and a superb
+    entry's chain classifies as augmenting on the raw colours; the
+    colouring comes back unchanged.  ``seen`` counts the entries by source,
+    by (type, superb) and by fans ending at z."""
     before = list(c.colours)
     vc = vizing_chain(c, x, e)
     entries = list(superb_scan(c, vc, with_chains=True))
@@ -199,21 +198,19 @@ def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
     assert [en.suitable for en in entries] == suitable_edges(c, x, e)
     for en in entries:
         su, cls = en.suitable, en.classification
-        assert cls == classify_suitable(c, x, e, su)
-        assert en.superb == is_superb(c, x, e, su)
+        first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
+        assert en.superb == oracle_superb(g, before, first + [su.edge], cls)
         if en.superb:
-            chain = iterated_chain(c, x, e, su)
-            assert en.chain.edges() == chain.edges()
-            assert en.chain.second_critical_index == chain.second_critical_index
+            assert oracle_classify(g, before, en.chain.edges()) == "augmenting"
+            assert en.chain.edges()[: len(first)] == first
         else:
             assert en.chain is None
             with pytest.raises(ValueError, match="not superb"):
                 iterated_chain(c, x, e, su)
-        first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
         status = oracle_classify(g, before, first + cls.fan.edges)
         assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0)
         seen[source] += 1
-        seen["not Type0"] += cls.type_tag is not SuitableType.TYPE0
+        seen[cls.type_tag.value, en.superb] += 1
         seen["u_m is z"] += cls.fan.far_endpoints[-1] == su.near_vertex
     assert c.colours == before
 
@@ -229,8 +226,10 @@ def test_superb_scan_matches_the_pointwise_operations():
             _check_scan(g, c, e, x, seen, source)
 
     check()
-    # both sources yield entries, and the non-Type0 branches and fans ending
-    # at z (whose mask the shift through f changes) are exercised
+    # both sources yield entries; superb TypeI and TypeII and non-superb
+    # TypeI entries, and fans ending at z (whose mask the shift through f
+    # changes) are exercised
     assert seen["gadget"] >= 1 and seen["random"] >= 1, seen
-    assert seen["not Type0"] >= 1, seen
+    for key in (("TypeI", True), ("TypeII", True), ("TypeI", False)):
+        assert seen[key] >= 1, seen
     assert seen["u_m is z"] >= 1, seen
