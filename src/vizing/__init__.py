@@ -39,11 +39,9 @@ from .chains import (
 from .iterated import (
     Classification,
     ConditionalFan,
-    IteratedChain,
     ScanEntry,
     SuitableEdge,
     SuitableType,
-    suitable_edges,
     superb_scan,
 )
 from .engine import (
@@ -90,9 +88,7 @@ __all__ = [
     "SuitableEdge",
     "ConditionalFan",
     "Classification",
-    "IteratedChain",
     "ScanEntry",
-    "suitable_edges",
     "superb_scan",
     "MaxRoundsExceeded",
     "Orientation",

@@ -149,9 +149,9 @@ def _partners(
         if kind == SIMPLE:
             partners.update(chain.edges())
         elif chain.tail is not None:
-            for entry in superb_scan(c, chain, limit=L_cap, with_chains=True):
+            for entry in superb_scan(c, chain, limit=L_cap):
                 if entry.superb:
-                    partners.update(entry.chain.edges())
+                    partners.update(entry.edges())
     partners.discard(chains[0].fan.edges[0])
     return frozenset(partners)
 

@@ -19,9 +19,9 @@ one shift-plus-colour step extends the colouring.  Three layers:
     avoids x.
 
 Everything is a pure function of a colouring snapshot and deterministic:
-minimal-colour choices use the natural integer order, and the one place the
-construction could branch (two candidate critical indices) has a fixed
-preference.  Safe to run concurrently on shared read-only snapshots.
+minimal-colour choices always use the natural integer order, and the one
+place the construction could branch (two candidate critical indices) has a
+fixed preference.  Safe to run concurrently on shared read-only snapshots.
 
 The fan and walk loops scan the incident edges for the wanted colour and
 unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
@@ -153,7 +153,7 @@ class Fan:
     repeat_pos: int | None
 
 
-def _grow_fan(c: Colouring, centre: int, first: int, big_colour=None, stop_mask: int = 0):
+def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
     """The loop of :func:`max_fan`, shared with the conditional fans of the
     iterated machinery.  The fan also stops as soon as a new far endpoint
     misses a colour in ``stop_mask``.  Returns (edges, far endpoints, colour
@@ -169,8 +169,6 @@ def _grow_fan(c: Colouring, centre: int, first: int, big_colour=None, stop_mask:
     if centre != u and centre != v:
         raise ValueError(f"vertex {centre} is not an endpoint of edge {first}")
     tip = v if u == centre else u
-    # big_colour compares larger than every other colour
-    not_big = -1 if big_colour is None else ~(1 << (big_colour - 1))
     edges = [first]
     far = [tip]
     colour_seq: list[int] = []
@@ -179,8 +177,6 @@ def _grow_fan(c: Colouring, centre: int, first: int, big_colour=None, stop_mask:
         avail = missing_mask(tip) & ~chosen_at.get(tip, 0)
         if avail == 0:  # cannot happen: at most pi-1 exclusions of >= pi missing
             raise AssertionError("fan step has no available colour")
-        if avail & not_big:
-            avail &= not_big
         bit = avail & -avail
         col = bit.bit_length()
         # properness makes the centre's col-edge unique
@@ -201,9 +197,7 @@ def _grow_fan(c: Colouring, centre: int, first: int, big_colour=None, stop_mask:
             return edges, far, colour_seq, None, None
 
 
-def max_fan(
-    c: Colouring, x: int, e: int, big_colour: int | None = None
-) -> Fan:
+def max_fan(c: Colouring, x: int, e: int) -> Fan:
     """The unique maximal fan around x starting at the uncoloured edge e.
 
     Construction: repeatedly take the minimal colour available at the current
@@ -212,10 +206,9 @@ def max_fan(
     edges).  If the centre has no edge of that colour, or that edge is
     already in the fan, stop; otherwise append it.
 
-    ``big_colour`` reorders the palette so that one colour compares larger
-    than all others; the natural order is the default, and the reordering
-    gives the shifted-colouring shadow that a conditional fan of the iterated
-    machinery is a prefix of.
+    Colours compare in their natural order.  The shifted-colouring shadow
+    that a conditional fan of the iterated machinery is a prefix of orders
+    beta last instead; only the tests grow it, with their own fan oracle.
 
     The augmenting flag says whether the full fan, as a chain, is
     augmenting.  A maximal fan is always proper-shiftable (each e_j takes a
@@ -231,7 +224,7 @@ def max_fan(
     if c.colours[e] != 0:
         raise ValueError(f"edge {e} is coloured; fans start at uncoloured edges")
     # raises ValueError when x is not an endpoint of e
-    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, x, e, big_colour)
+    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, x, e)
     augmenting = bool(c.missing_mask(x) & c.missing_mask(far[-1]))
     return Fan(x, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
 
@@ -274,15 +267,14 @@ class VizingChain:
 
     When the fan is augmenting the chain is the whole fan and there is no
     tail.  Otherwise the chain keeps the fan prefix through the first
-    critical index i (that is, i+1 edges) and appends the alternating
-    alpha/beta-path from v_i, which avoids the centre.  Without a tail, the
-    last four fields are None.
+    critical index i (that is, fan_prefix_len = i+1 edges) and appends the
+    alternating alpha/beta-path from v_i, which avoids the centre.  Without
+    a tail, the last three fields are None.
     """
 
     fan: Fan
     fan_prefix_len: int
     tail: AlternatingPath | None = None
-    first_critical_index: int | None = None
     alpha: int | None = None
     beta: int | None = None
     _edge_list: list[int] = field(default=None, repr=False)  # type: ignore[assignment]
@@ -295,10 +287,6 @@ class VizingChain:
                 seq = seq + self.tail.edges
             self._edge_list = seq
         return self._edge_list
-
-    def path_edges(self) -> list[int]:
-        """The tail path's edges ([] when the fan was augmenting)."""
-        return [] if self.tail is None else self.tail.edges
 
     def __len__(self) -> int:
         return len(self.edges())
@@ -340,4 +328,4 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
         if not _path_avoids(path_k, x):  # unreachable: both ends at x
             raise AssertionError("both candidate alternating paths end at x")
         i, tail = k, path_k
-    return VizingChain(fan, i + 1, tail, i, alpha, beta)
+    return VizingChain(fan, i + 1, tail, alpha, beta)

@@ -40,7 +40,7 @@ from .audit import (
 )
 from .colouring import Colouring, is_proper
 from .engine import MaxRoundsExceeded, colour_sequential, orient, run_scheduler
-from .multigraph import MAX_VERTICES, Multigraph, generate_random
+from .multigraph import MAX_VERTICES, Multigraph, _check_characters, generate_random
 
 __all__ = ["main"]
 
@@ -195,7 +195,9 @@ def _load_colouring(args) -> Colouring:
 
     Colour-line parse errors are renumbered to whole-file line numbers.
     """
-    lines = _read_text(args).splitlines()
+    text = _read_text(args)
+    _check_characters(text, header=True)  # before splitlines() eats a \x0c
+    lines = text.splitlines()
     try:
         m = max(int(lines[0].split()[2]), 0)
     except (IndexError, ValueError):

@@ -110,9 +110,9 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
         chain = vizing_chain(c, x, e)
         if chain.tail is None or len(chain.tail.edges) < L:
             return chain.edges()
-        for entry in superb_scan(c, chain, limit=L, with_chains=True):
+        for entry in superb_scan(c, chain, limit=L):
             if entry.superb and entry.second_len <= L:
-                return entry.chain.edges()
+                return entry.edges()
     return None
 
 

@@ -5,9 +5,8 @@ alternating path.  Instead of augmenting along that path directly, one can
 pick a *suitable* edge f on it (far from the start, not the last edge, and
 carrying the path's primary colour alpha), imagine shifting the chain up to f
 so that f becomes uncoloured, and grow a second fan around f's far endpoint y.
-suitable_edges lists the eligible path edges, and superb_scan, used by the
-audits and the scheduler, builds the second level for each of them in path
-order:
+superb_scan, used by the audits and the scheduler, lists the eligible path
+edges and builds the second level for each of them in path order:
 
   * the conditional fan around y is defined against the *original*
     colouring: availability uses the original missing sets, and the fan
@@ -33,9 +32,9 @@ order:
     pass over the path rather than one shift per suitable edge.  The scan
     never writes to the colouring;
 
-  * a superb edge's chain is everything before f, then the conditional fan
-    (cut at the second critical index for TypeII), then the second
-    alternating path.
+  * a superb edge's scan entry is its chain: everything before f, then the
+    conditional fan (cut at the second critical index for TypeII), then the
+    second alternating path, joined by its edges() on demand.
 
 Everything is deterministic; minimal-colour choices use the natural order.
 """
@@ -46,7 +45,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .colouring import Colouring
-from .chains import AlternatingPath, VizingChain, _grow_fan, _walk, vizing_chain
+from .chains import AlternatingPath, VizingChain, _grow_fan, _walk
 from .multigraph import line_distances
 
 __all__ = [
@@ -54,9 +53,7 @@ __all__ = [
     "SuitableEdge",
     "ConditionalFan",
     "Classification",
-    "IteratedChain",
     "ScanEntry",
-    "suitable_edges",
     "superb_scan",
 ]
 
@@ -118,7 +115,6 @@ class Classification:
     """
 
     type_tag: SuitableType
-    suitable: SuitableEdge
     fan: ConditionalFan
     alpha: int
     beta: int
@@ -127,55 +123,47 @@ class Classification:
     repeat_index: int | None = None
 
 
-@dataclass
-class IteratedChain:
-    """The assembled second-level augmenting chain.
-
-    The edge sequence is: the first-level chain cut just before the suitable
-    edge, then the conditional fan (trimmed to the second critical index for
-    TypeII), then the second alternating path (absent for Type0).
-    classification is the suitable edge's verdict the chain was built from.
-    """
-
-    classification: Classification
-    first_segment: list[int]
-    fan_segment: list[int]
-    second_path: AlternatingPath | None
-    second_critical_index: int | None
-    _edge_list: list[int] = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def edges(self) -> list[int]:
-        if self._edge_list is None:
-            seq = self.first_segment + self.fan_segment
-            if self.second_path is not None:
-                seq = seq + self.second_path.edges
-            self._edge_list = seq
-        return self._edge_list
-
-    def __len__(self) -> int:
-        return len(self.edges())
-
-
-@dataclass
+@dataclass(slots=True)
 class ScanEntry:
-    """One suitable edge's verdict from :func:`superb_scan`.
+    """One suitable edge's verdict from :func:`superb_scan`; a superb
+    entry's :meth:`edges` is its second-level augmenting chain.
 
     second_path is the second alternating path computed under the *input*
     colouring: absent for Type0 (whose second path is empty by convention)
     and for non-superb TypeII edges whose candidate paths both end at y.
-    chain is filled for superb entries when the scan is asked for chains.
+    second_critical_index is the fan index it starts from (None without it).
     """
 
     suitable: SuitableEdge
     classification: Classification
     superb: bool
     second_path: AlternatingPath | None
-    chain: IteratedChain | None = None
+    second_critical_index: int | None
+    _first_level: list[int] = field(repr=False)
+    _cut: int = field(repr=False)
 
     @property
     def second_len(self) -> int:
         """Edges on the second path (0 when there is none)."""
         return 0 if self.second_path is None else len(self.second_path.edges)
+
+    def edges(self) -> list[int]:
+        """A new list: the first-level chain (shared by the scan's entries)
+        cut just before the suitable edge, the conditional fan (through the
+        second critical index for TypeII), then the second path.  ValueError
+        when the edge is not superb."""
+        if not self.superb:
+            raise ValueError(
+                f"edge {self.suitable.edge} is suitable but not superb; its chain is undefined"
+            )
+        cls = self.classification
+        fan = cls.fan.edges
+        if cls.type_tag is SuitableType.TYPE2:
+            if self.second_path is None:  # unreachable for a superb edge
+                raise AssertionError("both candidate second paths end at the centre")
+            fan = fan[: self.second_critical_index + 1]
+        second = [] if self.second_path is None else self.second_path.edges
+        return self._first_level[: self._cut] + fan + second
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +252,12 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
     y = su.far_vertex
     u_m = fan.far_endpoints[-1]
     if _first_segment_augmenting(ctx, su, fan):
-        return Classification(SuitableType.TYPE0, su, fan, alpha, beta)
+        return Classification(SuitableType.TYPE0, fan, alpha, beta)
     if c.is_missing(u_m, beta):
         # were alpha missing at u_m too, the chain would have been augmenting
         if c.is_missing(u_m, alpha):
             raise AssertionError("a TypeI fan end misses both path colours")
-        return Classification(SuitableType.TYPE1, su, fan, alpha, beta)
+        return Classification(SuitableType.TYPE1, fan, alpha, beta)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
     if fan.early_stop or fan.repeat_pos is None:
@@ -282,7 +270,7 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
     if delta == epsilon or {delta, epsilon} & {alpha, beta}:
         raise AssertionError("the TypeII colours are not pairwise distinct")
     return Classification(
-        SuitableType.TYPE2, su, fan, alpha, beta,
+        SuitableType.TYPE2, fan, alpha, beta,
         delta=delta, epsilon=epsilon, repeat_index=i,
     )
 
@@ -319,7 +307,7 @@ def _first_segment_augmenting(
 
 
 # ---------------------------------------------------------------------------
-# Superb tests and chain assembly
+# Superb tests and the scan
 # ---------------------------------------------------------------------------
 
 
@@ -351,23 +339,6 @@ def _second_paths(
     if p_m.last_vertex != fan.centre:
         return [p_i, p_m], p_m, last
     return [p_i, p_m], None, None
-
-
-def _assemble(
-    ctx: _Context,
-    cls: Classification,
-    second_path: AlternatingPath | None,
-    second_critical_index: int | None,
-) -> IteratedChain:
-    su = cls.suitable
-    first = ctx.chain_edges[: ctx.prefix_len + su.position - 1]
-    if cls.type_tag is SuitableType.TYPE2:
-        if second_path is None:  # unreachable for a superb edge
-            raise AssertionError("both candidate second paths end at the centre")
-        fan_part = cls.fan.edges[: second_critical_index + 1]
-    else:
-        fan_part = list(cls.fan.edges)
-    return IteratedChain(cls, first, fan_part, second_path, second_critical_index)
 
 
 class _Shifted(dict):
@@ -424,30 +395,10 @@ class _Shifted(dict):
         return True
 
 
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def suitable_edges(
-    c: Colouring, x: int, e: int, limit: int | None = None
-) -> list[SuitableEdge]:
-    """All suitable edges among the first ``limit`` edges of the tail path
-    (the whole path when limit is None), in path order.
-
-    An edge qualifies iff its line-graph distance from e exceeds 4, it is not
-    the path's last edge, and it carries the path's primary colour (which
-    every second path edge does).  Raises ValueError when the fan around
-    (x, e) is augmenting, since then there is no tail path.
-    """
-    return _Context(c, vizing_chain(c, x, e)).suitables(limit)
-
-
 def superb_scan(
     c: Colouring,
     chain: VizingChain,
     limit: int | None = None,
-    with_chains: bool = False,
 ):
     """Classify and superb-test every suitable edge of one tail path.
 
@@ -455,8 +406,9 @@ def superb_scan(
     probe, built by the caller under the current colouring and passed down
     so the scan does not derive it again; a chain without a tail (augmenting
     fan) raises ValueError on the first step.  Yields a :class:`ScanEntry`
-    per suitable edge among the first ``limit`` path edges, in path order.
-    The scan only reads c, so stopping early needs no clean-up.  Each
+    per suitable edge among the first ``limit`` path edges, in path order;
+    a superb entry's ``edges()`` is its second-level chain.  The scan only
+    reads c, so stopping early needs no clean-up.  Each
     edge's second paths are walked on c and again under an overlay of the
     shifted chain's colours, which grows by the segment since the previous
     suitable edge (shift composition), so the whole scan reads the path once
@@ -480,7 +432,6 @@ def superb_scan(
         else:
             paths, sec, j = _second_paths(c, cls)
             superb = shifted.stable(paths)
-        entry = ScanEntry(su, cls, superb, sec)
-        if with_chains and superb:
-            entry.chain = _assemble(ctx, cls, sec, j)
-        yield entry
+        yield ScanEntry(
+            su, cls, superb, sec, j, ctx.chain_edges, ctx.prefix_len + su.position - 1
+        )

@@ -16,8 +16,8 @@ The text format is line based::
     u v k
     ...
 
-with one ``u v k`` line per edge; every field is an optional ``-`` followed
-by ASCII digits.  The parser is strict: the header bounds must equal the
+with one ``u v k`` line per edge; fields are separated by spaces or tabs,
+and every field is an optional ``-`` followed by ASCII digits.  The parser is strict: the header bounds must equal the
 recomputed tight bounds and the k values per vertex pair must form exactly
 1..m (the writer always emits this normal form).  The header's
 ``n`` may not exceed :data:`MAX_VERTICES`; that is checked before anything is
@@ -200,13 +200,19 @@ def _finish(
     )
 
 
+# tab, the line breaks and printable ASCII but the '+' and '_' int() accepts
+_TEXT_BYTES = bytes([9, 10, 13, *range(32, 127)]).translate(None, b"+_")
+
+
 def _check_characters(text: str, header: bool = False) -> None:
     """Reject what int() accepts beyond the text formats' integers (an
-    optional '-' then ASCII digits): non-ASCII digits and spaces, '+' and
-    '_'.  One scan of the whole text clears the usual input; the lines are
-    searched for the message only on failure.  ``header`` names line 1's
-    fields as the ``mg`` header's."""
-    if text.isascii() and "+" not in text and "_" not in text:
+    optional '-' then ASCII digits) and what split() and splitlines() take
+    for a separator or a line break: non-ASCII characters, '+', '_' and the
+    ASCII control characters but tab, '\\n' and '\\r'.  One scan of the whole
+    text clears the usual input; the lines, numbered as the parsers number
+    them, are searched for the message only on failure.  ``header`` names
+    line 1's fields as the ``mg`` header's."""
+    if text.isascii() and not text.encode("ascii").translate(None, _TEXT_BYTES):
         return
     for lineno, line in enumerate(text.splitlines(True), 1):
         if not line.isascii():
@@ -214,6 +220,8 @@ def _check_characters(text: str, header: bool = False) -> None:
         if "+" in line or "_" in line:
             kind = "header fields" if header and lineno == 1 else "fields"
             raise ValueError(f"line {lineno}: {kind} must be integers")
+        if line.encode("ascii").translate(None, _TEXT_BYTES):
+            raise ValueError(f"line {lineno}: control character")
 
 
 def _parse_mg(text: str) -> Multigraph:
@@ -286,6 +294,9 @@ def generate_random(
     that many attempts the degree caps saturate on all but small graphs, so
     the expected edge count approaches n * target_delta / 2.
 
+    They stop once no edge fits (every pair at target_pi, or every vertex
+    but at most one at target_delta), which leaves the result unchanged.
+
     The result is identical for identical (n, target_delta, target_pi, seed).
     The realised bounds satisfy delta <= target_delta and pi <= target_pi
     (they may be smaller; ``build`` recomputes tight values).
@@ -298,6 +309,7 @@ def generate_random(
     deg = [0] * n
     mult: dict[tuple[int, int], int] = {}
     triples: list[tuple[int, int, int]] = []
+    full = min(target_pi * n * (n - 1) // 2, n * target_delta // 2)
     for _ in range(3 * n * target_delta):
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -314,6 +326,8 @@ def generate_random(
         deg[u] += 1
         deg[v] += 1
         triples.append((u, v, c + 1))
+        if len(triples) == full:
+            break
     return build(n, triples)
 
 

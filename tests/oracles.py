@@ -11,9 +11,10 @@ The last two sections are the exception.  Three composition checks drive the
 package's own operations (shifts, alternating paths, fans) and compare their
 results with each other, because the property they check is how those
 operations compose.  And a few pure conveniences over the package's
-operations -- a copying shift and augmentation, weighted chain mass, and
-pointwise reads of one suitable edge's :func:`superb_scan` entry -- serve
-only the tests, so they live here rather than in the library.
+operations -- a copying shift and augmentation, weighted chain mass, the
+suitable edges of a probe, and pointwise reads of one suitable edge's
+:func:`superb_scan` entry -- serve only the tests, so they live here rather
+than in the library.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from fractions import Fraction
 from vizing import (
     ChainStatus,
     Colouring,
-    SuitableEdge,
     alternating_path,
     classify_chain,
-    max_fan,
     shifted_assignment,
-    suitable_edges,
     superb_scan,
     vizing_chain,
 )
@@ -237,6 +235,18 @@ def oracle_line_distance(g, e, f):
     return None
 
 
+def oracle_suitable_positions(g, cols, tail, alpha, e):
+    """The 1-based positions of the suitable edges on a tail path, from the
+    definition: coloured alpha, not the path's last edge, and farther than 4
+    from e in the line graph (the ball is grown by edge-list scans)."""
+    near = {e}
+    for _ in range(4):
+        verts = {w for h in near for w in g.edges[h][:2]}
+        near |= {h for h, (u, v, _) in enumerate(g.edges) if u in verts or v in verts}
+    return [p for p in range(1, len(tail))
+            if cols[tail[p - 1]] == alpha and tail[p - 1] not in near]
+
+
 # ---------------------------------------------------------------------------
 # Composition checks on the package's own operations
 # ---------------------------------------------------------------------------
@@ -293,22 +303,22 @@ def prefix_stability_check(c, d, x, alpha, beta):
 def check_shadow_fan(c, x, e, f):
     """Does the conditional fan agree with its shifted-colouring shadow?
 
-    Shifts the first-level chain through the suitable edge f in place
-    (undoing afterwards), grows the ordinary fan around f's far vertex under
-    that colouring with beta reordered to compare largest, and checks that
-    the conditional fan is a prefix of it.  True for every suitable f;
-    ValueError when f is not suitable.
+    Shifts the first-level chain through the suitable edge f in place with
+    the library's shift (undoing afterwards), grows the ordinary fan around
+    f's far vertex on the shifted raw colours with :func:`oracle_max_fan`,
+    beta reordered to compare largest, and checks that the conditional fan
+    is a prefix of it.  True for every suitable f; ValueError when f is not
+    suitable.
     """
     vc = vizing_chain(c, x, e)
-    fan = conditional_fan(c, x, e, f)
-    if not isinstance(f, SuitableEdge):
-        f = next(su for su in suitable_edges(c, x, e) if su.edge == f)
+    entry = scan_entry(c, x, e, f)
+    f, fan = entry.suitable, entry.classification.fan
     log = c.shift_in_place(vc.edges()[: vc.fan_prefix_len + f.position])
     try:
-        shadow = max_fan(c, f.far_vertex, f.edge, big_colour=vc.beta)
+        shadow = oracle_max_fan(c.graph, list(c.colours), f.far_vertex, f.edge, big=vc.beta)
     finally:
         c.apply_undo(log)
-    return fan.edges == shadow.edges[: len(fan.edges)]
+    return fan.edges == shadow["edges"][: len(fan.edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +362,18 @@ def augment(c, chain):
     return out
 
 
-def scan_entry(c, x, e, f, with_chains=False):
+def suitable_edges(c, x, e, limit=None):
+    """The suitable edges of the probe (x, e) among the first ``limit``
+    tail path edges, in path order, as :func:`superb_scan` lists them;
+    ValueError when the fan around (x, e) is augmenting."""
+    return [en.suitable for en in superb_scan(c, vizing_chain(c, x, e), limit)]
+
+
+def scan_entry(c, x, e, f):
     """The :func:`superb_scan` entry of the probe (x, e) for the suitable
     edge f, named by its edge id or by a SuitableEdge equal to one the scan
     lists; ValueError when f names none."""
-    for entry in superb_scan(c, vizing_chain(c, x, e), with_chains=with_chains):
+    for entry in superb_scan(c, vizing_chain(c, x, e)):
         if entry.suitable == f or entry.suitable.edge == f:
             return entry
     raise ValueError(f"edge {f} is not suitable for this chain")
@@ -378,16 +395,13 @@ def is_superb(c, x, e, f):
 
 
 def iterated_chain(c, x, e, f):
-    """The assembled second-level chain of a superb edge f, checked to be
-    augmenting; ValueError if f is suitable but not superb."""
-    entry = scan_entry(c, x, e, f, with_chains=True)
-    if not entry.superb:
-        raise ValueError(
-            f"edge {entry.suitable.edge} is suitable but not superb; its chain is undefined"
-        )
-    if classify_chain(c, entry.chain.edges()) is not ChainStatus.AUGMENTING:
-        raise AssertionError("the assembled second-level chain is not augmenting")
-    return entry.chain
+    """The scan entry of a superb edge f, whose ``edges()`` is its
+    second-level chain, checked to be augmenting; ValueError if f is
+    suitable but not superb."""
+    entry = scan_entry(c, x, e, f)
+    if classify_chain(c, entry.edges()) is not ChainStatus.AUGMENTING:
+        raise AssertionError("the second-level chain is not augmenting")
+    return entry
 
 
 @dataclass

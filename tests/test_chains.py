@@ -316,13 +316,12 @@ def test_parallel_fans_to_the_last_far_endpoint():
 
 @st.composite
 def fan_probes(draw):
-    """(colouring, big_colour): a random multigraph on 4-5 vertices with
-    degree at most 4-6 and multiplicity at most 1-3 (mostly 2, for parallel
-    fan edges), a random proper partial colouring of it with at least one
-    uncoloured edge, and an optional reordered colour.  The edges are
-    visited in random order, and each takes a random colour free at both
-    its ends with probability 0.95, so the colourings are dense and fans
-    often stall."""
+    """A random proper partial colouring, with at least one uncoloured
+    edge, of a random multigraph on 4-5 vertices with degree at most 4-6
+    and multiplicity at most 1-3 (mostly 2, for parallel fan edges).  The
+    edges are visited in random order, and each takes a random colour free
+    at both its ends with probability 0.95, so the colourings are dense and
+    fans often stall."""
     n = draw(st.integers(4, 5))
     delta = draw(st.integers(4, 6))
     pi = draw(st.sampled_from([1, 2, 2, 3]))
@@ -340,21 +339,19 @@ def fan_probes(draw):
         cols = [i + 1 for i in range(g.palette) if free >> i & 1]
         if cols and rng.random() < 0.95:
             c.assign(f, rng.choice(cols))
-    big = draw(st.none() | st.integers(1, g.palette))
-    return c, big
+    return c
 
 
 @settings(max_examples=400)
 @given(fan_probes())
-@example((Colouring.from_assignment(*PARALLEL_TO_LAST[0][:2]), None))
-@example((Colouring.from_assignment(*PARALLEL_TO_LAST[1][:2]), None))
-def test_fan_augmenting_flag_matches_classifier(probe):
+@example(Colouring.from_assignment(*PARALLEL_TO_LAST[0][:2]))
+@example(Colouring.from_assignment(*PARALLEL_TO_LAST[1][:2]))
+def test_fan_augmenting_flag_matches_classifier(c):
     """The fan's mask test agrees with the general chain classifier at
     both endpoints of every uncoloured edge."""
-    c, big = probe
     for e in c.uncoloured():
         for x in c.graph.endpoints(e):
-            fan = max_fan(c, x, e, big_colour=big)
+            fan = max_fan(c, x, e)
             assert fan.augmenting == (
                 classify_chain(c, fan.edges) is ChainStatus.AUGMENTING
             ), (x, e)
@@ -411,7 +408,7 @@ def test_chain_p3_fan_is_augmenting(p3):
     ch = vizing_chain(c, 1, 0)
     assert ch.edges() == [0, 1]
     assert ch.tail is None
-    assert ch.first_critical_index is None
+    assert ch.fan_prefix_len == 2
     assert len(ch) == 2
 
 
@@ -430,9 +427,8 @@ def test_chain_frozen_instance_a_takes_k():
     assert (ch.alpha, ch.beta) == (1, 2)
     path_j = alternating_path(c, 3, 1, 2)
     assert path_j.edges == [10, 5] and path_j.last_vertex == 4
-    assert ch.first_critical_index == 2
-    assert ch.fan_prefix_len == 3
-    assert ch.path_edges() == [6, 4]
+    assert ch.fan_prefix_len == 3  # first critical index 2
+    assert ch.tail.edges == [6, 4]
     assert ch.edges() == [7, 5, 8, 6, 4]
     assert classify_chain(c, ch.edges()) is ChainStatus.AUGMENTING
 
@@ -444,9 +440,8 @@ def test_chain_frozen_instance_b_takes_j():
     assert fan.augmenting is False
     ch = vizing_chain(c, 5, 11)
     assert (ch.alpha, ch.beta) == (2, 1)
-    assert ch.first_critical_index == 0
-    assert ch.fan_prefix_len == 1
-    assert ch.path_edges() == [7]
+    assert ch.fan_prefix_len == 1  # first critical index 0
+    assert ch.tail.edges == [7]
     assert ch.edges() == [11, 7]
     assert classify_chain(c, ch.edges()) is ChainStatus.AUGMENTING
 
@@ -461,7 +456,7 @@ def test_chain_randomised_against_oracle():
                 assert seq == oracle_vizing_chain(g, c.colours, x, e)
                 assert classify_chain(c, seq) is ChainStatus.AUGMENTING
                 # the tail path never touches the centre
-                for h in ch.path_edges():
+                for h in ([] if ch.tail is None else ch.tail.edges):
                     assert x not in g.endpoints(h)
                 # every prefix of the chain is proper-shiftable
                 for i in range(1, len(seq) + 1):

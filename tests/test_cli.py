@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,18 @@ class TestGen:
         code, _, err = cli(["gen", "--n", "-1"])
         assert code == 1
         assert "non-negative" in err
+
+    def test_saturated_graph_stops_drawing(self, cli):
+        """Four vertices cap a simple graph at K4's six edges, however large
+        --delta is: the generator stops drawing once no edge fits, instead
+        of spending 3 * n * delta = 36M draws."""
+        start = time.perf_counter()
+        code, out, err = cli(["gen", "--n", "4", "--delta", "3000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        g = Multigraph.from_text(out)
+        assert (g.n, g.m, g.delta, g.pi) == (4, 6, 3, 1)
+        assert sorted(g.edges) == [(u, v, 1) for u in range(4) for v in range(u + 1, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +357,9 @@ class TestUsage:
 class TestIntegerFields:
     """A field is an optional '-' then ASCII digits, read alike from stdin
     and from --input: what int() accepts beyond that ('+', '_', non-ASCII
-    digits) fails with its line number."""
+    digits), and the ASCII control characters that str.split() or
+    str.splitlines() would read as a separator or a line break, fail with
+    their line number."""
 
     CASES = [
         (["colour"], "mg 3 2 2 1\n0 +2 1\n1 2 1\n", "line 2: fields must be integers"),
@@ -352,8 +367,12 @@ class TestIntegerFields:
         (["colour"], "mg 3 2 +2 1\n0 1 1\n1 2 1\n", "line 1: header fields must be integers"),
         (["audit", "--L", "5"], P3_MG + "0 0\n1 0_1\n", "line 5: fields must be integers"),
         (["orient"], C4_DUMP.replace("1 2\n2 1", "1 \u0662\n2 1"), "line 7: non-ASCII character"),
+        (["colour"], "mg 3 2 2 1\n0\x1f1 1\n1 2 1\n", "line 2: control character"),
+        (["colour"], "mg 3 2 2 1\n0 1 1\x0c1 2 1\n", "line 2: control character"),
+        (["audit", "--L", "5"], P3_MG + "0 0\x0c1 1\n", "line 4: control character"),
     ]
-    IDS = ["plus", "arabic-digit", "header-plus", "dump-underscore", "dump-arabic-digit"]
+    IDS = ["plus", "arabic-digit", "header-plus", "dump-underscore", "dump-arabic-digit",
+           "unit-separator", "form-feed", "dump-form-feed"]
 
     @pytest.mark.parametrize("args,text,message", CASES, ids=IDS)
     def test_stdin(self, cli, args, text, message):

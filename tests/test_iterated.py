@@ -14,7 +14,6 @@ from vizing import (
     build,
     classify_chain,
     generate_random,
-    suitable_edges,
     superb_scan,
     vizing_chain,
 )
@@ -42,8 +41,11 @@ from oracles import (
     oracle_classify,
     oracle_max_fan,
     oracle_shift,
+    oracle_suitable_positions,
     oracle_superb,
+    scan_entry,
     shift_along,
+    suitable_edges,
 )
 
 
@@ -90,7 +92,7 @@ def probes_with_suitables():
 
 
 # ---------------------------------------------------------------------------
-# suitable_edges
+# suitable edges
 # ---------------------------------------------------------------------------
 
 
@@ -145,7 +147,7 @@ def test_non_suitable_edge_is_rejected():
 
 
 def test_forged_suitable_edge_is_rejected():
-    """A SuitableEdge is accepted only as listed by suitable_edges: one
+    """A SuitableEdge is accepted only as the scan lists it: one
     with a wrong position or near vertex, or naming a nearby or beta edge,
     raises ValueError like the bare edge id does."""
     inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
@@ -169,7 +171,7 @@ def test_forged_suitable_edge_is_rejected():
     genuine = suitable_edges(inst.c, inst.x, inst.e)
     assert [su.position for su in genuine] == [5, 7, 9, 11, 13, 15]
     for su in genuine:
-        assert classify_suitable(inst.c, inst.x, inst.e, su).suitable == su
+        assert scan_entry(inst.c, inst.x, inst.e, su).suitable == su
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,9 @@ def test_type1_keeps_beta_missing_at_last_endpoint():
     cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
     chain = iterated_chain(inst.c, inst.x, inst.e, dec.f)
     assert chain.second_critical_index == len(cls.fan.edges) - 1
-    assert chain.fan_segment == cls.fan.edges
+    vc = vizing_chain(inst.c, inst.x, inst.e)
+    first = vc.edges()[: vc.fan_prefix_len + 5 - 1]
+    assert chain.edges() == first + cls.fan.edges + chain.second_path.edges
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +414,59 @@ def test_iterated_chain_composition_on_gadgets():
                 continue
             chain = iterated_chain(inst.c, inst.x, inst.e, su)
             first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
-            assert chain.first_segment == first, (label, su.position)
+            edges = chain.edges()
+            assert edges[: len(first)] == first, (label, su.position)
+            fan_segment = edges[len(first) : len(edges) - chain.second_len]
             if dec is None or dec.kind == BARE:
                 assert chain.classification.type_tag is SuitableType.TYPE0
                 assert chain.edges() == first + [su.edge]
                 assert chain.second_path is None
             elif dec.kind == TYPE1:
                 assert chain.classification.type_tag is SuitableType.TYPE1
-                assert chain.fan_segment == dec.fan_edges
+                assert fan_segment == dec.fan_edges
                 assert chain.second_path.edges == dec.second_path
                 assert chain.edges() == first + dec.fan_edges + dec.second_path
             else:  # TYPE2, superb, repeat index 0 with an empty path
                 assert chain.classification.type_tag is SuitableType.TYPE2
                 assert chain.second_critical_index == 0
-                assert chain.fan_segment == [su.edge]
+                assert fan_segment == [su.edge]
                 assert chain.second_path.edges == []
                 assert chain.edges() == first + [su.edge]
             assert classify_chain(inst.c, chain.edges()) is ChainStatus.AUGMENTING
             assert oracle_classify(inst.g, inst.c.colours, chain.edges()) == "augmenting"
+
+
+def test_scan_entry_edges_join_prefix_fan_and_second_path():
+    """edges() joins the first-level chain cut just before the suitable
+    edge, the conditional fan (through the second critical index for
+    TypeII) and the second path; a non-superb entry has no chain."""
+    inst = long_path_instance(16, {5: TYPE1, 9: TYPE2, 11: TYPE1_UNSTABLE}, delta=4)
+    vc = vizing_chain(inst.c, inst.x, inst.e)
+    cols = list(inst.c.colours)
+    entries = {en.suitable.position: en for en in superb_scan(inst.c, vc)}
+    assert sorted(entries) == [5, 7, 9, 11, 13, 15]
+    assert not entries[11].superb
+    with pytest.raises(ValueError, match=f"^edge {entries[11].suitable.edge} is suitable "
+                       "but not superb; its chain is undefined$"):
+        entries[11].edges()
+    for pos, en in entries.items():
+        if not en.superb:
+            continue
+        first = vc.edges()[: vc.fan_prefix_len + pos - 1]
+        edges = en.edges()
+        assert edges[: len(first)] == first, pos
+        assert edges[len(first)] == en.suitable.edge, pos
+        assert oracle_classify(inst.g, cols, edges) == "augmenting", pos
+        # each call builds a fresh list; the first-level chain stays whole
+        edges.append(-1)
+        assert en.edges() == edges[:-1] and vc.edges() == inst.fan_prefix + inst.path_edges
+    # TypeI runs through the whole fan; TypeII stops at its repeat index 0
+    t1, t2 = entries[5], entries[9]
+    assert t1.second_critical_index == len(t1.classification.fan.edges) - 1 == 1
+    assert t2.classification.type_tag is SuitableType.TYPE2
+    assert len(t2.classification.fan.edges) == 3 and t2.second_critical_index == 0
+    first = vc.edges()[: vc.fan_prefix_len + 8]
+    assert t2.edges() == first + [t2.suitable.edge]
 
 
 def test_iterated_chain_augments_like_any_chain():
@@ -445,7 +484,7 @@ def test_iterated_chain_lengths():
     dec = inst.decorations[5]
     chain = iterated_chain(inst.c, inst.x, inst.e, dec.f)
     # prefix (1 + 4 path edges) + fan (2) + second path (1)
-    assert len(chain) == 8
+    assert len(chain.edges()) == 8
     assert len(chain.edges()) == len(set(chain.edges()))
 
 
@@ -497,27 +536,30 @@ def test_frozen_instance_with_type2():
 
 def scan_matches_pointwise(g, c, e, x):
     """Every scan entry of the probe against the brute-force references,
-    edge by edge: its superb flag equals :func:`oracles.oracle_superb` and
-    a superb entry's chain starts with the first-level chain cut before the
-    suitable edge and classifies as augmenting on the raw colours."""
+    edge by edge: the suitable edges are those of the definition, the
+    superb flag equals :func:`oracles.oracle_superb`, and a superb entry's
+    chain starts with the first-level chain cut before the suitable edge and
+    classifies as augmenting on the raw colours."""
     before = c.assignment()
     vc = vizing_chain(c, x, e)
-    entries = list(superb_scan(c, vc, with_chains=True))
+    entries = list(superb_scan(c, vc))
     assert c.assignment() == before
-    assert [en.suitable for en in entries] == suitable_edges(c, x, e)
     cols = list(c.colours)
+    tail = vc.tail.edges
+    assert [en.suitable.position for en in entries] == \
+        oracle_suitable_positions(g, cols, tail, vc.alpha, e)
     for en in entries:
         su, cls = en.suitable, en.classification
+        assert su.edge == tail[su.position - 1]
+        assert {su.near_vertex, su.far_vertex} == set(g.edges[su.edge][:2])
         first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
         assert en.superb == oracle_superb(g, cols, first + [su.edge], cls)
         if en.superb:
-            assert en.chain.classification is cls
-            assert en.chain.edges()[: len(first)] == first
-            assert oracle_classify(g, cols, en.chain.edges()) == "augmenting"
-            if en.chain.second_path is not None:
-                assert en.second_path.edges == en.chain.second_path.edges
+            assert en.edges()[: len(first)] == first
+            assert oracle_classify(g, cols, en.edges()) == "augmenting"
         else:
-            assert en.chain is None
+            with pytest.raises(ValueError, match="not superb"):
+                en.edges()
     return len(entries)
 
 
@@ -549,8 +591,9 @@ def test_scan_never_mutates_the_colouring():
     for label, inst in gadget_instances():
         before = _state(inst.c)
         steps = 0
-        for _entry in superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e),
-                                  with_chains=True):
+        for entry in superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e)):
+            if entry.superb:
+                entry.edges()
             assert _state(inst.c) == before, (label, steps)
             steps += 1
         assert steps >= 4, label

@@ -21,14 +21,19 @@ from vizing import (
     generate_random,
     is_proper,
     run_scheduler,
-    suitable_edges,
     superb_scan,
     vizing_chain,
 )
 
 from gadgets import BARE, TYPE1, TYPE1_UNSTABLE, TYPE2, long_path_instance
 from helpers import random_partial_colouring
-from oracles import iterated_chain, oracle_classify, oracle_superb
+from oracles import (
+    iterated_chain,
+    oracle_classify,
+    oracle_suitable_positions,
+    oracle_superb,
+    suitable_edges,
+)
 
 
 @st.composite
@@ -102,7 +107,7 @@ def test_mg_and_dump_round_trip(g, rng):
 def _mutations():
     """Edits of a text: cut it short, or delete, replace or insert one
     character from a small hostile alphabet."""
-    alphabet = st.sampled_from(list("0123456789 -\nxm+_\u0662"))
+    alphabet = st.sampled_from(list("0123456789 -\nxm+_\u0662\x0c\x1f"))
     return st.one_of(
         st.tuples(st.just("cut"), st.integers(0, 10**4), st.just("")),
         st.tuples(st.just("delete"), st.integers(0, 10**4), st.just("")),
@@ -126,20 +131,25 @@ def _mutate(text: str, edit) -> str:
 @settings(max_examples=300)
 @given(multigraphs(), _mutations())
 def test_mg_parser_raises_only_value_error(g, edit):
+    text = _mutate(g.to_text(), edit)
     try:
-        Multigraph.from_text(_mutate(g.to_text(), edit))
+        Multigraph.from_text(text)
     except ValueError:
         pass
+    else:  # a control character is never read as a separator
+        assert "\x0c" not in text and "\x1f" not in text
 
 
 @settings(max_examples=300)
 @given(multigraphs(), _mutations())
 def test_dump_parser_raises_only_value_error(g, edit):
-    text = colour_sequential(g).to_text()
+    text = _mutate(colour_sequential(g).to_text(), edit)
     try:
-        Colouring.from_dump(g, _mutate(text, edit))
+        Colouring.from_dump(g, text)
     except ValueError:
         pass
+    else:
+        assert "\x0c" not in text and "\x1f" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +198,24 @@ def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
     """Every superb_scan entry of the probe, edge by edge: its superb flag
     equals :func:`oracles.oracle_superb`, its Type0 verdict a brute-force
     classification of (chain before f) + (conditional fan), and a superb
-    entry's chain classifies as augmenting on the raw colours; the
-    colouring comes back unchanged.  ``seen`` counts the entries by source,
-    by (type, superb) and by fans ending at z."""
+    entry's chain classifies as augmenting on the raw colours; the suitable
+    edges are those of the definition and the colouring comes back
+    unchanged.  ``seen`` counts the entries by source, by (type, superb) and
+    by fans ending at z."""
     before = list(c.colours)
     vc = vizing_chain(c, x, e)
-    entries = list(superb_scan(c, vc, with_chains=True))
+    entries = list(superb_scan(c, vc))
     assert c.colours == before
-    assert [en.suitable for en in entries] == suitable_edges(c, x, e)
+    assert [en.suitable.position for en in entries] == \
+        oracle_suitable_positions(g, before, vc.tail.edges, vc.alpha, e)
     for en in entries:
         su, cls = en.suitable, en.classification
         first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
         assert en.superb == oracle_superb(g, before, first + [su.edge], cls)
         if en.superb:
-            assert oracle_classify(g, before, en.chain.edges()) == "augmenting"
-            assert en.chain.edges()[: len(first)] == first
+            assert oracle_classify(g, before, en.edges()) == "augmenting"
+            assert en.edges()[: len(first)] == first
         else:
-            assert en.chain is None
             with pytest.raises(ValueError, match="not superb"):
                 iterated_chain(c, x, e, su)
         status = oracle_classify(g, before, first + cls.fan.edges)
