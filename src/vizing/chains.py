@@ -28,6 +28,12 @@ unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
 records are slotted dataclasses built positionally (a keyword call costs
 about twice as much).  Callers augment along a chain's ``edges()`` with
 :meth:`Colouring.augment_in_place`.
+
+On sparse inputs most fans stop at step 0, so the chain is the edge alone:
+x misses the smallest colour missing at the other endpoint.  The private
+``_free_colour`` reads that case off two masks, so the drivers in
+``engine`` colour such an edge with :meth:`Colouring.assign` and build no
+records; it never changes which colour the edge gets.
 """
 
 from __future__ import annotations
@@ -229,9 +235,31 @@ def max_fan(c: Colouring, x: int, e: int) -> Fan:
     return Fan(x, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
 
 
-def repeated_colour_indices(
-    c: Colouring, x: int, e: int, fan: Fan | None = None
-) -> tuple[int, int, int]:
+def _free_colour(c: Colouring, x: int, e: int) -> int:
+    """The colour the chain for the uncoloured edge e around x gives e when
+    the fan stops at e itself: the smallest colour missing at e's other
+    endpoint y, if x misses it too.  Otherwise 0, and the edge needs the
+    full chain (which can still be e alone, after a longer fan whose first
+    critical index is 0 and whose path is empty).
+
+    Why this is the chain's colour choice, exactly:
+
+      * at fan step 0 no colour has been chosen yet, so the wanted colour is
+        the smallest one missing at y;
+      * the fan stops right there exactly when x has no edge of that colour,
+        that is, when x misses it too;
+      * the fan is then augmenting, and augmenting along [e] gives e the
+        smallest colour missing at both ends, which is this same colour;
+      * parallel edges change nothing, because the exclusions of earlier
+        choices at a far endpoint begin only at step 1.
+    """
+    u, v, _ = c.graph.edges[e]
+    wanted = c.missing_mask(v if u == x else u)
+    bit = wanted & -wanted
+    return bit.bit_length() if c.missing_mask(x) & bit else 0
+
+
+def repeated_colour_indices(fan: Fan) -> tuple[int, int, int]:
     """The indices (j, k) with equal fan colours a_j = a_k =: beta.
 
     k is the fan's final index and beta its stop colour; j+1 is the position
@@ -240,8 +268,6 @@ def repeated_colour_indices(
     a repeated edge, the pair is unique (the colour sequence is injective),
     and the far endpoints v_j, v_k differ.
     """
-    if fan is None:
-        fan = max_fan(c, x, e)
     if fan.augmenting:
         raise ValueError("fan is augmenting; no repeated colour pair need exist")
     if fan.repeat_pos is None:  # unreachable: a no-edge stop is augmenting
@@ -313,7 +339,7 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
     fan = max_fan(c, x, e)
     if fan.augmenting:
         return VizingChain(fan, len(fan.edges))
-    j, k, beta = repeated_colour_indices(c, x, e, fan)
+    j, k, beta = repeated_colour_indices(fan)
     alpha = c.min_missing(x)
     # beta sits on an edge at x (the repeat edge), hence beta differs from
     # every colour missing at x, in particular from alpha; and beta, the

@@ -3,8 +3,9 @@
 Three ways to put the chain machinery to work:
 
   * colour_sequential colours every edge of a finite multigraph in exactly
-    m augmentations, one chain per edge, giving a full proper colouring
-    with delta + pi colours;
+    m augmentations, one per edge, giving a full proper colouring with
+    delta + pi colours.  An edge whose fan is the edge alone is coloured
+    on the spot; only the others get a chain built;
 
   * run_scheduler colours in rounds, each applying a greedy maximal set
     of vertex-disjoint chains of at most 3L edges: plain chains whose path
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from .chains import vizing_chain
+from .chains import _free_colour, vizing_chain
 from .colouring import Colouring
 from .iterated import superb_scan
 from .multigraph import Multigraph
@@ -56,13 +57,22 @@ def colour_sequential(g: Multigraph) -> Colouring:
     """A full proper colouring of g in exactly m augmentations.
 
     Edges are handled in index order; each is augmented along the chain
-    from its smaller endpoint (edge triples store that endpoint first).
-    Augmentation recolours but never uncolours, so every edge is uncoloured
-    when its turn comes and coloured for good afterwards.
+    from its smaller endpoint x (edge triples store that endpoint first).
+    When x misses the smallest colour missing at the other endpoint, the
+    fan and so the chain are the edge alone (see chains._free_colour): the
+    edge takes that colour directly and no chain is built.  Augmentation
+    recolours but never uncolours, so every edge is uncoloured when its
+    turn comes and coloured for good afterwards.
     """
     c = Colouring.empty(g)
+    edges = g.edges
     for e in range(g.m):
-        c.augment_in_place(vizing_chain(c, g.edges[e][0], e).edges())
+        x = edges[e][0]
+        col = _free_colour(c, x, e)
+        if col:
+            c.assign(e, col)
+        else:
+            c.augment_in_place(vizing_chain(c, x, e).edges())
     return c
 
 
@@ -103,10 +113,13 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
     qualifies when its fan is augmenting (no path at all) or its path has
     fewer than L edges; otherwise the first superb edge within the first L
     path positions whose second path has at most L edges supplies the
-    second-order chain.
+    second-order chain.  An edge whose fan is the edge alone is its own
+    chain, returned without building one.
     """
     u, v, _ = c.graph.edges[e]
     for x in (u, v):
+        if _free_colour(c, x, e):
+            return [e]
         chain = vizing_chain(c, x, e)
         if chain.tail is None or len(chain.tail.edges) < L:
             return chain.edges()
@@ -278,11 +291,15 @@ def orient(c: Colouring) -> Orientation:
             f"{c.uncoloured_count} edges are uncoloured; orientation needs "
             "a full colouring"
         )
-    used = sorted({c.colour_of(e) for e in range(g.m)})
+    classes: list[list[int]] = [[] for _ in range(g.palette + 1)]
+    for e, col in enumerate(c.colours):
+        classes[col].append(e)
+    used = [col for col in range(1, g.palette + 1) if classes[col]]
     direction: dict[int, tuple[int, int]] = {}
     for i in range(0, len(used), 2):
         group = used[i : i + 2]
-        members = [e for e in range(g.m) if c.colour_of(e) in group]
+        # each class is in edge order; merge the pair's back into edge order
+        members = sorted([e for col in group for e in classes[col]])
         if len(group) == 1:
             for e in members:
                 u, v, _ = g.edges[e]

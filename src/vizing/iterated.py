@@ -89,7 +89,8 @@ class ConditionalFan:
     edges = (g_0, ..., g_m) all contain y, with far endpoints (u_0, ..., u_m)
     and colour_seq the chosen colours (c(g_{i+1}) for i < m).  Stops:
 
-      * early_stop: the newest far endpoint has alpha or beta missing;
+      * early_stop: the newest far endpoint has alpha or beta missing
+        (next_colour is then None);
       * otherwise maximal: the wanted colour (next_colour) has no edge at y
         (repeat_pos None) or that edge already sits in the fan (repeat_pos
         its position).
@@ -99,9 +100,12 @@ class ConditionalFan:
     edges: list[int]
     far_endpoints: list[int]
     colour_seq: list[int]
-    early_stop: bool
     next_colour: int | None
     repeat_pos: int | None
+
+    @property
+    def early_stop(self) -> bool:
+        return self.next_colour is None
 
 
 @dataclass
@@ -240,7 +244,6 @@ def _conditional_fan(ctx: _Context, su: SuitableEdge) -> ConditionalFan:
         edges=edges,
         far_endpoints=far,
         colour_seq=colour_seq,
-        early_stop=next_colour is None,
         next_colour=next_colour,
         repeat_pos=repeat_pos,
     )

@@ -8,6 +8,12 @@ from hypothesis import settings
 
 from vizing import build
 
+# The oracles guard their preconditions with bare asserts.  pytest rewrites
+# asserts only in test modules and in modules registered here, and only a
+# rewritten assert still runs under ``python -O``; register before any test
+# module imports the oracles.
+pytest.register_assert_rewrite("oracles")
+
 # Derandomised: every run draws the same examples, so the suite stays
 # deterministic, and no example database is written.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)

@@ -20,6 +20,7 @@ from vizing import (
     repeated_colour_indices,
     vizing_chain,
 )
+from vizing.chains import _free_colour
 
 from helpers import random_instances
 from oracles import (
@@ -250,6 +251,14 @@ def test_fan_errors(p3):
         max_fan(c, 2, 0)
 
 
+def test_fan_oracle_checks_its_precondition(p3):
+    """The oracle's bare asserts are rewritten by pytest (see conftest), so
+    they still fire under ``python -O``."""
+    c = Colouring.from_assignment(p3, {1: 1})
+    with pytest.raises(AssertionError):
+        oracle_max_fan(p3, c.colours, 1, 1)
+
+
 def fan_probe_instances():
     """Instance mix for fan/chain sweeps: some with parallel edges (pi=2)
     to exercise the availability rule, plus a denser simple batch where
@@ -357,6 +366,48 @@ def test_fan_augmenting_flag_matches_classifier(c):
             ), (x, e)
 
 
+def test_free_colour_is_the_one_edge_fan():
+    """_free_colour is nonzero exactly when the fan (library and oracle) is
+    the edge alone; the chain is then the edge alone too, and augmenting
+    along it gives the edge that colour.  The converse fails: a
+    non-augmenting fan whose first critical index is 0 and whose path is
+    empty also yields the chain [e], so those probes are counted apart.
+    The sweep must see edges whose ends share a missing colour while x
+    uses the smallest colour missing at y (the fan then goes on)."""
+    seen = {"free": 0, "shared_but_blocked": 0, "one_edge_chain_longer_fan": 0}
+
+    @settings(max_examples=400)
+    @given(fan_probes())
+    def check(c):
+        g = c.graph
+        for e in c.uncoloured():
+            u, v = g.endpoints(e)
+            for x, y in ((u, v), (v, u)):
+                col = _free_colour(c, x, e)
+                alone = max_fan(c, x, e).edges == [e]
+                assert alone == bool(col), (x, e)
+                assert (oracle_max_fan(g, c.colours, x, e)["edges"] == [e]) == alone
+                chain = vizing_chain(c, x, e).edges()
+                if col:
+                    seen["free"] += 1
+                    assert chain == [e]
+                    assert col == min(oracle_missing(g, c.colours, y))
+                    d = c.copy()
+                    d.augment_in_place([e])
+                    assert d.colour_of(e) == col
+                else:
+                    seen["shared_but_blocked"] += bool(
+                        c.missing_mask(x) & c.missing_mask(y)
+                    )
+                    seen["one_edge_chain_longer_fan"] += chain == [e]
+
+    check()
+    # 621, 461 and 7 with the derandomised profile
+    assert seen["free"] >= 500, seen
+    assert seen["shared_but_blocked"] >= 300, seen
+    assert seen["one_edge_chain_longer_fan"] >= 1, seen
+
+
 # ---------------------------------------------------------------------------
 # the repeated colour pair
 # ---------------------------------------------------------------------------
@@ -365,7 +416,7 @@ def test_fan_augmenting_flag_matches_classifier(c):
 def test_repeated_indices_rejects_augmenting(star3):
     c = Colouring.from_assignment(star3, {1: 1, 2: 2})
     with pytest.raises(ValueError, match="augmenting"):
-        repeated_colour_indices(c, 0, 0)
+        repeated_colour_indices(max_fan(c, 0, 0))
 
 
 def test_repeated_indices_frozen_instance():
@@ -375,7 +426,7 @@ def test_repeated_indices_frozen_instance():
     assert fan.far_endpoints == [3, 5, 1]
     assert fan.colour_seq == [2, 4]
     assert fan.augmenting is False
-    j, k, beta = repeated_colour_indices(c, 4, 7, fan)
+    j, k, beta = repeated_colour_indices(fan)
     assert (j, k, beta) == (0, 2, 2)
 
 
@@ -387,7 +438,7 @@ def test_repeated_indices_conclusions_randomised():
                 fan = max_fan(c, x, e)
                 if fan.augmenting:
                     continue
-                j, k, beta = repeated_colour_indices(c, x, e, fan)
+                j, k, beta = repeated_colour_indices(fan)
                 assert j < k == len(fan.edges) - 1
                 assert fan.colour_seq[j] == beta == fan.next_colour
                 assert fan.far_endpoints[j] != fan.far_endpoints[k]

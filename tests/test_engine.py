@@ -112,6 +112,20 @@ GOLDEN_SCHEDULED = {
 }
 
 
+# colour_sequential(generate_random(n, delta, 3, seed)) on small dense
+# graphs where the multiplicity really reaches 3
+GOLDEN_SEQUENTIAL_PI3 = {
+    (30, 8, 0): "75673642379ecfcbad64b657afb27ef2d17ab6d3423b4fbd9fd4b3474cc22513",
+    (30, 8, 1): "ff206eb36833a2e6e52d4670576d9ba4159180791f1a19643059d4ecd27cee35",
+    (12, 10, 0): "4278da7240d65339d4ce45699e30f0d3c88712ab8de3398fb7bd36041c0dc530",
+}
+# run_scheduler(generate_random(2000, 4, 2, s), 16, s)
+GOLDEN_SCHEDULED_PI2 = {
+    0: "d78165de10e41e5ffa8c15d738b8e6ea5507e71b8f0ab917d42d431fdd7c8aa0",
+    1: "7423c89cd0151fb110705bbdf5c8a25bbe751835cbad26d94364739a5ce2a9de",
+}
+
+
 @pytest.mark.parametrize("pi, seed", sorted(GOLDEN_SEQUENTIAL))
 def test_sequential_colouring_matches_golden_digest(pi, seed):
     c = colour_sequential(generate_random(2000, 4, pi, seed=seed))
@@ -119,10 +133,27 @@ def test_sequential_colouring_matches_golden_digest(pi, seed):
     assert _digest(c) == GOLDEN_SEQUENTIAL[pi, seed]
 
 
+@pytest.mark.parametrize("n, delta, seed", sorted(GOLDEN_SEQUENTIAL_PI3))
+def test_sequential_colouring_at_multiplicity_three(n, delta, seed):
+    g = generate_random(n, delta, 3, seed=seed)
+    assert g.pi == 3
+    c = colour_sequential(g)
+    assert c.uncoloured_count == 0
+    assert _digest(c) == GOLDEN_SEQUENTIAL_PI3[n, delta, seed]
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_SCHEDULED))
 def test_scheduled_colouring_matches_golden_digest(seed):
     c = run_scheduler(generate_random(2000, 4, 1, seed=seed), 16, seed)
     assert _digest(c) == GOLDEN_SCHEDULED[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SCHEDULED_PI2))
+def test_scheduled_colouring_at_multiplicity_two(seed):
+    g = generate_random(2000, 4, 2, seed=seed)
+    assert g.pi == 2
+    c = run_scheduler(g, 16, seed)
+    assert _digest(c) == GOLDEN_SCHEDULED_PI2[seed]
 
 
 # ---------------------------------------------------------------------------
