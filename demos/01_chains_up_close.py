@@ -33,17 +33,11 @@ chain = vizing_chain(c, 0, 3)
 print("chain edges:", chain.edges())
 print("has alternating tail?", chain.tail is not None)
 
-# Shifting along the chain slides the hole down it: each edge takes its
-# successor's colour and the last edge goes bare.  Shifts work in place,
-# so try them on a copy.  With a one-edge chain the shift is a no-op, which
-# is easy to see directly:
-d = c.copy()
-d.shift_in_place(chain.edges())
-print("after the bare shift, edge 3 has colour", d.colour_of(3), "(0 = none)")
-
-# Augmenting is the shift plus one more step: the freed-up last edge takes
-# a colour missing at both its endpoints.  That is what actually shrinks
-# the uncoloured set.
+# Augmenting along the chain shifts the hole down it (each edge takes its
+# successor's colour and the last edge goes bare), then the freed-up last
+# edge takes a colour missing at both its endpoints.  That is what actually
+# shrinks the uncoloured set.  Augmenting works in place, so try it on a
+# copy.
 d = c.copy()
 d.augment_in_place(chain.edges())
 print("after augmenting, edge 3 has colour", d.colour_of(3))

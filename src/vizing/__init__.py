@@ -20,18 +20,11 @@ Modules:
 from __future__ import annotations
 
 from .multigraph import Multigraph, build, generate_random
-from .colouring import (
-    ChainStatus,
-    Colouring,
-    classify_chain,
-    is_proper,
-    shifted_assignment,
-)
+from .colouring import Colouring, is_proper
 from .chains import (
     AlternatingPath,
     Fan,
     VizingChain,
-    alternating_path,
     max_fan,
     repeated_colour_indices,
     vizing_chain,
@@ -73,14 +66,10 @@ __all__ = [
     "build",
     "generate_random",
     "Colouring",
-    "ChainStatus",
-    "classify_chain",
     "is_proper",
-    "shifted_assignment",
     "AlternatingPath",
     "Fan",
     "VizingChain",
-    "alternating_path",
     "max_fan",
     "repeated_colour_indices",
     "vizing_chain",

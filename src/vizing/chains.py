@@ -46,7 +46,6 @@ __all__ = [
     "AlternatingPath",
     "Fan",
     "VizingChain",
-    "alternating_path",
     "max_fan",
     "repeated_colour_indices",
     "vizing_chain",
@@ -78,9 +77,14 @@ class AlternatingPath:
 
 
 def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
-    """The walk of :func:`alternating_path`, without its precondition
-    checks, reading edge colours through ``colours``: the live colour array,
-    or an overlay holding a shifted chain's colours."""
+    """The maximal alternating alpha/beta-path from vertex x, reading edge
+    colours through ``colours``: the live colour array, or an overlay
+    holding a shifted chain's colours.
+
+    The walk starts with an alpha edge at x.  The caller guarantees
+    alpha != beta and beta missing at x; the path is then unique,
+    edge-injective, and visits no vertex more than twice.
+    """
     adj, ends = g.adj, g.edges
     edges: list[int] = []
     v = x
@@ -100,30 +104,6 @@ def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
         guard -= 1
         if guard < 0:  # unreachable: the walk uses each edge at most once
             raise AssertionError("alternating walk failed to terminate")
-
-
-def alternating_path(c: Colouring, x: int, alpha: int, beta: int) -> AlternatingPath:
-    """The maximal alternating alpha/beta-path starting at vertex x.
-
-    Walks the subgraph of edges coloured alpha or beta, starting with an
-    alpha edge at x.  Requires alpha != beta and beta missing at x; under
-    those preconditions the path is unique, edge-injective, and visits no
-    vertex more than twice.
-
-    Raises ValueError on a precondition violation (this is a contract error,
-    not an empty result).
-    """
-    g = c.graph
-    palette = g.palette
-    if not (1 <= alpha <= palette) or not (1 <= beta <= palette):
-        raise ValueError(f"colours must lie in 1..{palette}")
-    if alpha == beta:
-        raise ValueError("alpha and beta must differ")
-    if not (0 <= x < g.n):
-        raise ValueError(f"vertex {x} out of range")
-    if not c.is_missing(x, beta):
-        raise ValueError(f"colour {beta} is not missing at vertex {x}")
-    return _walk(g, c.colours, x, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +324,7 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
     # beta sits on an edge at x (the repeat edge), hence beta differs from
     # every colour missing at x, in particular from alpha; and beta, the
     # colour chosen at v_j and v_k, is missing at both.  So both walks meet
-    # alternating_path's preconditions.
+    # the preconditions of _walk.
     g, colours = c.graph, c.colours
     path_j = _walk(g, colours, fan.far_endpoints[j], alpha, beta)
     if _path_avoids(path_j, x):

@@ -38,9 +38,15 @@ from .audit import (
     check_unimprovable,
     uncoloured_fraction_bounds,
 )
-from .colouring import Colouring, is_proper
+from .colouring import Colouring, _parse_dump_lines, is_proper
 from .engine import MaxRoundsExceeded, colour_sequential, orient, run_scheduler
-from .multigraph import MAX_VERTICES, Multigraph, _check_characters, generate_random
+from .multigraph import (
+    MAX_VERTICES,
+    Multigraph,
+    _check_characters,
+    _parse_mg_lines,
+    generate_random,
+)
 
 __all__ = ["main"]
 
@@ -180,33 +186,24 @@ def _dump_colouring(c: Colouring) -> str:
     return c.graph.to_text() + c.to_text()
 
 
-def _shift_lineno(msg: str, offset: int) -> str:
-    if msg.startswith("line "):
-        head, sep, rest = msg.partition(":")
-        try:
-            return f"line {int(head[5:]) + offset}{sep}{rest}"
-        except ValueError:
-            pass
-    return msg
-
-
 def _load_colouring(args) -> Colouring:
     """Parse a combined dump: the mg block, then one colour line per edge.
 
-    Colour-line parse errors are renumbered to whole-file line numbers.
+    The text is checked and split once; colour-line errors carry whole-file
+    line numbers.
     """
     text = _read_text(args)
     _check_characters(text, header=True)  # before splitlines() eats a \x0c
-    lines = text.splitlines()
+    lines = text.splitlines() or [""]  # empty input: a blank header line
     try:
         m = max(int(lines[0].split()[2]), 0)
     except (IndexError, ValueError):
         m = 0  # the graph parser reports the malformed header
-    g = Multigraph.from_text("\n".join(lines[: m + 1]) + "\n")
-    try:
-        return Colouring.from_dump(g, "\n".join(lines[m + 1 :]))
-    except ValueError as ex:
-        raise ValueError(_shift_lineno(str(ex), m + 1)) from None
+    g = _parse_mg_lines(lines[: m + 1])
+    block = lines[m + 1 :]
+    if block and not block[-1]:  # a dump may end in one blank line
+        block.pop()
+    return Colouring(g, _parse_dump_lines(g, block, m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,18 @@ edge becomes uncoloured.  A chain is
                       last edge share a missing colour (so the last edge can
                       be coloured and the colouring grows by one edge).
 
+The library builds only augmenting chains, so it never labels one; the
+brute-force ``oracle_classify`` of the test suite (``tests/oracles.py``)
+implements this ladder and referees every chain the library builds.
+
 :class:`Colouring` maintains properness as a class invariant (dense colour
 array plus one used-colour bitmask per vertex, so missing-set probes are
 O(1) in the palette size).  Shifts happen in place:
 :meth:`Colouring.augment_in_place`, which the colourers call, is one pass:
 the shift and the colouring of the chain's last edge, undone on failure.
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
-an undo log for :meth:`Colouring.apply_undo`, so a trial shift copies
-nothing; no library path calls it (the superb scan shifts a colours-only
-overlay instead), and it serves callers that look at a shifted state.
-:func:`classify_chain` labels a chain without touching the colouring; states
-that may be improper, such as the result of shifting a merely-shiftable
-chain, are handled as plain colour maps via :func:`shifted_assignment` and
-never materialised as Colouring objects.
+an undo log for :meth:`Colouring.apply_undo`; no library path calls it (the
+superb scan shifts a colours-only overlay instead).
 
 Shifts along infinite chains never arise here: all inputs are finite, so
 every chain is a finite list.
@@ -42,18 +41,11 @@ pure.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Mapping, Sequence
 
 from .multigraph import Multigraph, _check_characters
 
-__all__ = [
-    "Colouring",
-    "ChainStatus",
-    "is_proper",
-    "classify_chain",
-    "shifted_assignment",
-]
+__all__ = ["Colouring", "is_proper"]
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +324,7 @@ class Colouring:
         Raises ValueError with a 1-based line number on malformed input.
         """
         _check_characters(text)
-        lines = text.splitlines()
-        if len(lines) != graph.m:
-            raise ValueError(
-                f"line {len(lines)}: expected one line per edge ({graph.m}), "
-                f"found {len(lines)}"
-            )
-        colours = [0] * graph.m
-        for off, line in enumerate(lines):
-            lineno = off + 1
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'edge_index colour'")
-            try:
-                e, col = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: fields must be integers") from None
-            if e != off:
-                raise ValueError(f"line {lineno}: expected edge index {off}, got {e}")
-            if not (0 <= col <= graph.palette):
-                raise ValueError(
-                    f"line {lineno}: colour {col} outside 0..{graph.palette}"
-                )
-            colours[e] = col
-        return colours
+        return _parse_dump_lines(graph, text.splitlines())
 
     @staticmethod
     def from_dump(graph: Multigraph, text: str) -> "Colouring":
@@ -366,6 +335,35 @@ class Colouring:
     def load(graph: Multigraph, path: str) -> "Colouring":
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return Colouring.from_dump(graph, fh.read())
+
+
+def _parse_dump_lines(graph: Multigraph, lines: list[str], offset: int = 0) -> list[int]:
+    """The body of :meth:`Colouring.parse_dump`, on the lines of a checked
+    text that sit ``offset`` lines into their file (errors give file line
+    numbers)."""
+    if len(lines) != graph.m:
+        raise ValueError(
+            f"line {len(lines) + offset}: expected one line per edge ({graph.m}), "
+            f"found {len(lines)}"
+        )
+    colours = [0] * graph.m
+    for off, line in enumerate(lines):
+        lineno = off + 1 + offset
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'edge_index colour'")
+        try:
+            e, col = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: fields must be integers") from None
+        if e != off:
+            raise ValueError(f"line {lineno}: expected edge index {off}, got {e}")
+        if not (0 <= col <= graph.palette):
+            raise ValueError(
+                f"line {lineno}: colour {col} outside 0..{graph.palette}"
+            )
+        colours[e] = col
+    return colours
 
 
 # ---------------------------------------------------------------------------
@@ -426,100 +424,3 @@ def is_proper(
                 return False
             seen |= bit
     return True
-
-
-# ---------------------------------------------------------------------------
-# Chains and shifts
-# ---------------------------------------------------------------------------
-
-
-class ChainStatus(enum.Enum):
-    """Strength ladder of chain labels; each level implies all earlier ones."""
-
-    NOT_EDGE_INJECTIVE = "not-edge-injective"
-    NOT_SHIFTABLE = "not-shiftable"
-    SHIFTABLE = "shiftable"
-    PROPER_SHIFTABLE = "proper-shiftable"
-    AUGMENTING = "augmenting"
-
-    def at_least(self, other: "ChainStatus") -> bool:
-        order = list(ChainStatus)
-        return order.index(self) >= order.index(other)
-
-
-def _validate_chain(graph: Multigraph, chain: Sequence[int]) -> None:
-    if len(chain) == 0:
-        raise ValueError("a chain must contain at least one edge")
-    for e in chain:
-        if not (0 <= e < graph.m):
-            raise ValueError(f"edge id {e} out of range")
-    for a, b in zip(chain, chain[1:]):
-        ua, va, _ = graph.edges[a]
-        ub, vb, _ = graph.edges[b]
-        if ua != ub and ua != vb and va != ub and va != vb:
-            raise ValueError(
-                f"edges {a} and {b} are consecutive in the chain but disjoint"
-            )
-
-
-def shifted_assignment(c: Colouring, chain: Sequence[int]) -> dict[int, int]:
-    """The colour changes a shift along ``chain`` would make, as a map
-    {edge: new colour} with 0 for the last edge.  Pure; works for any
-    shiftable chain, including ones whose shift would be improper.
-    """
-    overlay: dict[int, int] = {}
-    for i in range(len(chain) - 1):
-        overlay[chain[i]] = c.colour_of(chain[i + 1])
-    overlay[chain[-1]] = 0
-    return overlay
-
-
-def classify_chain(c: Colouring, chain: Sequence[int]) -> ChainStatus:
-    """Label a chain with the strongest applicable status.
-
-    The labels are nested, so evaluation proceeds in increasing strength and
-    stops at the first failure:
-
-      1. edge-injectivity;
-      2. shiftability (first edge uncoloured, all later edges coloured);
-      3. properness of the shifted colouring (checked locally: only chain
-         edges change);
-      4. a common missing colour, under the shifted colouring, at the two
-         endpoints of the last edge.
-
-    Raises ValueError if ``chain`` is not structurally a chain (empty,
-    invalid ids, or consecutive edges disjoint).
-    """
-    g = c.graph
-    _validate_chain(g, chain)
-    if len(set(chain)) != len(chain):
-        return ChainStatus.NOT_EDGE_INJECTIVE
-    if c.colour_of(chain[0]) != 0 or any(c.colour_of(e) == 0 for e in chain[1:]):
-        return ChainStatus.NOT_SHIFTABLE
-    overlay = shifted_assignment(c, chain)
-    colours = c.colours
-
-    def col_after(e: int) -> int:
-        got = overlay.get(e)
-        return colours[e] if got is None else got
-
-    for e in chain:
-        new_col = overlay[e]
-        if new_col == 0:
-            continue
-        u, v, _ = g.edges[e]
-        for x in (u, v):
-            for other in g.adj[x]:
-                if other != e and col_after(other) == new_col:
-                    return ChainStatus.SHIFTABLE
-    # the last edge's endpoints share a missing colour iff some palette
-    # colour is used at neither of them
-    used = 0
-    for x in g.edges[chain[-1]][:2]:
-        for e in g.adj[x]:
-            col = col_after(e)
-            if col:
-                used |= 1 << (col - 1)
-    if ((1 << g.palette) - 1) & ~used:
-        return ChainStatus.AUGMENTING
-    return ChainStatus.PROPER_SHIFTABLE

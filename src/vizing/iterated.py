@@ -351,7 +351,7 @@ class _Shifted(dict):
     The two checks a real shift would make stay explicit raises:
     :meth:`advance` rejects an improper shift, and :meth:`stable` a second
     path whose start no longer misses its second colour (the precondition
-    of :func:`alternating_path`).
+    of the walk, ``chains._walk``).
     """
 
     __slots__ = ("c",)
@@ -366,8 +366,9 @@ class _Shifted(dict):
     def advance(self, seg: list[int]) -> None:
         """Extend the shift along ``seg``, whose first edge is the last one
         shifted so far (or the chain's first edge).  Raises the ValueErrors
-        of :meth:`Colouring.shift_in_place`: a repeated edge, an uncoloured
-        edge after the first, or a colour already used at an endpoint."""
+        of the shift in :meth:`Colouring.augment_in_place`: a repeated edge,
+        an uncoloured edge after the first, or a colour already used at an
+        endpoint."""
         _old, new = self.c._shift_logs(seg)
         colours, get = self.c.colours, self.get
         adj, ends = self.c.graph.adj, self.c.graph.edges

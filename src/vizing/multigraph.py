@@ -229,6 +229,12 @@ def _parse_mg(text: str) -> Multigraph:
     lines = text.splitlines()
     if not lines:
         raise ValueError("line 1: empty input, expected 'mg' header")
+    return _parse_mg_lines(lines)
+
+
+def _parse_mg_lines(lines: list[str]) -> Multigraph:
+    """The ``mg`` parser on the lines of a checked text (at least one line):
+    the header, then exactly the edge lines it announces."""
     head = lines[0].split()
     if len(head) != 5 or head[0] != "mg":
         raise ValueError("line 1: expected header 'mg <n> <m> <delta> <pi>'")

@@ -3,18 +3,23 @@
 Everything here recomputes results straight from the definitions, sharing no
 code or caches with the package under test: graphs are consulted only through
 their edge list, colourings are plain lists indexed by edge id (0 meaning
-uncoloured), and every lookup is a fresh scan.  Slow on purpose.  The
-superb reference, :func:`oracle_superb`, reads a suitable edge's
-classification as plain data and shifts a raw colour list.
+uncoloured), and every lookup is a fresh scan.  Slow on purpose.
+
+:func:`oracle_classify` is the one chain referee: it labels a chain with the
+strongest rung of the ladder in the ``colouring`` module's docstring
+(edge-injective, shiftable, proper-shiftable, augmenting), and
+:data:`LADDER` ranks its labels for :func:`at_least`.  The superb reference,
+:func:`oracle_superb`, reads a suitable edge's classification as plain data
+and shifts a raw colour list.
 
 The last two sections are the exception.  Three composition checks drive the
-package's own operations (shifts, alternating paths, fans) and compare their
-results with each other, because the property they check is how those
-operations compose.  And a few pure conveniences over the package's
-operations -- a copying shift and augmentation, weighted chain mass, the
-suitable edges of a probe, and pointwise reads of one suitable edge's
-:func:`superb_scan` entry -- serve only the tests, so they live here rather
-than in the library.
+package's own operations (the walk, chains, the superb scan) and compare
+their results with the oracles', because the property they check is how
+those operations compose.  And a few conveniences over the package's
+operations -- a copying shift and augmentation refereed by
+:func:`oracle_classify`, weighted chain mass, the suitable edges of a probe,
+and pointwise reads of one suitable edge's :func:`superb_scan` entry -- serve
+only the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -23,15 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vizing import (
-    ChainStatus,
-    Colouring,
-    alternating_path,
-    classify_chain,
-    shifted_assignment,
-    superb_scan,
-    vizing_chain,
-)
+from vizing import Colouring, superb_scan, vizing_chain
+from vizing.chains import _walk
 
 
 def incident_edges(g, x):
@@ -76,7 +74,18 @@ def oracle_shift(cols, chain):
     return new
 
 
+# the labels of oracle_classify, weakest first: each implies all earlier ones
+LADDER = ("not-edge-injective", "not-shiftable", "shiftable", "proper-shiftable", "augmenting")
+
+
+def at_least(label, floor):
+    """Is the chain label ``label`` at least as strong as ``floor``?"""
+    return LADDER.index(label) >= LADDER.index(floor)
+
+
 def oracle_classify(g, cols, chain):
+    """The strongest label of :data:`LADDER` that ``chain`` earns under the
+    raw colour list ``cols``, each rung checked from its definition."""
     if len(set(chain)) != len(chain):
         return "not-edge-injective"
     if cols[chain[0]] != 0 or any(cols[e] == 0 for e in chain[1:]):
@@ -259,7 +268,7 @@ def split_shift_check(c, chain, i):
     Works on raw colour arrays so intermediate states may be improper.  The
     chain must be c-shiftable and 0 <= i < l(chain) (ValueError otherwise).
     """
-    if not classify_chain(c, chain).at_least(ChainStatus.SHIFTABLE):
+    if not at_least(oracle_classify(c.graph, list(c.colours), chain), "shiftable"):
         raise ValueError("chain is not shiftable")
     if not (0 <= i < len(chain)):
         raise ValueError(f"split position {i} out of range")
@@ -278,7 +287,8 @@ def split_shift_check(c, chain, i):
 
 
 def prefix_stability_check(c, d, x, alpha, beta):
-    """Is the alpha/beta-path under c a prefix of the one under d?
+    """Is the alpha/beta-path under c a prefix of the one under d?  Both
+    paths are the library's walk.
 
     Preconditions (violations raise ValueError, distinctly from a False
     result): both colourings proper on the same graph, beta missing at x in
@@ -286,7 +296,9 @@ def prefix_stability_check(c, d, x, alpha, beta):
     """
     if c.graph is not d.graph:
         raise ValueError("colourings must colour the same graph")
-    p_c = alternating_path(c, x, alpha, beta)
+    if not c.is_missing(x, beta):
+        raise ValueError(f"colour {beta} is not missing at vertex {x}")
+    p_c = _walk(c.graph, c.colours, x, alpha, beta)
     if not d.is_missing(x, beta):
         raise ValueError(
             f"precondition violated: colour {beta} not missing at {x} under d"
@@ -296,28 +308,25 @@ def prefix_stability_check(c, d, x, alpha, beta):
             raise ValueError(
                 f"precondition violated: colourings disagree on path edge {e}"
             )
-    p_d = alternating_path(d, x, alpha, beta)
+    p_d = _walk(d.graph, d.colours, x, alpha, beta)
     return p_d.edges[: len(p_c.edges)] == p_c.edges
 
 
 def check_shadow_fan(c, x, e, f):
     """Does the conditional fan agree with its shifted-colouring shadow?
 
-    Shifts the first-level chain through the suitable edge f in place with
-    the library's shift (undoing afterwards), grows the ordinary fan around
-    f's far vertex on the shifted raw colours with :func:`oracle_max_fan`,
-    beta reordered to compare largest, and checks that the conditional fan
-    is a prefix of it.  True for every suitable f; ValueError when f is not
+    Shifts a raw copy of the colours along the first-level chain through
+    the suitable edge f with :func:`oracle_shift`, grows the ordinary fan
+    around f's far vertex on them with :func:`oracle_max_fan`, beta
+    reordered to compare largest, and checks that the conditional fan is a
+    prefix of it.  True for every suitable f; ValueError when f is not
     suitable.
     """
     vc = vizing_chain(c, x, e)
     entry = scan_entry(c, x, e, f)
     f, fan = entry.suitable, entry.classification.fan
-    log = c.shift_in_place(vc.edges()[: vc.fan_prefix_len + f.position])
-    try:
-        shadow = oracle_max_fan(c.graph, list(c.colours), f.far_vertex, f.edge, big=vc.beta)
-    finally:
-        c.apply_undo(log)
+    shifted = oracle_shift(c.colours, vc.edges()[: vc.fan_prefix_len + f.position])
+    shadow = oracle_max_fan(c.graph, shifted, f.far_vertex, f.edge, big=vc.beta)
     return fan.edges == shadow["edges"][: len(fan.edges)]
 
 
@@ -333,20 +342,17 @@ def shift_along(c, chain):
     its successor's, and the last edge becomes uncoloured; the uncoloured
     count is conserved.  The chain must be shiftable (ValueError otherwise),
     and the result must be proper (Colouring represents only proper states;
-    inspect a merely-shiftable chain's shift via ``shifted_assignment``).
+    inspect a merely-shiftable chain's shift via :func:`oracle_shift`).
     """
-    status = classify_chain(c, chain)
-    if not status.at_least(ChainStatus.SHIFTABLE):
-        raise ValueError(f"chain is not shiftable: {status.value}")
-    if not status.at_least(ChainStatus.PROPER_SHIFTABLE):
+    status = oracle_classify(c.graph, list(c.colours), chain)
+    if not at_least(status, "shiftable"):
+        raise ValueError(f"chain is not shiftable: {status}")
+    if not at_least(status, "proper-shiftable"):
         raise ValueError(
             "shift result is improper (chain is shiftable but not "
-            "proper-shiftable); use shifted_assignment to inspect it"
+            "proper-shiftable); use oracle_shift to inspect it"
         )
-    new_colours = list(c.colours)
-    for e, col in shifted_assignment(c, chain).items():
-        new_colours[e] = col
-    return Colouring(c.graph, new_colours)
+    return Colouring(c.graph, oracle_shift(c.colours, chain))
 
 
 def augment(c, chain):
@@ -355,7 +361,7 @@ def augment(c, chain):
     object with an ``edges()`` method.  The chain must classify as
     augmenting (ValueError otherwise)."""
     seq = chain.edges() if callable(getattr(chain, "edges", None)) else list(chain)
-    if classify_chain(c, seq) is not ChainStatus.AUGMENTING:
+    if oracle_classify(c.graph, list(c.colours), seq) != "augmenting":
         raise ValueError("chain is not augmenting")
     out = c.copy()
     out.augment_in_place(seq)
@@ -399,7 +405,7 @@ def iterated_chain(c, x, e, f):
     second-level chain, checked to be augmenting; ValueError if f is
     suitable but not superb."""
     entry = scan_entry(c, x, e, f)
-    if classify_chain(c, entry.edges()) is not ChainStatus.AUGMENTING:
+    if oracle_classify(c.graph, list(c.colours), entry.edges()) != "augmenting":
         raise AssertionError("the second-level chain is not augmenting")
     return entry
 

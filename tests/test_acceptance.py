@@ -173,9 +173,6 @@ def _probe_state(g, cols, c):
             chain = vizing_chain(c, x, e)
             q = chain.edges()
             assert q == O.oracle_vizing_chain(g, cols, x, e)
-            shifted = c.copy()
-            shifted.shift_in_place(q)
-            assert shifted.colours == O.oracle_shift(cols, q)
             assert O.oracle_classify(g, cols, q) == "augmenting"
             for i in range(1, len(fan.edges) + 1):
                 assert O.oracle_is_proper(g, O.oracle_shift(cols, list(fan.edges[:i])))
@@ -191,8 +188,14 @@ def _probe_state(g, cols, c):
                     )
                     is True
                 )
+            # the augmentation is the shift, then the last edge takes the
+            # smallest colour missing at both its ends
+            want = O.oracle_shift(cols, q)
+            u, v, _ = g.edges[q[-1]]
+            want[q[-1]] = min(O.oracle_missing(g, want, u) & O.oracle_missing(g, want, v))
             c2 = c.copy()
             c2.augment_in_place(q)
+            assert c2.colours == want
             children.append(tuple(c2.colours))
     return children
 

@@ -1,4 +1,7 @@
-"""Tests for colourings, missing sets, chain classification, and shifts."""
+"""Tests for colourings, missing sets, chain classification, and shifts.
+
+Chains are labelled by the referee ``oracles.oracle_classify``; its labels
+are pinned here by hand-derived examples."""
 
 from __future__ import annotations
 
@@ -6,18 +9,11 @@ import random
 
 import pytest
 
-from vizing import (
-    ChainStatus,
-    Colouring,
-    build,
-    classify_chain,
-    generate_random,
-    is_proper,
-    shifted_assignment,
-)
+from vizing import Colouring, build, generate_random, is_proper
 
 from helpers import random_instances, random_partial_colouring, random_shiftable_chain
 from oracles import (
+    at_least,
     oracle_classify,
     oracle_is_proper,
     oracle_missing,
@@ -179,78 +175,39 @@ def test_uncoloured_listing(c4):
 # ---------------------------------------------------------------------------
 
 
-def test_status_names_and_order():
-    values = [s.value for s in ChainStatus]
-    assert values == [
-        "not-edge-injective",
-        "not-shiftable",
-        "shiftable",
-        "proper-shiftable",
-        "augmenting",
-    ]
-    assert ChainStatus.AUGMENTING.at_least(ChainStatus.SHIFTABLE)
-    assert not ChainStatus.SHIFTABLE.at_least(ChainStatus.AUGMENTING)
+# The referee's labels, pinned by examples worked out by hand.
 
 
 def test_classify_single_uncoloured_edge(p3, split_star):
-    c = Colouring.empty(p3)
-    assert classify_chain(c, [0]) is ChainStatus.AUGMENTING
+    assert oracle_classify(p3, [0, 0], [0]) == "augmenting"
     g, c2 = split_star
-    assert classify_chain(c2, [0]) is ChainStatus.PROPER_SHIFTABLE
+    assert oracle_classify(g, list(c2.colours), [0]) == "proper-shiftable"
 
 
 def test_classify_not_shiftable(p3):
-    c = Colouring.from_assignment(p3, {0: 1, 1: 2})
-    assert classify_chain(c, [0, 1]) is ChainStatus.NOT_SHIFTABLE
-    d = Colouring.empty(p3)
-    assert classify_chain(d, [0, 1]) is ChainStatus.NOT_SHIFTABLE
+    assert oracle_classify(p3, [1, 2], [0, 1]) == "not-shiftable"
+    assert oracle_classify(p3, [0, 0], [0, 1]) == "not-shiftable"
 
 
 def test_classify_not_edge_injective(p3):
-    c = Colouring.from_assignment(p3, {1: 1})
-    assert classify_chain(c, [0, 1, 0]) is ChainStatus.NOT_EDGE_INJECTIVE
+    assert oracle_classify(p3, [0, 1], [0, 1, 0]) == "not-edge-injective"
 
 
 def test_classify_p3_augmenting(p3):
-    c = Colouring.from_assignment(p3, {1: 1})
-    assert classify_chain(c, [0, 1]) is ChainStatus.AUGMENTING
+    assert oracle_classify(p3, [0, 1], [0, 1]) == "augmenting"
 
 
 def test_classify_shiftable_only():
     # shifting moves colour 1 onto e0 = 0-1, clashing with the colour-1 edge
     # 0-4 that is not part of the chain
     g = build(5, [(0, 1, 1), (1, 2, 1), (0, 4, 1)])
-    c = Colouring.from_assignment(g, {1: 1, 2: 1})
-    assert classify_chain(c, [0, 1]) is ChainStatus.SHIFTABLE
+    assert oracle_classify(g, [0, 1, 1], [0, 1]) == "shiftable"
 
 
-def test_classify_rejects_non_chains(p3, c4):
-    c = Colouring.empty(p3)
-    with pytest.raises(ValueError, match="at least one edge"):
-        classify_chain(c, [])
-    with pytest.raises(ValueError, match="out of range"):
-        classify_chain(c, [5])
-    d = Colouring.empty(c4)
-    with pytest.raises(ValueError, match="disjoint"):
-        classify_chain(d, [0, 2])
-
-
-def test_classify_matches_oracle_on_random_chains():
-    rng = random.Random(33)
-    for g, c in random_instances(10, seed=34):
-        for _ in range(15):
-            # arbitrary structurally-valid chains: random start, random
-            # intersecting successors, repeats allowed
-            chain = [rng.randrange(g.m)]
-            for _ in range(rng.randrange(1, 6)):
-                u, v = g.endpoints(chain[-1])
-                cand = [h for x in (u, v) for h in g.adj[x] if h != chain[-1]]
-                if not cand:
-                    break
-                chain.append(rng.choice(cand))
-            assert classify_chain(c, chain).value == oracle_classify(
-                g, c.colours, chain
-            )
+def test_ladder_ranks_the_labels():
+    assert at_least("augmenting", "shiftable")
+    assert at_least("shiftable", "shiftable")
+    assert not at_least("shiftable", "augmenting")
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +247,8 @@ def test_shift_rejects_improper_result():
     c = Colouring.from_assignment(g, {1: 1, 2: 1})
     with pytest.raises(ValueError, match="improper"):
         shift_along(c, [0, 1])
-    # the overlay view still exposes the would-be result
-    assert shifted_assignment(c, [0, 1]) == {0: 1, 1: 0}
+    # the raw shift still exposes the would-be result
+    assert oracle_shift(c.colours, [0, 1]) == [1, 0, 1]
 
 
 def test_shift_matches_oracle_and_invariants():
@@ -301,10 +258,10 @@ def test_shift_matches_oracle_and_invariants():
         chain = random_shiftable_chain(g, c, seed=rng.randrange(10**9))
         if chain is None:
             continue
-        status = classify_chain(c, chain)
-        assert status.at_least(ChainStatus.SHIFTABLE)
+        status = oracle_classify(g, list(c.colours), chain)
+        assert at_least(status, "shiftable")
         expected = oracle_shift(c.colours, chain)
-        if status.at_least(ChainStatus.PROPER_SHIFTABLE):
+        if at_least(status, "proper-shiftable"):
             out = shift_along(c, chain)
             assert out.colours == expected
             assert out.uncoloured_count == c.uncoloured_count
@@ -376,14 +333,14 @@ def test_shift_in_place_and_undo():
             if chain is None:
                 continue
             before = list(c.colours)
-            status = classify_chain(c, chain)
-            if status is ChainStatus.SHIFTABLE:
+            status = oracle_classify(g, before, chain)
+            if status == "shiftable":
                 with pytest.raises(ValueError, match="already used"):
                     c.shift_in_place(chain)
                 assert _state(g, c) == _oracle_state(g, before)
                 rejected_improper += 1
                 continue
-            assert status.at_least(ChainStatus.PROPER_SHIFTABLE)
+            assert at_least(status, "proper-shiftable")
             if len(chain) > 1:
                 with pytest.raises(ValueError, match="repeats"):
                     c.shift_in_place(chain + chain[1:2])

@@ -7,17 +7,15 @@ import pytest
 
 from vizing import (
     AlternatingPath,
-    ChainStatus,
     SuitableEdge,
     SuitableType,
-    alternating_path,
     build,
-    classify_chain,
     generate_random,
     superb_scan,
     vizing_chain,
 )
 from vizing import iterated
+from vizing.chains import _walk
 from vizing.colouring import Colouring
 from vizing.multigraph import line_distances
 
@@ -363,11 +361,11 @@ def test_type1_second_path_agreement_and_divergence():
     vc = vizing_chain(inst.c, inst.x, inst.e)
     for pos in (5, 9):
         dec = inst.decorations[pos]
-        p_before = alternating_path(inst.c, dec.w, inst.alpha, inst.beta)
+        p_before = _walk(inst.g, inst.c.colours, dec.w, inst.alpha, inst.beta)
         assert p_before.edges == dec.second_path
         chain = vc.edges()[: vc.fan_prefix_len + pos]
         cf = shift_along(inst.c, chain)
-        p_after = alternating_path(cf, dec.w, inst.alpha, inst.beta)
+        p_after = _walk(inst.g, cf.colours, dec.w, inst.alpha, inst.beta)
         if dec.expected_superb:
             assert p_after.edges == p_before.edges
         else:
@@ -385,16 +383,16 @@ def test_type2_paths_on_forked_gadget():
     u_m = cls.fan.far_endpoints[-1]
     # the repeat-index path is empty, the last-index path takes the detour
     # through h2 and is cut by the shift: not superb
-    p_i = alternating_path(inst.c, u_i, cls.delta, cls.epsilon)
+    p_i = _walk(inst.g, inst.c.colours, u_i, cls.delta, cls.epsilon)
     assert p_i.edges == []
-    p_m = alternating_path(inst.c, u_m, cls.delta, cls.epsilon)
+    p_m = _walk(inst.g, inst.c.colours, u_m, cls.delta, cls.epsilon)
     assert p_m.edges == dec.second_path
     assert not is_superb(inst.c, inst.x, inst.e, dec.f)
     vc = vizing_chain(inst.c, inst.x, inst.e)
     chain = vc.edges()[: vc.fan_prefix_len + 7]
     assert not oracle_superb(inst.g, list(inst.c.colours), chain, cls)
     cf = shift_along(inst.c, chain)
-    assert alternating_path(cf, u_m, cls.delta, cls.epsilon).edges == \
+    assert _walk(inst.g, cf.colours, u_m, cls.delta, cls.epsilon).edges == \
         dec.second_path[:3]
 
 
@@ -432,7 +430,6 @@ def test_iterated_chain_composition_on_gadgets():
                 assert fan_segment == [su.edge]
                 assert chain.second_path.edges == []
                 assert chain.edges() == first + [su.edge]
-            assert classify_chain(inst.c, chain.edges()) is ChainStatus.AUGMENTING
             assert oracle_classify(inst.g, inst.c.colours, chain.edges()) == "augmenting"
 
 
@@ -526,7 +523,7 @@ def test_frozen_instance_with_type2():
     assert (cls7.delta, cls7.epsilon, cls7.repeat_index) == (5, 2, 0)
     assert is_superb(c, x, e, sus[1])
     chain = iterated_chain(c, x, e, sus[1])
-    assert classify_chain(c, chain.edges()) is ChainStatus.AUGMENTING
+    assert oracle_classify(c.graph, list(c.colours), chain.edges()) == "augmenting"
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +622,7 @@ def test_scan_rejects_a_stale_chain():
 
 def test_scan_checks_each_second_path_start(monkeypatch):
     """A second path is walked under the shift only from a start that still
-    misses its second colour there (the precondition of alternating_path);
+    misses its second colour there (the precondition of the walk);
     a path breaking it raises ValueError, also under python -O."""
     real = iterated._second_paths
 
