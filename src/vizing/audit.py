@@ -33,8 +33,11 @@ fraction bound of at least 1, a count bound of at most 0) verdict as
 "vacuous-pass", distinct from substantive passes, so batch runs can insist
 on a minimum number of substantive checks.  Each public call derives each
 probe's chain (one uncoloured edge and one endpoint) once, from the
-colouring itself, and passes it down to every check that needs it; nothing
-is cached across calls.
+colouring itself, passes it down to every check that needs it, and runs at
+most one superb scan on it: audit_report's superb counts for the requested
+probes come from the same scan that builds the second-order audit graph,
+whose partner union costs time linear in the scanned tail.  Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 from .chains import AlternatingPath, VizingChain, vizing_chain
 from .colouring import Colouring
-from .iterated import superb_scan
+from .iterated import ScanEntry, superb_scan
 
 __all__ = [
     "AuditGraph",
@@ -138,20 +141,36 @@ def _endpoint_chains(c: Colouring, e: int) -> tuple[VizingChain, VizingChain]:
 
 
 def _partners(
-    c: Colouring, kind: str, chains: tuple[VizingChain, ...], L_cap: int | None
+    c: Colouring,
+    kind: str,
+    chains: tuple[VizingChain, ...],
+    L_cap: int | None,
+    tallies: tuple[_SuperbTally | None, ...] = (None, None),
 ) -> frozenset[int]:
     """The audit-graph partners of one uncoloured edge, from its endpoint
     chains: the coloured edges of those chains ("simple"), or of the
     second-order chains through superb path edges at positions up to L_cap
-    ("iterated"; an augmenting fan has no path and contributes nothing)."""
+    ("iterated"; an augmenting fan has no path and contributes nothing).
+
+    A superb entry's chain is a first-level prefix, whose cut grows in scan
+    order, then its own second level; so the union takes the last superb
+    chain whole and only the second level of the others, which is linear in
+    the tail rather than quadratic.  A tally beside a chain is fed every
+    entry of that chain's scan."""
     partners: set[int] = set()
-    for chain in chains:
+    for chain, tally in zip(chains, tallies):
         if kind == SIMPLE:
             partners.update(chain.edges())
         elif chain.tail is not None:
+            last = None
             for entry in superb_scan(c, chain, limit=L_cap):
+                if tally is not None:
+                    tally.add(entry)
                 if entry.superb:
-                    partners.update(entry.edges())
+                    partners.update(entry._second_level())
+                    last = entry
+            if last is not None:
+                partners.update(last.edges())
     partners.discard(chains[0].fan.edges[0])
     return frozenset(partners)
 
@@ -340,6 +359,57 @@ def _path_colour_set(path: AlternatingPath | None) -> frozenset[int]:
     return frozenset((path.alpha, path.beta))
 
 
+class _SuperbTally:
+    """The superb edges of one scan, bucketed by the colours their second
+    paths use and fed one entry at a time, so no entry is kept."""
+
+    __slots__ = ("empty", "by_single", "by_pair")
+
+    def __init__(self) -> None:
+        self.empty = 0
+        self.by_single: Counter[int] = Counter()
+        self.by_pair: Counter[frozenset[int]] = Counter()
+
+    def add(self, entry: ScanEntry) -> None:
+        if not entry.superb:
+            return
+        cols = _path_colour_set(entry.second_path)
+        if len(cols) == 0:
+            self.empty += 1
+        elif len(cols) == 1:
+            self.by_single[next(iter(cols))] += 1
+        else:
+            self.by_pair[cols] += 1
+
+    def best(self, c: Colouring, L: int) -> SuperbCount:
+        """The best colour-pair bucket (ties to the smallest pair) against
+        the count bound at scale L."""
+        palette = c.graph.palette
+        best: tuple[int, int, int] | None = None
+        for gamma in range(1, palette + 1):
+            for theta in range(gamma + 1, palette + 1):
+                count = (
+                    self.empty
+                    + self.by_single[gamma]
+                    + self.by_single[theta]
+                    + self.by_pair[frozenset((gamma, theta))]
+                )
+                if best is None or count > best[2]:
+                    best = (gamma, theta, count)
+        if best is None:
+            raise AssertionError("palette has fewer than two colours")
+        bound = superb_count_bound(c.graph.delta, c.graph.pi, L)
+        if bound <= 0:
+            verdict = VERDICT_VACUOUS
+        elif best[2] >= bound:
+            verdict = VERDICT_PASS
+        else:
+            verdict = VERDICT_FAIL
+        return SuperbCount(
+            gamma=best[0], theta=best[1], count=best[2], bound=bound, verdict=verdict
+        )
+
+
 def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
     """Bucket the superb edges among the first L path positions by the
     colour pair of their second paths and return the best bucket.
@@ -362,43 +432,10 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
         raise ValueError(
             f"alternating path has {path_len} edges but the count needs at least L={L}"
         )
-    empty_count = 0
-    by_single: Counter[int] = Counter()
-    by_pair: Counter[frozenset[int]] = Counter()
+    tally = _SuperbTally()
     for entry in superb_scan(c, chain, limit=L):
-        if not entry.superb:
-            continue
-        cols = _path_colour_set(entry.second_path)
-        if len(cols) == 0:
-            empty_count += 1
-        elif len(cols) == 1:
-            by_single[next(iter(cols))] += 1
-        else:
-            by_pair[cols] += 1
-    palette = c.graph.palette
-    best: tuple[int, int, int] | None = None
-    for gamma in range(1, palette + 1):
-        for theta in range(gamma + 1, palette + 1):
-            count = (
-                empty_count
-                + by_single[gamma]
-                + by_single[theta]
-                + by_pair[frozenset((gamma, theta))]
-            )
-            if best is None or count > best[2]:
-                best = (gamma, theta, count)
-    if best is None:
-        raise AssertionError("palette has fewer than two colours")
-    bound = superb_count_bound(c.graph.delta, c.graph.pi, L)
-    if bound <= 0:
-        verdict = VERDICT_VACUOUS
-    elif best[2] >= bound:
-        verdict = VERDICT_PASS
-    else:
-        verdict = VERDICT_FAIL
-    return SuperbCount(
-        gamma=best[0], theta=best[1], count=best[2], bound=bound, verdict=verdict
-    )
+        tally.add(entry)
+    return tally.best(c, L)
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +499,37 @@ def audit_report(
     capped at L), their extreme degrees, the exact uncoloured fraction,
     superb counts for the requested (e, x) probes, and the minimum chain
     mass over all uncoloured edges and endpoints (None when the colouring
-    is full).  Each uncoloured edge's two chains serve both audit graphs and
-    the chain mass."""
+    is full).
+
+    Each (uncoloured edge, endpoint) probe's chain is built once and
+    scanned once: the chain serves both audit graphs and the chain mass,
+    and its scan serves the iterated graph and, when the probe is requested
+    and its tail has at least L edges, the probe's superb count.  Any other
+    requested probe goes through :func:`superb_count_check`, which raises
+    its errors in probe order."""
+    wanted = set(superb_probes)
+    tallies: dict[tuple[int, int], _SuperbTally] = {}
     simple: dict[int, frozenset[int]] = {}
     iterated: dict[int, frozenset[int]] = {}
     min_mass: Fraction | None = None
     for e in c.uncoloured():
         chains = _endpoint_chains(c, e)
+        fed = []
+        for chain in chains:
+            probe = (e, chain.fan.centre)
+            if probe in wanted and chain.tail is not None and len(chain.tail.edges) >= L:
+                tallies[probe] = _SuperbTally()
+            fed.append(tallies.get(probe))
         simple[e] = _partners(c, SIMPLE, chains, None)
-        iterated[e] = _partners(c, ITERATED, chains, L)
+        iterated[e] = _partners(c, ITERATED, chains, L, tuple(fed))
         for chain in chains:
             mass = Fraction(len(chain.edges()) - 1)
             if min_mass is None or mass < min_mass:
                 min_mass = mass
     rows = []
     for e, x in superb_probes:
-        sc = superb_count_check(c, e, x, L)
+        tally = tallies.get((e, x))
+        sc = superb_count_check(c, e, x, L) if tally is None else tally.best(c, L)
         rows.append((e, x, sc.gamma, sc.theta, sc.count, sc.bound, sc.verdict))
     g = c.graph
     simple_graph = _audit_graph(SIMPLE, simple)

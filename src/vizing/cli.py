@@ -190,7 +190,8 @@ def _load_colouring(args) -> Colouring:
     """Parse a combined dump: the mg block, then one colour line per edge.
 
     The text is checked and split once; colour-line errors carry whole-file
-    line numbers.
+    line numbers.  As in :meth:`Colouring.from_dump`, a trailing blank line
+    is one line too many.
     """
     text = _read_text(args)
     _check_characters(text, header=True)  # before splitlines() eats a \x0c
@@ -200,10 +201,7 @@ def _load_colouring(args) -> Colouring:
     except (IndexError, ValueError):
         m = 0  # the graph parser reports the malformed header
     g = _parse_mg_lines(lines[: m + 1])
-    block = lines[m + 1 :]
-    if block and not block[-1]:  # a dump may end in one blank line
-        block.pop()
-    return Colouring(g, _parse_dump_lines(g, block, m + 1))
+    return Colouring(g, _parse_dump_lines(g, lines[m + 1 :], m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def _report_tsv(report) -> str:
                     str(gamma),
                     str(theta),
                     str(count),
-                    bound,
+                    _frac_str(bound),
                     verdict,
                 ]
             )

@@ -156,6 +156,14 @@ class ScanEntry:
         cut just before the suitable edge, the conditional fan (through the
         second critical index for TypeII), then the second path.  ValueError
         when the edge is not superb."""
+        return self._first_level[: self._cut] + self._second_level()
+
+    def _second_level(self) -> list[int]:
+        """The chain's own part after the first-level cut: the conditional
+        fan (through the second critical index for TypeII), then the second
+        path.  The cuts grow in scan order, so the union of a scan's chains
+        is the last superb cut's prefix plus every superb entry's own part.
+        ValueError when the edge is not superb."""
         if not self.superb:
             raise ValueError(
                 f"edge {self.suitable.edge} is suitable but not superb; its chain is undefined"
@@ -166,8 +174,7 @@ class ScanEntry:
             if self.second_path is None:  # unreachable for a superb edge
                 raise AssertionError("both candidate second paths end at the centre")
             fan = fan[: self.second_critical_index + 1]
-        second = [] if self.second_path is None else self.second_path.edges
-        return self._first_level[: self._cut] + fan + second
+        return fan if self.second_path is None else fan + self.second_path.edges
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from vizing import (
     uncoloured_fraction_bounds,
     vizing_chain,
 )
-from vizing import chains
+from vizing import audit, chains
+from vizing.iterated import superb_scan
 from vizing.audit import (
     VERDICT_FAIL,
     VERDICT_NOT_APPLICABLE,
@@ -129,6 +130,33 @@ class TestBuildAuditGraph:
                 assert partners == seen
                 for f in partners:
                     assert c.colour_of(f) != 0
+
+    @pytest.mark.parametrize("L_cap", [4, 12, 16, None])
+    def test_iterated_union_matches_every_superb_chain(self, L_cap):
+        # the union read off the last superb chain plus each entry's second
+        # level equals the union of every superb entry's whole chain
+        instances = audit_instances() + [(inst.g, inst.c) for inst in (
+            long_path_instance(12),
+            long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE}),
+            long_path_instance(
+                24, {5: TYPE2, 7: TYPE1, 11: TYPE2, 13: BARE, 17: TYPE1}, delta=4
+            ),
+            locked_instance(16),
+        )]
+        for g, c in instances:
+            ag = build_audit_graph(c, "iterated", L_cap)
+            for e in c.uncoloured():
+                want = set()
+                u, v, _ = g.edges[e]
+                for x in (u, v):
+                    chain = vizing_chain(c, x, e)
+                    if chain.tail is None:
+                        continue
+                    for entry in superb_scan(c, chain, limit=L_cap):
+                        if entry.superb:
+                            want.update(entry.edges())
+                want.discard(e)
+                assert ag.adjacency[e] == frozenset(want)
 
     def test_handshake_identity_both_kinds(self):
         for g, c in audit_instances():
@@ -451,6 +479,56 @@ class TestOneChainPerProbe:
         inst = locked_instance(16)
         assert call(inst) == result
         assert len(fans) == probes
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        original = audit.superb_scan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(audit, "superb_scan", counted)
+        return calls
+
+    def test_probe_count_rides_on_the_report_scan(self, fans, scans):
+        inst = locked_instance(16)
+        rep = audit_report(inst.c, 16, superb_probes=((inst.e, inst.x),))
+        assert len(rep.superb_count_checks) == 1
+        assert (len(fans), len(scans)) == (2, 2)
+
+    def test_probe_rows_equal_superb_count_check(self):
+        inst = locked_instance(16)
+        probes = ((inst.e, inst.x), (inst.e, inst.a), (inst.e, inst.x))
+        rep = audit_report(inst.c, 16, superb_probes=probes)
+        assert rep.superb_count_checks == [
+            (e, x, *superb_count_check(inst.c, e, x, 16)) for e, x in probes
+        ]
+
+    @pytest.mark.parametrize("case", ["coloured", "not-endpoint", "augmenting", "short"])
+    def test_probe_errors_equal_superb_count_check(self, p3, case):
+        inst = locked_instance(16)
+        c, e, x, L = inst.c, inst.e, inst.x, 16
+        if case == "coloured":
+            e = inst.x_tail[0]
+            x = inst.g.edges[e][0]
+        elif case == "not-endpoint":
+            x = inst.g.edges[inst.x_tail[1]][1]
+        elif case == "augmenting":
+            c, e, x, L = Colouring.from_assignment(p3, {1: 1}), 0, 0, 1
+        else:
+            L = len(vizing_chain(c, x, e).tail.edges) + 1
+        with pytest.raises(ValueError) as want:
+            superb_count_check(c, e, x, L)
+        # where L allows one, a good probe first: the bad one still raises
+        if case in ("coloured", "not-endpoint"):
+            probes = ((inst.e, inst.a), (e, x))
+        else:
+            probes = ((e, x),)
+        with pytest.raises(ValueError) as got:
+            audit_report(c, L, superb_probes=probes)
+        assert str(got.value) == str(want.value)
 
 
 class TestAuditReport:

@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import vizing
-from vizing import Colouring, Multigraph
-from vizing.cli import main
+from vizing import Colouring, Multigraph, audit_report
+from vizing.cli import _report_tsv, main
 from vizing.multigraph import MAX_VERTICES
+
+from gadgets import long_path_instance
 
 P3_MG = "mg 3 2 2 1\n0 1 1\n1 2 1\n"
 P3_PARTIAL = P3_MG + "0 0\n1 1\n"
@@ -191,6 +193,24 @@ class TestAudit:
             "uncoloured_fraction\t1/2\n"
             "weighted_min_mass\t0/1\n"
         )
+
+    def test_tsv_probe_row(self):
+        # the command line requests no probes; the library report's rows
+        # format their bound as the JSON does
+        inst = long_path_instance(12)
+        rep = audit_report(inst.c, 12, superb_probes=((inst.e, inst.x),))
+        row = _report_tsv(rep).splitlines()[-1]
+        assert row == f"superb_count_check\t{inst.e}\t{inst.x}\t1\t2\t4\t-1415/24\tvacuous-pass"
+
+    @pytest.mark.parametrize(
+        "blank, line, found", [("\n", 10, 5), ("\n\n", 11, 6)], ids=["one", "two"]
+    )
+    def test_trailing_blank_lines_rejected(self, cli, blank, line, found):
+        # a blank line after the colour block is one line too many, as in
+        # Colouring.from_dump
+        code, out, err = cli(["audit", "--L", "5"], stdin=C4_DUMP + blank)
+        assert code == 1 and out == ""
+        assert f"line {line}: expected one line per edge (4), found {found}" in err
 
     def test_full_colouring_report(self, cli):
         code, out, _ = cli(["audit", "--L", "5"], stdin=P3_COLOURED)
