@@ -310,12 +310,16 @@ def uncoloured_fraction_bounds(c: Colouring, L: int, mode: str) -> FractionBound
     On real colourings satisfying the preconditions the "fail" verdict
     should be unreachable; it exists so a violation is loud, not silent.
     """
+    return _fraction_bound(c, L, mode, check_unimprovable(c, L, mode=mode))
+
+
+def _fraction_bound(c: Colouring, L: int, mode: str, unimprovable: bool) -> FractionBound:
+    """The body of :func:`uncoloured_fraction_bounds`, given the mode's
+    check_unimprovable verdict."""
     g = c.graph
     bound = fraction_bound_value(mode, g.delta, g.pi, L)
     fraction = Fraction(0) if g.m == 0 else Fraction(c.uncoloured_count, g.m)
-    applicable = check_unimprovable(c, L, mode=mode)
-    if mode == ITERATED and not 10 * (g.delta + g.pi) ** 6 < L:
-        applicable = False
+    applicable = unimprovable and (mode != ITERATED or 10 * (g.delta + g.pi) ** 6 < L)
     return FractionBound(
         fraction=fraction, bound=bound, verdict=_fraction_verdict(fraction, bound, applicable)
     )
@@ -507,7 +511,17 @@ def audit_report(
     and its tail has at least L edges, the probe's superb count.  Any other
     requested probe goes through :func:`superb_count_check`, which raises
     its errors in probe order."""
+    return _audit_report(c, L, superb_probes)[0]
+
+
+def _audit_report(
+    c: Colouring, L: int, superb_probes: tuple[tuple[int, int], ...] = ()
+) -> tuple[AuditReport, bool]:
+    """The body of :func:`audit_report`, with the verdict of
+    ``check_unimprovable(c, L, "simple")`` read off the same chains: every
+    one of them has a tail of at least L edges."""
     wanted = set(superb_probes)
+    unimprovable = True
     tallies: dict[tuple[int, int], _SuperbTally] = {}
     simple: dict[int, frozenset[int]] = {}
     iterated: dict[int, frozenset[int]] = {}
@@ -523,6 +537,8 @@ def audit_report(
         simple[e] = _partners(c, SIMPLE, chains, None)
         iterated[e] = _partners(c, ITERATED, chains, L, tuple(fed))
         for chain in chains:
+            if chain.tail is None or len(chain.tail.edges) < L:
+                unimprovable = False
             mass = Fraction(len(chain.edges()) - 1)
             if min_mass is None or mass < min_mass:
                 min_mass = mass
@@ -541,4 +557,4 @@ def audit_report(
         uncoloured_fraction=fraction,
         superb_count_checks=rows,
         weighted_min_mass=min_mass,
-    )
+    ), unimprovable

@@ -32,10 +32,9 @@ from typing import TextIO
 
 from .audit import (
     VERDICT_FAIL,
-    VERDICT_NOT_APPLICABLE,
+    _audit_report,
     _frac_str,
-    audit_report,
-    check_unimprovable,
+    _fraction_bound,
     uncoloured_fraction_bounds,
 )
 from .colouring import Colouring, _parse_dump_lines, is_proper
@@ -257,11 +256,14 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _audit_offenders(c: Colouring, L: int, mode: str, report) -> list[str]:
+def _audit_offenders(
+    c: Colouring, L: int, mode: str, report, unimprovable: bool
+) -> list[str]:
     """Asserted checks behind the audit exit code.  The degree caps always
     apply; the minimum-degree floor applies once no chain shorter than L
-    exists; a fraction-bound verdict of fail is always substantive.  The
-    witness edges come with the report.
+    exists, which `unimprovable` says (the report's simple-mode verdict);
+    a fraction-bound verdict of fail is always substantive.  The witness
+    edges come with the report.
     """
     out: list[str] = []
     for caps, chains in ((report.simple_caps, "chains"),
@@ -271,20 +273,16 @@ def _audit_offenders(c: Colouring, L: int, mode: str, report) -> list[str]:
                 f"coloured edge {caps.worst_edge} lies on {caps.max_degree} "
                 f"{chains}; the cap is {caps.bound}"
             )
-    fb = uncoloured_fraction_bounds(c, L, mode=mode)
+    if mode == "simple":
+        fb = _fraction_bound(c, L, mode, unimprovable)
+    else:
+        fb = uncoloured_fraction_bounds(c, L, mode=mode)
     e, d = report.min_uncoloured
-    if c.uncoloured_count and d < L:
-        # the simple fraction bound applies exactly when check_unimprovable
-        # holds in simple mode, so in that mode its verdict already says so
-        if mode == "simple":
-            settled = fb.verdict != VERDICT_NOT_APPLICABLE
-        else:
-            settled = check_unimprovable(c, L, mode="simple")
-        if settled:
-            out.append(
-                f"uncoloured edge {e} has chain degree {d} < L={L} "
-                "although no chain shorter than L exists"
-            )
+    if c.uncoloured_count and d < L and unimprovable:
+        out.append(
+            f"uncoloured edge {e} has chain degree {d} < L={L} "
+            "although no chain shorter than L exists"
+        )
     return out + _fraction_offenders(fb, mode, L)
 
 
@@ -327,8 +325,8 @@ def _report_tsv(report) -> str:
 
 def cmd_audit(args) -> int:
     c = _load_colouring(args)
-    report = audit_report(c, args.L)
-    offenders = _audit_offenders(c, args.L, args.mode, report)
+    report, unimprovable = _audit_report(c, args.L)
+    offenders = _audit_offenders(c, args.L, args.mode, report, unimprovable)
     if args.format == "tsv":
         _emit(args, _report_tsv(report))
     else:

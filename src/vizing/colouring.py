@@ -26,7 +26,9 @@ implements this ladder and referees every chain the library builds.
 array plus one used-colour bitmask per vertex, so missing-set probes are
 O(1) in the palette size).  Shifts happen in place:
 :meth:`Colouring.augment_in_place`, which the colourers call, is one pass:
-the shift and the colouring of the chain's last edge, undone on failure.
+the shift and the colouring of the chain's last edge, undone on failure.  A
+lone uncoloured edge is a chain whose shift is the identity, so it takes the
+smallest colour missing at both ends directly, with no shift logs.
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
 an undo log for :meth:`Colouring.apply_undo`; no library path calls it (the
 superb scan shifts a colours-only overlay instead).
@@ -228,28 +230,33 @@ class Colouring:
         """Shift along an augmenting chain and colour its last edge with the
         smallest colour then missing at both endpoints, in one pass.
 
+        A lone uncoloured edge shifts to itself, so it is coloured directly,
+        without the shift logs, and 1 is returned.
+
         Returns the number of edges whose colour changed.  Raises ValueError
         on every chain :meth:`shift_in_place` rejects, and when the shifted
         last edge's endpoints share no missing colour; the colouring is
         then left unchanged.
         """
-        old, new = self._shift_logs(chain)
-        self._recolour(old, new)
         last = chain[-1]
+        colours, used = self._colours, self._used
+        lone = len(chain) == 1 and not colours[last]
+        if not lone:
+            old, new = self._shift_logs(chain)
+            self._recolour(old, new)
         u, v, _ = self.graph.edges[last]
-        used = self._used
         common = self._full & ~(used[u] | used[v])
         if not common:
-            self._recolour(new, old)  # cannot fail: old was proper
+            if not lone:
+                self._recolour(new, old)  # cannot fail: old was proper
             raise ValueError("chain is not augmenting: no common missing colour")
         # the colour is missing at both endpoints, so assign's checks hold
         bit = common & -common
-        colours = self._colours
         colours[last] = bit.bit_length()
         used[u] |= bit
         used[v] |= bit
         self._uncoloured -= 1
-        return sum([colours[e] != col for e, col in old])
+        return 1 if lone else sum([colours[e] != col for e, col in old])
 
     def _shift_logs(self, chain: Sequence[int]):
         """The (edge, colour) pairs of ``chain`` before and after a shift,

@@ -13,7 +13,9 @@ Three ways to put the chain machinery to work:
     the first L path positions whose second path is also short.  It stops
     once a round finds no such chain, leaving a colouring that cannot be
     improved at scale L -- the state the audit module's fraction bounds
-    apply to;
+    apply to.  A chain that is the edge alone is applied as
+    colour_sequential applies it: augment_in_place colours it without
+    shift logs, and the round takes its two ends without a vertex set;
 
   * orient turns a full colouring of a multiplicity-1 graph into an edge
     orientation with out-degree at most ceil((delta+2)/2), by pairing
@@ -133,7 +135,8 @@ def _batch(c: Colouring, pending: list[int], L: int) -> list[list[int]]:
     """A maximal set of vertex-disjoint short chains for the uncoloured
     edges in `pending`, taken greedily in that order against the current
     colouring.  An edge with an endpoint on an accepted chain is skipped
-    without computing its chain, since any chain of its would touch it."""
+    without computing its chain, since any chain of its would touch it; so
+    a chain that is the edge alone is accepted without a further test."""
     edges = c.graph.edges
     covered: set[int] = set()
     size = 0
@@ -149,9 +152,9 @@ def _batch(c: Colouring, pending: list[int], L: int) -> list[list[int]]:
             raise AssertionError(
                 f"chain of {len(q)} edges exceeds the 3L budget ({3 * L})"
             )
-        verts = {w for f in q for w in edges[f][:2]}
-        if covered.isdisjoint(verts):
-            covered |= verts
+        verts = (u, v) if len(q) == 1 else {w for f in q for w in edges[f][:2]}
+        if len(q) == 1 or covered.isdisjoint(verts):
+            covered.update(verts)
             size += len(verts)
             batch.append(q)
     if size != len(covered):
@@ -250,23 +253,22 @@ class Orientation:
 def _orient_walk(
     g: Multigraph,
     incident: dict[int, list[int]],
-    visited: set[int],
-    start: int,
+    x: int,
+    f: int,
     direction: dict[int, tuple[int, int]],
 ) -> None:
-    """Walk a path/cycle component from `start`, orienting every edge along
-    the walk; the smallest-id unvisited edge fixes a cycle's direction."""
-    cur = start
-    while True:
-        pending = [f for f in incident[cur] if f not in visited]
-        if not pending:
-            return
-        f = min(pending)
-        visited.add(f)
-        u, v, _ = g.edges[f]
-        other = v if cur == u else u
-        direction[f] = (cur, other)
-        cur = other
+    """Orient the path or cycle component from x along its edge f, until the
+    walk reaches a path end or closes the cycle; an edge already in
+    `direction` stops it at once.  A vertex has at most two incident edges
+    here, so the next edge is the one that is not f."""
+    edges = g.edges
+    while f not in direction:
+        u, v, _ = edges[f]
+        y = v if x == u else u
+        direction[f] = (x, y)
+        ends = incident[y]
+        f = ends[-1] if ends[0] == f else ends[0]
+        x = y
 
 
 def orient(c: Colouring) -> Orientation:
@@ -312,11 +314,10 @@ def orient(c: Colouring) -> Orientation:
             incident.setdefault(v, []).append(e)
         if any(len(lst) > 2 for lst in incident.values()):
             raise AssertionError("a colour-pair union must split into paths and cycles")
-        visited: set[int] = set()
+        # paths from their smaller-numbered end, then each leftover cycle
+        # from its smallest vertex along that vertex's smaller edge
         for start in sorted(w for w, lst in incident.items() if len(lst) == 1):
-            if incident[start][0] not in visited:
-                _orient_walk(g, incident, visited, start, direction)
+            _orient_walk(g, incident, start, incident[start][0], direction)
         for start in sorted(incident):
-            if any(f not in visited for f in incident[start]):
-                _orient_walk(g, incident, visited, start, direction)
+            _orient_walk(g, incident, start, incident[start][0], direction)
     return Orientation(direction=direction)

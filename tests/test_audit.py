@@ -22,6 +22,7 @@ from vizing import (
     vizing_chain,
 )
 from vizing import audit, chains
+from vizing.cli import main as cli_main
 from vizing.iterated import superb_scan
 from vizing.audit import (
     VERDICT_FAIL,
@@ -529,6 +530,40 @@ class TestOneChainPerProbe:
         with pytest.raises(ValueError) as got:
             audit_report(c, L, superb_probes=probes)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "mode, fans_and_scans", [("simple", (10, 10)), ("iterated", (11, 11))]
+    )
+    def test_cli_audit_builds_each_probe_once(self, tmp_path, capsys, fans, scans,
+                                              mode, fans_and_scans):
+        # five locked gadgets side by side: 5 uncoloured edges, 10 probes,
+        # none improvable at the first level at L = 16.  The simple verdict
+        # rides on the report's chains; the iterated one adds one probe's
+        # chain, at which the second-order check stops.
+        triples, colours, n = [], [], 0
+        for T in (16, 17, 18, 19, 20):
+            inst = locked_instance(T)
+            triples += [(u + n, v + n, k) for u, v, k in inst.g.edges]
+            colours += inst.c.colours
+            n += inst.g.n
+        c = Colouring.from_assignment(build(n, triples), colours)
+        dump = tmp_path / "stuck.dump"
+        dump.write_text(c.graph.to_text() + c.to_text())
+        assert cli_main(["audit", "--L", "16", "--mode", mode, "--input", str(dump)]) == 0
+        assert json.loads(capsys.readouterr().out)["min_uncoloured_deg"] >= 16
+        assert (len(fans), len(scans)) == fans_and_scans
+
+    def test_report_verdict_equals_check_unimprovable(self):
+        # the simple-mode verdict the audit command reads off the report's
+        # chains, around the locked tails' length of 16 edges
+        inst = locked_instance(16)
+        seen = set()
+        for g, c in audit_instances() + [(inst.g, inst.c)]:
+            for L in range(1, 19):
+                want = check_unimprovable(c, L, mode="simple")
+                assert audit._audit_report(c, L)[1] == want, L
+                seen.add(want)
+        assert seen == {True, False}
 
 
 class TestAuditReport:

@@ -412,6 +412,46 @@ def test_augment_in_place_is_atomic():
     assert min(counts.values()) >= 500, counts
 
 
+def test_lone_edge_augmentation_matches_the_oracle():
+    """Augmenting along every one-edge chain [e] of dense random partial
+    colourings.  An uncoloured e is coloured without the shift logs: it
+    takes the smallest colour missing at both ends, 1 is returned, and the
+    used masks equal a recompute; when the ends share no missing colour the
+    call raises and leaves colours, masks and count unchanged.  A coloured
+    e keeps the general path, whose shift frees its colour before the
+    smallest common colour is written."""
+    counts = dict.fromkeys(("uncoloured", "coloured", "no common colour"), 0)
+    for t in range(300):
+        g = generate_random(6, 4, 1 + t % 2, seed=t)
+        c = random_partial_colouring(g, t, fill=0.95)
+        before = list(c.colours)
+        for e in range(g.m):
+            u, v, _ = g.edges[e]
+            want = oracle_shift(before, [e])
+            common = oracle_missing(g, want, u) & oracle_missing(g, want, v)
+            d = c.copy()
+            if not common:
+                with pytest.raises(ValueError) as raised:
+                    d.augment_in_place([e])
+                assert str(raised.value) == "chain is not augmenting: no common missing colour"
+                assert _state(g, d) == _oracle_state(g, before)
+                counts["no common colour"] += 1
+                continue
+            want[e] = min(common)
+            changed = d.augment_in_place([e])
+            assert _state(g, d) == _oracle_state(g, want)
+            if before[e]:
+                assert changed == int(want[e] != before[e])
+                counts["coloured"] += 1
+            else:
+                assert changed == 1
+                counts["uncoloured"] += 1
+        assert c.colours == before
+    print(f"lone-edge sweep: {counts}")
+    assert counts["no common colour"] >= 1, counts
+    assert min(counts.values()) >= 100, counts
+
+
 # ---------------------------------------------------------------------------
 # dump format
 # ---------------------------------------------------------------------------

@@ -307,6 +307,31 @@ class TestRunScheduler:
         assert a == run_scheduler(g, 9, seed=3).assignment()
         assert a != run_scheduler(g, 9, seed=4).assignment()
 
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SCHEDULED))
+    def test_one_edge_chains_skip_the_shift(self, seed, monkeypatch):
+        # only chains of two or more edges are shifted through _recolour; a
+        # chain that is the edge alone is coloured directly
+        lengths = []
+        recolours = 0
+        augment, recolour = Colouring.augment_in_place, Colouring._recolour
+
+        def counted_augment(c, chain):
+            lengths.append(len(chain))
+            return augment(c, chain)
+
+        def counted_recolour(c, old, new):
+            nonlocal recolours
+            recolours += 1
+            return recolour(c, old, new)
+
+        monkeypatch.setattr(Colouring, "augment_in_place", counted_augment)
+        monkeypatch.setattr(Colouring, "_recolour", counted_recolour)
+        c = run_scheduler(generate_random(2000, 4, 1, seed=seed), 16, seed)
+        assert _digest(c) == GOLDEN_SCHEDULED[seed]
+        longer = sum(n >= 2 for n in lengths)
+        assert recolours == longer
+        assert len(lengths) - longer > longer > 0
+
     def test_empty_and_tiny(self):
         assert run_scheduler(build(0, []), 5, 0).assignment() == {}
         c = run_scheduler(build(2, [(0, 1, 1)]), 5, 0)
@@ -476,3 +501,56 @@ class TestOrientation:
         g = generate_random(80, 5, 1, seed=901)
         c = colour_sequential(g)
         assert orient(c).direction == orient(c).direction
+
+    def test_matches_the_smallest_pending_edge_walk(self):
+        cycles = 0
+        for seed in range(40):
+            g = generate_random(60, 3 + seed % 4, 1, seed=seed + 700)
+            for c in (colour_sequential(g), run_scheduler(g, 2 * g.delta + 1, seed)):
+                if c.uncoloured_count:
+                    continue
+                want, found = _reference_orientation(c)
+                assert orient(c).direction == want
+                cycles += found
+        assert cycles >= 40
+
+
+def _reference_orientation(c):
+    """orient's walk done the slow way, and the number of cycles it found:
+    each colour pair's union is walked from its sorted path ends, then from
+    every vertex in order, taking at each step the smallest unvisited edge
+    at the current vertex."""
+    g = c.graph
+    classes = {}
+    for e, col in enumerate(c.colours):
+        classes.setdefault(col, []).append(e)
+    used = sorted(classes)
+    direction, cycles = {}, 0
+    for i in range(0, len(used), 2):
+        members = sorted(e for col in used[i : i + 2] for e in classes[col])
+        incident = {}
+        for e in members:
+            for x in g.edges[e][:2]:
+                incident.setdefault(x, []).append(e)
+        visited = set()
+
+        def walk(cur):
+            while True:
+                pending = [f for f in incident[cur] if f not in visited]
+                if not pending:
+                    return
+                f = min(pending)
+                visited.add(f)
+                u, v, _ = g.edges[f]
+                direction[f] = (cur, v if cur == u else u)
+                cur = direction[f][1]
+
+        if i + 1 == len(used):
+            direction.update({e: g.edges[e][:2] for e in members})
+            continue
+        for start in sorted(x for x, lst in incident.items() if len(lst) == 1):
+            walk(start)
+        for start in sorted(incident):
+            cycles += any(f not in visited for f in incident[start])
+            walk(start)
+    return direction, cycles
