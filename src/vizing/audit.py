@@ -35,9 +35,9 @@ on a minimum number of substantive checks.  Each public call derives each
 probe's chain (one uncoloured edge and one endpoint) once, from the
 colouring itself, passes it down to every check that needs it, and runs at
 most one superb scan on it: audit_report's superb counts for the requested
-probes come from the same scan that builds the second-order audit graph,
-whose partner union costs time linear in the scanned tail.  Nothing is
-cached across calls.
+probes and both its fraction bounds ride on the chains and scans that build
+its audit graphs, whose second-order partner union costs time linear in the
+scanned tail.  A scale L < 1 is a ValueError.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -134,6 +134,11 @@ class AuditGraph:
         return best
 
 
+def _check_scale(L: int) -> None:
+    if L < 1:
+        raise ValueError(f"the scale L must be at least 1, got {L}")
+
+
 def _endpoint_chains(c: Colouring, e: int) -> tuple[VizingChain, VizingChain]:
     """The augmenting chains of the uncoloured edge e, one per endpoint."""
     u, v, _ = c.graph.edges[e]
@@ -146,11 +151,12 @@ def _partners(
     chains: tuple[VizingChain, ...],
     L_cap: int | None,
     tallies: tuple[_SuperbTally | None, ...] = (None, None),
-) -> frozenset[int]:
+) -> tuple[frozenset[int], int | None]:
     """The audit-graph partners of one uncoloured edge, from its endpoint
     chains: the coloured edges of those chains ("simple"), or of the
     second-order chains through superb path edges at positions up to L_cap
-    ("iterated"; an augmenting fan has no path and contributes nothing).
+    ("iterated"; an augmenting fan has no path and contributes nothing),
+    and the shortest second path of a scanned superb edge (None if none).
 
     A superb entry's chain is a first-level prefix, whose cut grows in scan
     order, then its own second level; so the union takes the last superb
@@ -158,6 +164,7 @@ def _partners(
     the tail rather than quadratic.  A tally beside a chain is fed every
     entry of that chain's scan."""
     partners: set[int] = set()
+    shortest = None
     for chain, tally in zip(chains, tallies):
         if kind == SIMPLE:
             partners.update(chain.edges())
@@ -169,10 +176,12 @@ def _partners(
                 if entry.superb:
                     partners.update(entry._second_level())
                     last = entry
+                    if shortest is None or entry.second_len < shortest:
+                        shortest = entry.second_len
             if last is not None:
                 partners.update(last.edges())
     partners.discard(chains[0].fan.edges[0])
-    return frozenset(partners)
+    return frozenset(partners), shortest
 
 
 def _audit_graph(kind: str, adjacency: dict[int, frozenset[int]]) -> AuditGraph:
@@ -196,7 +205,7 @@ def build_audit_graph(
     if kind not in (SIMPLE, ITERATED):
         raise ValueError(f"unknown audit graph kind {kind!r}")
     return _audit_graph(kind, {
-        e: _partners(c, kind, _endpoint_chains(c, e), L_cap) for e in c.uncoloured()
+        e: _partners(c, kind, _endpoint_chains(c, e), L_cap)[0] for e in c.uncoloured()
     })
 
 
@@ -246,6 +255,7 @@ def check_unimprovable(c: Colouring, L: int, mode: str = ITERATED) -> bool:
     """
     if mode not in (SIMPLE, ITERATED):
         raise ValueError(f"unknown improvement mode {mode!r}")
+    _check_scale(L)
     for e in c.uncoloured():
         u, v, _ = c.graph.edges[e]
         for x in (u, v):
@@ -282,6 +292,7 @@ class FractionBound(NamedTuple):
 def fraction_bound_value(mode: str, delta: int, pi: int, L: int) -> Fraction:
     """The bound formula alone: (delta+pi)^4/L for plain improvement,
     (delta+pi)^15/L^2 for the second-order variant."""
+    _check_scale(L)
     if mode == SIMPLE:
         return Fraction((delta + pi) ** 4, L)
     if mode == ITERATED:
@@ -425,6 +436,7 @@ def superb_count_check(c: Colouring, e: int, x: int, L: int) -> SuperbCount:
     a shorter path (or an augmenting fan, which has no path) is an error.
     Ties prefer the lexicographically smallest pair.
     """
+    _check_scale(L)
     chain = vizing_chain(c, x, e)
     if chain.tail is None:
         raise ValueError(
@@ -453,17 +465,19 @@ def _frac_str(q: Fraction) -> str:
 
 @dataclass
 class AuditReport:
-    """One colouring's worth of audit results, everything recomputable from
-    the colouring itself.  simple_caps and iterated_caps are the
-    coloured-side degree checks of the two audit graphs (their worst_edge
-    attains the maximum degree); min_uncoloured is the (edge, degree) pair
-    of the simple graph's least-degree uncoloured edge.  superb_count_checks
-    rows are (e, x, gamma, theta, count, bound, verdict)."""
+    """One colouring's worth of audit results, all recomputable from it.
+    simple_caps and iterated_caps are the two audit graphs' coloured-side
+    degree checks (worst_edge attains the maximum degree); simple_bound and
+    iterated_bound are uncoloured_fraction_bounds in the two modes;
+    min_uncoloured is the (edge, degree) pair of the simple graph's
+    least-degree uncoloured edge.  superb_count_checks rows are (e, x,
+    gamma, theta, count, bound, verdict)."""
 
     simple_caps: DegreeBoundCheck
     iterated_caps: DegreeBoundCheck
+    simple_bound: FractionBound
+    iterated_bound: FractionBound
     min_uncoloured: tuple[int | None, int]
-    uncoloured_fraction: Fraction
     superb_count_checks: list[tuple[int, int, int, int, int, Fraction, str]]
     weighted_min_mass: Fraction | None
 
@@ -478,6 +492,10 @@ class AuditReport:
     @property
     def min_uncoloured_deg(self) -> int:
         return self.min_uncoloured[1]
+
+    @property
+    def uncoloured_fraction(self) -> Fraction:
+        return self.simple_bound.fraction
 
     def to_json(self) -> str:
         doc = {
@@ -500,48 +518,39 @@ def audit_report(
     c: Colouring, L: int, superb_probes: tuple[tuple[int, int], ...] = ()
 ) -> AuditReport:
     """Assemble the standard report: both audit graphs (second-order search
-    capped at L), their extreme degrees, the exact uncoloured fraction,
-    superb counts for the requested (e, x) probes, and the minimum chain
-    mass over all uncoloured edges and endpoints (None when the colouring
-    is full).
+    capped at L), their extreme degrees, both fraction bounds, superb
+    counts for the requested (e, x) probes, and the minimum chain mass over
+    all uncoloured edges and endpoints (None when the colouring is full).
 
     Each (uncoloured edge, endpoint) probe's chain is built once and
-    scanned once: the chain serves both audit graphs and the chain mass,
-    and its scan serves the iterated graph and, when the probe is requested
+    scanned once: the chain serves both audit graphs, the chain mass and
+    the simple bound (unimprovable when every tail has L edges or more),
+    and its scan serves the iterated graph, the iterated bound (no superb
+    second path shorter than L either) and, when the probe is requested
     and its tail has at least L edges, the probe's superb count.  Any other
     requested probe goes through :func:`superb_count_check`, which raises
     its errors in probe order."""
-    return _audit_report(c, L, superb_probes)[0]
-
-
-def _audit_report(
-    c: Colouring, L: int, superb_probes: tuple[tuple[int, int], ...] = ()
-) -> tuple[AuditReport, bool]:
-    """The body of :func:`audit_report`, with the verdict of
-    ``check_unimprovable(c, L, "simple")`` read off the same chains: every
-    one of them has a tail of at least L edges."""
+    _check_scale(L)
     wanted = set(superb_probes)
-    unimprovable = True
+    first_order = second_order = True
     tallies: dict[tuple[int, int], _SuperbTally] = {}
     simple: dict[int, frozenset[int]] = {}
     iterated: dict[int, frozenset[int]] = {}
-    min_mass: Fraction | None = None
+    masses: list[Fraction] = []
     for e in c.uncoloured():
         chains = _endpoint_chains(c, e)
         fed = []
         for chain in chains:
+            long_tail = chain.tail is not None and len(chain.tail.edges) >= L
+            first_order &= long_tail
             probe = (e, chain.fan.centre)
-            if probe in wanted and chain.tail is not None and len(chain.tail.edges) >= L:
+            if probe in wanted and long_tail:
                 tallies[probe] = _SuperbTally()
             fed.append(tallies.get(probe))
-        simple[e] = _partners(c, SIMPLE, chains, None)
-        iterated[e] = _partners(c, ITERATED, chains, L, tuple(fed))
-        for chain in chains:
-            if chain.tail is None or len(chain.tail.edges) < L:
-                unimprovable = False
-            mass = Fraction(len(chain.edges()) - 1)
-            if min_mass is None or mass < min_mass:
-                min_mass = mass
+            masses.append(Fraction(len(chain.edges()) - 1))
+        simple[e] = _partners(c, SIMPLE, chains, None)[0]
+        iterated[e], shortest = _partners(c, ITERATED, chains, L, tuple(fed))
+        second_order &= shortest is None or shortest >= L
     rows = []
     for e, x in superb_probes:
         tally = tallies.get((e, x))
@@ -549,12 +558,12 @@ def _audit_report(
         rows.append((e, x, sc.gamma, sc.theta, sc.count, sc.bound, sc.verdict))
     g = c.graph
     simple_graph = _audit_graph(SIMPLE, simple)
-    fraction = Fraction(0) if g.m == 0 else Fraction(c.uncoloured_count, g.m)
     return AuditReport(
         simple_caps=check_degree_bounds(simple_graph, g.delta, g.pi),
         iterated_caps=check_degree_bounds(_audit_graph(ITERATED, iterated), g.delta, g.pi),
+        simple_bound=_fraction_bound(c, L, SIMPLE, first_order),
+        iterated_bound=_fraction_bound(c, L, ITERATED, first_order and second_order),
         min_uncoloured=simple_graph.min_uncoloured_degree(),
-        uncoloured_fraction=fraction,
         superb_count_checks=rows,
-        weighted_min_mass=min_mass,
-    ), unimprovable
+        weighted_min_mass=min(masses, default=None),
+    )

@@ -32,9 +32,9 @@ from typing import TextIO
 
 from .audit import (
     VERDICT_FAIL,
-    _audit_report,
+    VERDICT_NOT_APPLICABLE,
     _frac_str,
-    _fraction_bound,
+    audit_report,
     uncoloured_fraction_bounds,
 )
 from .colouring import Colouring, _parse_dump_lines, is_proper
@@ -256,15 +256,11 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _audit_offenders(
-    c: Colouring, L: int, mode: str, report, unimprovable: bool
-) -> list[str]:
-    """Asserted checks behind the audit exit code.  The degree caps always
-    apply; the minimum-degree floor applies once no chain shorter than L
-    exists, which `unimprovable` says (the report's simple-mode verdict);
-    a fraction-bound verdict of fail is always substantive.  The witness
-    edges come with the report.
-    """
+def _audit_offenders(report, L: int, mode: str) -> list[str]:
+    """Asserted checks behind the audit exit code, read off the report.  The
+    degree caps always apply; the minimum-degree floor applies once no chain
+    shorter than L exists, that is when the simple fraction bound applies;
+    the mode's fraction-bound verdict of fail is always substantive."""
     out: list[str] = []
     for caps, chains in ((report.simple_caps, "chains"),
                          (report.iterated_caps, "second-order chains")):
@@ -273,16 +269,13 @@ def _audit_offenders(
                 f"coloured edge {caps.worst_edge} lies on {caps.max_degree} "
                 f"{chains}; the cap is {caps.bound}"
             )
-    if mode == "simple":
-        fb = _fraction_bound(c, L, mode, unimprovable)
-    else:
-        fb = uncoloured_fraction_bounds(c, L, mode=mode)
     e, d = report.min_uncoloured
-    if c.uncoloured_count and d < L and unimprovable:
+    if e is not None and d < L and report.simple_bound.verdict != VERDICT_NOT_APPLICABLE:
         out.append(
             f"uncoloured edge {e} has chain degree {d} < L={L} "
             "although no chain shorter than L exists"
         )
+    fb = report.simple_bound if mode == "simple" else report.iterated_bound
     return out + _fraction_offenders(fb, mode, L)
 
 
@@ -324,14 +317,9 @@ def _report_tsv(report) -> str:
 
 
 def cmd_audit(args) -> int:
-    c = _load_colouring(args)
-    report, unimprovable = _audit_report(c, args.L)
-    offenders = _audit_offenders(c, args.L, args.mode, report, unimprovable)
-    if args.format == "tsv":
-        _emit(args, _report_tsv(report))
-    else:
-        _emit(args, report.to_json() + "\n")
-    return _exit_for(offenders)
+    report = audit_report(_load_colouring(args), args.L)
+    _emit(args, _report_tsv(report) if args.format == "tsv" else report.to_json() + "\n")
+    return _exit_for(_audit_offenders(report, args.L, args.mode))
 
 
 def cmd_stats(args) -> int:

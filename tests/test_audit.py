@@ -23,7 +23,7 @@ from vizing import (
 )
 from vizing import audit, chains
 from vizing.cli import main as cli_main
-from vizing.iterated import superb_scan
+from vizing.iterated import ScanEntry, superb_scan
 from vizing.audit import (
     VERDICT_FAIL,
     VERDICT_NOT_APPLICABLE,
@@ -531,15 +531,10 @@ class TestOneChainPerProbe:
             audit_report(c, L, superb_probes=probes)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize(
-        "mode, fans_and_scans", [("simple", (10, 10)), ("iterated", (11, 11))]
-    )
-    def test_cli_audit_builds_each_probe_once(self, tmp_path, capsys, fans, scans,
-                                              mode, fans_and_scans):
+    @staticmethod
+    def _cli_audit(tmp_path, capsys, L, mode):
         # five locked gadgets side by side: 5 uncoloured edges, 10 probes,
-        # none improvable at the first level at L = 16.  The simple verdict
-        # rides on the report's chains; the iterated one adds one probe's
-        # chain, at which the second-order check stops.
+        # none improvable at the first level at L = 16
         triples, colours, n = [], [], 0
         for T in (16, 17, 18, 19, 20):
             inst = locked_instance(T)
@@ -549,21 +544,91 @@ class TestOneChainPerProbe:
         c = Colouring.from_assignment(build(n, triples), colours)
         dump = tmp_path / "stuck.dump"
         dump.write_text(c.graph.to_text() + c.to_text())
-        assert cli_main(["audit", "--L", "16", "--mode", mode, "--input", str(dump)]) == 0
+        assert cli_main(["audit", "--L", str(L), "--mode", mode, "--input", str(dump)]) == 0
         assert json.loads(capsys.readouterr().out)["min_uncoloured_deg"] >= 16
+
+    @pytest.mark.parametrize(
+        "mode, fans_and_scans", [("simple", (10, 10)), ("iterated", (10, 10))]
+    )
+    def test_cli_audit_builds_each_probe_once(self, tmp_path, capsys, fans, scans,
+                                              mode, fans_and_scans):
+        # both verdicts ride on the report's chains and scans, so the
+        # iterated mode builds no extra chain for the second-order check
+        self._cli_audit(tmp_path, capsys, 16, mode)
         assert (len(fans), len(scans)) == fans_and_scans
 
-    def test_report_verdict_equals_check_unimprovable(self):
-        # the simple-mode verdict the audit command reads off the report's
-        # chains, around the locked tails' length of 16 edges
+    @pytest.mark.parametrize("mode", ["simple", "iterated"])
+    def test_cli_audit_on_a_settled_colouring_builds_each_probe_once(
+        self, tmp_path, capsys, fans, scans, mode
+    ):
+        # at L = 4 no probe is improvable in either sense, so a second
+        # unimprovability pass could not stop early: it would double the counts
+        self._cli_audit(tmp_path, capsys, 4, mode)
+        assert (len(fans), len(scans)) == (10, 10)
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        # the unimprovability verdicts audit_report hands to its two bounds,
+        # spied on since the iterated bound does not apply below
+        # L = 10 (delta+pi)^6 whatever its verdict
+        handed = []
+        original = audit._fraction_bound
+
+        def spied(c, L, mode, unimprovable):
+            handed.append((mode, unimprovable))
+            return original(c, L, mode, unimprovable)
+
+        monkeypatch.setattr(audit, "_fraction_bound", spied)
+
+        def report_verdicts(c, L):
+            handed.clear()
+            rep = audit_report(c, L)
+            assert [mode for mode, _ in handed] == ["simple", "iterated"]
+            return rep, tuple(v for _, v in handed)
+        return report_verdicts
+
+    @staticmethod
+    def _want(c, L):
+        return (check_unimprovable(c, L, mode="simple"), check_unimprovable(c, L, mode="iterated"))
+
+    def test_report_bounds_equal_uncoloured_fraction_bounds(self, verdicts):
+        # around the locked tails' length of 16 edges
         inst = locked_instance(16)
         seen = set()
         for g, c in audit_instances() + [(inst.g, inst.c)]:
             for L in range(1, 19):
-                want = check_unimprovable(c, L, mode="simple")
-                assert audit._audit_report(c, L)[1] == want, L
-                seen.add(want)
-        assert seen == {True, False}
+                rep, got = verdicts(c, L)
+                assert got == self._want(c, L), L
+                seen.add(got)
+                assert rep.simple_bound == uncoloured_fraction_bounds(c, L, "simple"), L
+                assert rep.iterated_bound == uncoloured_fraction_bounds(c, L, "iterated"), L
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_iterated_verdict_at_second_paths_of_length_l(self, monkeypatch, verdicts):
+        # no gadget here has superb second paths of L edges, so each superb
+        # entry's is given as many edges as its position: at L = 5 the one
+        # entry in range has exactly L, beyond that position 5 falls short
+        monkeypatch.setattr(ScanEntry, "second_len", property(lambda en: en.suitable.position))
+        inst = locked_instance(16)
+        for L in range(1, 19):
+            _, got = verdicts(inst.c, L)
+            assert got == self._want(inst.c, L) == (L <= 16, L <= 5), L
+
+    @pytest.mark.parametrize("mode", ["simple", "iterated"])
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_scale_below_one_is_rejected_before_any_chain(self, fans, L, mode):
+        inst = locked_instance(16)
+        calls = [
+            lambda: fraction_bound_value(mode, 4, 1, L),
+            lambda: uncoloured_fraction_bounds(inst.c, L, mode),
+            lambda: check_unimprovable(inst.c, L, mode=mode),
+            lambda: superb_count_check(inst.c, inst.e, inst.x, L),
+            lambda: audit_report(inst.c, L, superb_probes=((inst.e, inst.x),)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="at least 1"):
+                call()
+        assert fans == []
 
 
 class TestAuditReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -9,13 +10,14 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import vizing
-from vizing import Colouring, Multigraph, audit_report
-from vizing.cli import _report_tsv, main
+from vizing import Colouring, FractionBound, Multigraph, audit_report
+from vizing.cli import _audit_offenders, _report_tsv, main
 from vizing.multigraph import MAX_VERTICES
 
 from gadgets import long_path_instance
@@ -201,6 +203,21 @@ class TestAudit:
         rep = audit_report(inst.c, 12, superb_probes=((inst.e, inst.x),))
         row = _report_tsv(rep).splitlines()[-1]
         assert row == f"superb_count_check\t{inst.e}\t{inst.x}\t1\t2\t4\t-1415/24\tvacuous-pass"
+
+    @pytest.mark.parametrize("failing", ["simple", "iterated"])
+    def test_offenders_read_the_report(self, failing):
+        # verdicts no real colouring reaches, planted in a report: each mode
+        # asserts its own fraction bound, and the degree floor applies
+        # whenever the simple bound does
+        rep = audit_report(Colouring.from_assignment(Multigraph.from_text(P3_MG), {1: 1}), 5)
+        fail = FractionBound(Fraction(1, 2), Fraction(1, 4), "fail")
+        rep = dataclasses.replace(rep, **{f"{failing}_bound": fail})
+        floor = "uncoloured edge 0 has chain degree 1 < L=5 although no chain shorter than L exists"
+        bound = f"uncoloured fraction 1/2 exceeds the {failing} bound 1/4 at L=5"
+        want = {"simple": [floor, bound], "iterated": [bound]}[failing]
+        assert _audit_offenders(rep, 5, failing) == want
+        other = "iterated" if failing == "simple" else "simple"
+        assert _audit_offenders(rep, 5, other) == want[:-1]
 
     @pytest.mark.parametrize(
         "blank, line, found", [("\n", 10, 5), ("\n\n", 11, 6)], ids=["one", "two"]
