@@ -9,91 +9,68 @@ from a full colouring.
 
 Modules:
     multigraph  bounded-degree multigraphs, generation, serialisation
-    colouring   partial proper colourings, chains, shifts
+    colouring   partial proper colourings and the shift along a chain
     chains      alternating paths, fans, augmenting chains
     iterated    second-order chains through distant path edges
     audit       exact counting checks and bound verification
     engine      sequential colourer, round scheduler, orientation
     cli         command-line front end
+
+Importing the package loads none of them: each name below imports its home
+module on first access (PEP 562), so a caller pays only for the modules it
+uses.
 """
 
 from __future__ import annotations
 
-from .multigraph import Multigraph, build, generate_random
-from .colouring import Colouring, is_proper
-from .chains import (
-    AlternatingPath,
-    Fan,
-    VizingChain,
-    max_fan,
-    repeated_colour_indices,
-    vizing_chain,
-)
-from .iterated import (
-    Classification,
-    ConditionalFan,
-    ScanEntry,
-    SuitableEdge,
-    SuitableType,
-    superb_scan,
-)
-from .engine import (
-    MaxRoundsExceeded,
-    Orientation,
-    ScheduleState,
-    colour_sequential,
-    orient,
-    run_scheduler,
-)
-from .audit import (
-    AuditGraph,
-    AuditReport,
-    DegreeBoundCheck,
-    FractionBound,
-    SuperbCount,
-    audit_report,
-    build_audit_graph,
-    check_degree_bounds,
-    check_unimprovable,
-    superb_count_check,
-    uncoloured_fraction_bounds,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Multigraph",
-    "build",
-    "generate_random",
-    "Colouring",
-    "is_proper",
-    "AlternatingPath",
-    "Fan",
-    "VizingChain",
-    "max_fan",
-    "repeated_colour_indices",
-    "vizing_chain",
-    "SuitableType",
-    "SuitableEdge",
-    "ConditionalFan",
-    "Classification",
-    "ScanEntry",
-    "superb_scan",
-    "MaxRoundsExceeded",
-    "Orientation",
-    "ScheduleState",
-    "colour_sequential",
-    "orient",
-    "run_scheduler",
-    "AuditGraph",
-    "AuditReport",
-    "DegreeBoundCheck",
-    "FractionBound",
-    "SuperbCount",
-    "audit_report",
-    "build_audit_graph",
-    "check_degree_bounds",
-    "check_unimprovable",
-    "superb_count_check",
-    "uncoloured_fraction_bounds",
-]
+# every public name and the module that defines it
+_HOME = {
+    "Multigraph": "multigraph",
+    "build": "multigraph",
+    "generate_random": "multigraph",
+    "Colouring": "colouring",
+    "is_proper": "colouring",
+    "AlternatingPath": "chains",
+    "Fan": "chains",
+    "VizingChain": "chains",
+    "max_fan": "chains",
+    "repeated_colour_indices": "chains",
+    "vizing_chain": "chains",
+    "SuitableType": "iterated",
+    "SuitableEdge": "iterated",
+    "ConditionalFan": "iterated",
+    "Classification": "iterated",
+    "ScanEntry": "iterated",
+    "superb_scan": "iterated",
+    "MaxRoundsExceeded": "engine",
+    "Orientation": "engine",
+    "ScheduleState": "engine",
+    "colour_sequential": "engine",
+    "orient": "engine",
+    "run_scheduler": "engine",
+    "AuditGraph": "audit",
+    "AuditReport": "audit",
+    "DegreeBoundCheck": "audit",
+    "FractionBound": "audit",
+    "SuperbCount": "audit",
+    "audit_report": "audit",
+    "build_audit_graph": "audit",
+    "check_degree_bounds": "audit",
+    "check_unimprovable": "audit",
+    "superb_count_check": "audit",
+    "uncoloured_fraction_bounds": "audit",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)

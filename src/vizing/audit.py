@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -84,7 +83,6 @@ ITERATED = "iterated"
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AuditGraph:
     """Bipartite incidence between uncoloured edges and coloured edges.
 
@@ -98,9 +96,14 @@ class AuditGraph:
     all, how many uncoloured edges it partners.
     """
 
-    kind: str
-    adjacency: dict[int, frozenset[int]]
-    reverse_degrees: dict[int, int]
+    __slots__ = ("kind", "adjacency", "reverse_degrees")
+
+    def __init__(
+        self, kind: str, adjacency: dict[int, frozenset[int]], reverse_degrees: dict[int, int]
+    ):
+        self.kind = kind
+        self.adjacency = adjacency
+        self.reverse_degrees = reverse_degrees
 
     def degree(self, e: int) -> int:
         """Partner count of the uncoloured edge e (0 if e has no entry)."""
@@ -463,7 +466,6 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass
 class AuditReport:
     """One colouring's worth of audit results, all recomputable from it.
     simple_caps and iterated_caps are the two audit graphs' coloured-side
@@ -473,13 +475,28 @@ class AuditReport:
     least-degree uncoloured edge.  superb_count_checks rows are (e, x,
     gamma, theta, count, bound, verdict)."""
 
-    simple_caps: DegreeBoundCheck
-    iterated_caps: DegreeBoundCheck
-    simple_bound: FractionBound
-    iterated_bound: FractionBound
-    min_uncoloured: tuple[int | None, int]
-    superb_count_checks: list[tuple[int, int, int, int, int, Fraction, str]]
-    weighted_min_mass: Fraction | None
+    __slots__ = (
+        "simple_caps", "iterated_caps", "simple_bound", "iterated_bound",
+        "min_uncoloured", "superb_count_checks", "weighted_min_mass",
+    )
+
+    def __init__(
+        self,
+        simple_caps: DegreeBoundCheck,
+        iterated_caps: DegreeBoundCheck,
+        simple_bound: FractionBound,
+        iterated_bound: FractionBound,
+        min_uncoloured: tuple[int | None, int],
+        superb_count_checks: list[tuple[int, int, int, int, int, Fraction, str]],
+        weighted_min_mass: Fraction | None,
+    ):
+        self.simple_caps = simple_caps
+        self.iterated_caps = iterated_caps
+        self.simple_bound = simple_bound
+        self.iterated_bound = iterated_bound
+        self.min_uncoloured = min_uncoloured
+        self.superb_count_checks = superb_count_checks
+        self.weighted_min_mass = weighted_min_mass
 
     @property
     def max_deg_simple(self) -> int:

@@ -25,8 +25,8 @@ fixed preference.  Safe to run concurrently on shared read-only snapshots.
 
 The fan and walk loops scan the incident edges for the wanted colour and
 unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
-records are slotted dataclasses built positionally (a keyword call costs
-about twice as much).  Callers augment along a chain's ``edges()`` with
+records are slotted classes built positionally (a keyword call costs
+more).  Callers augment along a chain's ``edges()`` with
 :meth:`Colouring.augment_in_place`.
 
 On sparse inputs most fans stop at step 0, so the chain is the edge alone:
@@ -37,8 +37,6 @@ records; it never changes which colour the edge gets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .colouring import Colouring
 
@@ -57,7 +55,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class AlternatingPath:
     """A maximal alternating path.
 
@@ -66,11 +63,16 @@ class AlternatingPath:
     the start vertex, in which case last_vertex == start_vertex.
     """
 
-    start_vertex: int
-    alpha: int
-    beta: int
-    edges: list[int]
-    last_vertex: int
+    __slots__ = ("start_vertex", "alpha", "beta", "edges", "last_vertex")
+
+    def __init__(
+        self, start_vertex: int, alpha: int, beta: int, edges: list[int], last_vertex: int
+    ):
+        self.start_vertex = start_vertex
+        self.alpha = alpha
+        self.beta = beta
+        self.edges = edges
+        self.last_vertex = last_vertex
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -111,7 +113,6 @@ def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class Fan:
     """A maximal fan around ``centre`` starting at an uncoloured edge.
 
@@ -130,13 +131,27 @@ class Fan:
         out to be augmenting).
     """
 
-    centre: int
-    edges: list[int]
-    far_endpoints: list[int]
-    colour_seq: list[int]
-    augmenting: bool
-    next_colour: int
-    repeat_pos: int | None
+    __slots__ = (
+        "centre", "edges", "far_endpoints", "colour_seq", "augmenting", "next_colour", "repeat_pos",
+    )
+
+    def __init__(
+        self,
+        centre: int,
+        edges: list[int],
+        far_endpoints: list[int],
+        colour_seq: list[int],
+        augmenting: bool,
+        next_colour: int,
+        repeat_pos: int | None,
+    ):
+        self.centre = centre
+        self.edges = edges
+        self.far_endpoints = far_endpoints
+        self.colour_seq = colour_seq
+        self.augmenting = augmenting
+        self.next_colour = next_colour
+        self.repeat_pos = repeat_pos
 
 
 def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
@@ -267,7 +282,6 @@ def repeated_colour_indices(fan: Fan) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class VizingChain:
     """An augmenting chain: a fan prefix, possibly followed by a path.
 
@@ -278,12 +292,22 @@ class VizingChain:
     a tail, the last three fields are None.
     """
 
-    fan: Fan
-    fan_prefix_len: int
-    tail: AlternatingPath | None = None
-    alpha: int | None = None
-    beta: int | None = None
-    _edge_list: list[int] = field(default=None, repr=False)  # type: ignore[assignment]
+    __slots__ = ("fan", "fan_prefix_len", "tail", "alpha", "beta", "_edge_list")
+
+    def __init__(
+        self,
+        fan: Fan,
+        fan_prefix_len: int,
+        tail: AlternatingPath | None = None,
+        alpha: int | None = None,
+        beta: int | None = None,
+    ):
+        self.fan = fan
+        self.fan_prefix_len = fan_prefix_len
+        self.tail = tail
+        self.alpha = alpha
+        self.beta = beta
+        self._edge_list: list[int] | None = None
 
     def edges(self) -> list[int]:
         """The chain's edge sequence (cached)."""

@@ -21,24 +21,18 @@ including malformed inputs (reported with 1-based line numbers).
 
 All numbers are printed exactly: plain decimal for integers and reduced
 ``p/q`` strings for rationals.
+
+The artifact formats' modules load with this one; each command imports
+the engine and audit modules it runs, so ``colour`` and ``orient`` never
+load the audit and superb-scan modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import TextIO
 
-from .audit import (
-    VERDICT_FAIL,
-    VERDICT_NOT_APPLICABLE,
-    _frac_str,
-    audit_report,
-    uncoloured_fraction_bounds,
-)
 from .colouring import Colouring, _parse_dump_lines, is_proper
-from .engine import MaxRoundsExceeded, colour_sequential, orient, run_scheduler
 from .multigraph import (
     MAX_VERTICES,
     Multigraph,
@@ -237,6 +231,8 @@ def _colour_offenders(c: Colouring) -> list[str]:
 
 
 def cmd_colour(args) -> int:
+    from .engine import colour_sequential
+
     g = _load_graph(args)
     c = colour_sequential(g)
     offenders = _colour_offenders(c)
@@ -246,6 +242,8 @@ def cmd_colour(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from .engine import MaxRoundsExceeded, run_scheduler
+
     g = _load_graph(args)
     try:
         c = run_scheduler(g, args.L, args.seed, max_rounds=args.max_rounds, log=sys.stderr)
@@ -261,6 +259,8 @@ def _audit_offenders(report, L: int, mode: str) -> list[str]:
     degree caps always apply; the minimum-degree floor applies once no chain
     shorter than L exists, that is when the simple fraction bound applies;
     the mode's fraction-bound verdict of fail is always substantive."""
+    from .audit import VERDICT_NOT_APPLICABLE
+
     out: list[str] = []
     for caps, chains in ((report.simple_caps, "chains"),
                          (report.iterated_caps, "second-order chains")):
@@ -280,6 +280,8 @@ def _audit_offenders(report, L: int, mode: str) -> list[str]:
 
 
 def _fraction_offenders(fb, mode: str, L: int) -> list[str]:
+    from .audit import VERDICT_FAIL, _frac_str
+
     if fb.verdict != VERDICT_FAIL:
         return []
     return [f"uncoloured fraction {_frac_str(fb.fraction)} exceeds the "
@@ -287,6 +289,8 @@ def _fraction_offenders(fb, mode: str, L: int) -> list[str]:
 
 
 def _report_tsv(report) -> str:
+    from .audit import _frac_str
+
     rows = [
         ("max_deg_simple", str(report.max_deg_simple)),
         ("max_deg_iterated", str(report.max_deg_iterated)),
@@ -317,17 +321,27 @@ def _report_tsv(report) -> str:
 
 
 def cmd_audit(args) -> int:
+    from .audit import audit_report
+
     report = audit_report(_load_colouring(args), args.L)
     _emit(args, _report_tsv(report) if args.format == "tsv" else report.to_json() + "\n")
     return _exit_for(_audit_offenders(report, args.L, args.mode))
 
 
 def cmd_stats(args) -> int:
+    import json
+
+    from .audit import _frac_str, uncoloured_fraction_bounds
+    from .engine import MaxRoundsExceeded, run_scheduler
+
     g = _load_graph(args)
     rows = []
     offenders: list[str] = []
     for L in args.L:
-        c = run_scheduler(g, L, args.seed, max_rounds=args.max_rounds)
+        try:
+            c = run_scheduler(g, L, args.seed, max_rounds=args.max_rounds)
+        except MaxRoundsExceeded as ex:
+            return _exit_for([str(ex)])
         simple = uncoloured_fraction_bounds(c, L, mode="simple")
         iterated = uncoloured_fraction_bounds(c, L, mode="iterated")
         rows.append(
@@ -353,6 +367,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_orient(args) -> int:
+    from .engine import orient
+
     c = _load_colouring(args)
     o = orient(c)
     bound = (c.graph.delta + 3) // 2
@@ -377,8 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(ex.code or 0)
     try:
         return args.func(args)
-    except MaxRoundsExceeded as ex:
-        return _exit_for([str(ex)])
     except (OSError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,14 +30,11 @@ keys.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
 from typing import TextIO
 
 from .chains import _free_colour, vizing_chain
 from .colouring import Colouring
-from .iterated import superb_scan
 from .multigraph import Multigraph
 
 __all__ = [
@@ -83,16 +80,20 @@ def colour_sequential(g: Multigraph) -> Colouring:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ScheduleState:
     """Scheduler progress, dumped when the round budget runs out: the
     colouring so far, the scale L, rounds applied, and per-round
     recoloured-edge counts."""
 
-    colouring: Colouring
-    L: int
-    round: int
-    changed_log: list[int] = field(default_factory=list)
+    __slots__ = ("colouring", "L", "round", "changed_log")
+
+    def __init__(
+        self, colouring: Colouring, L: int, round: int, changed_log: list[int] | None = None
+    ):
+        self.colouring = colouring
+        self.L = L
+        self.round = round
+        self.changed_log = [] if changed_log is None else changed_log
 
 
 class MaxRoundsExceeded(RuntimeError):
@@ -116,7 +117,8 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
     fewer than L edges; otherwise the first superb edge within the first L
     path positions whose second path has at most L edges supplies the
     second-order chain.  An edge whose fan is the edge alone is its own
-    chain, returned without building one.
+    chain, returned without building one.  The superb scan's module is
+    loaded by the first tail of L edges or more.
     """
     u, v, _ = c.graph.edges[e]
     for x in (u, v):
@@ -125,6 +127,8 @@ def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
         chain = vizing_chain(c, x, e)
         if chain.tail is None or len(chain.tail.edges) < L:
             return chain.edges()
+        from .iterated import superb_scan
+
         for entry in superb_scan(c, chain, limit=L):
             if entry.superb and entry.second_len <= L:
                 return entry.edges()
@@ -195,6 +199,8 @@ def run_scheduler(
         )
     c = Colouring.empty(g)
     state = ScheduleState(colouring=c, L=L, round=0)
+    if log is not None:
+        import json
     pending = list(range(g.m))
     random.Random(seed).shuffle(pending)
     colours = c.colours
@@ -232,11 +238,13 @@ def run_scheduler(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Orientation:
     """A direction for every edge, as edge id -> (tail, head)."""
 
-    direction: dict[int, tuple[int, int]]
+    __slots__ = ("direction",)
+
+    def __init__(self, direction: dict[int, tuple[int, int]]):
+        self.direction = direction
 
     def out_degree_counts(self) -> dict[int, int]:
         """Out-degree per vertex, counting only vertices with an out-edge."""

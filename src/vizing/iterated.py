@@ -42,7 +42,6 @@ Everything is deterministic; minimal-colour choices use the natural order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .colouring import Colouring
 from .chains import AlternatingPath, VizingChain, _grow_fan, _walk
@@ -66,23 +65,32 @@ class SuitableType(enum.Enum):
     TYPE2 = "TypeII"
 
 
-@dataclass(frozen=True)
 class SuitableEdge:
     """An eligible path edge f: far from the chain's start (line-graph
     distance > 4), not the path's last edge, and coloured alpha.
 
     position is 1-based within the tail path, so the path prefix of that
     length ends with f.  far_vertex (y) is f's endpoint farther along the
-    path; near_vertex (z) is the closer one.
+    path; near_vertex (z) is the closer one.  Two suitable edges are equal
+    when all four fields are.
     """
 
-    edge: int
-    position: int
-    far_vertex: int
-    near_vertex: int
+    __slots__ = ("edge", "position", "far_vertex", "near_vertex")
+
+    def __init__(self, edge: int, position: int, far_vertex: int, near_vertex: int):
+        self.edge = edge
+        self.position = position
+        self.far_vertex = far_vertex
+        self.near_vertex = near_vertex
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edge, self.position, self.far_vertex, self.near_vertex) == (
+            other.edge, other.position, other.far_vertex, other.near_vertex
+        )
 
 
-@dataclass
 class ConditionalFan:
     """The fan grown around far_vertex = y, starting at the suitable edge.
 
@@ -96,19 +104,29 @@ class ConditionalFan:
         its position).
     """
 
-    centre: int
-    edges: list[int]
-    far_endpoints: list[int]
-    colour_seq: list[int]
-    next_colour: int | None
-    repeat_pos: int | None
+    __slots__ = ("centre", "edges", "far_endpoints", "colour_seq", "next_colour", "repeat_pos")
+
+    def __init__(
+        self,
+        centre: int,
+        edges: list[int],
+        far_endpoints: list[int],
+        colour_seq: list[int],
+        next_colour: int | None,
+        repeat_pos: int | None,
+    ):
+        self.centre = centre
+        self.edges = edges
+        self.far_endpoints = far_endpoints
+        self.colour_seq = colour_seq
+        self.next_colour = next_colour
+        self.repeat_pos = repeat_pos
 
     @property
     def early_stop(self) -> bool:
         return self.next_colour is None
 
 
-@dataclass
 class Classification:
     """A suitable edge's type together with its colour witnesses.
 
@@ -118,16 +136,27 @@ class Classification:
     are pairwise distinct.
     """
 
-    type_tag: SuitableType
-    fan: ConditionalFan
-    alpha: int
-    beta: int
-    delta: int | None = None
-    epsilon: int | None = None
-    repeat_index: int | None = None
+    __slots__ = ("type_tag", "fan", "alpha", "beta", "delta", "epsilon", "repeat_index")
+
+    def __init__(
+        self,
+        type_tag: SuitableType,
+        fan: ConditionalFan,
+        alpha: int,
+        beta: int,
+        delta: int | None = None,
+        epsilon: int | None = None,
+        repeat_index: int | None = None,
+    ):
+        self.type_tag = type_tag
+        self.fan = fan
+        self.alpha = alpha
+        self.beta = beta
+        self.delta = delta
+        self.epsilon = epsilon
+        self.repeat_index = repeat_index
 
 
-@dataclass(slots=True)
 class ScanEntry:
     """One suitable edge's verdict from :func:`superb_scan`; a superb
     entry's :meth:`edges` is its second-level augmenting chain.
@@ -138,13 +167,28 @@ class ScanEntry:
     second_critical_index is the fan index it starts from (None without it).
     """
 
-    suitable: SuitableEdge
-    classification: Classification
-    superb: bool
-    second_path: AlternatingPath | None
-    second_critical_index: int | None
-    _first_level: list[int] = field(repr=False)
-    _cut: int = field(repr=False)
+    __slots__ = (
+        "suitable", "classification", "superb", "second_path", "second_critical_index",
+        "_first_level", "_cut",
+    )
+
+    def __init__(
+        self,
+        suitable: SuitableEdge,
+        classification: Classification,
+        superb: bool,
+        second_path: AlternatingPath | None,
+        second_critical_index: int | None,
+        _first_level: list[int],
+        _cut: int,
+    ):
+        self.suitable = suitable
+        self.classification = classification
+        self.superb = superb
+        self.second_path = second_path
+        self.second_critical_index = second_critical_index
+        self._first_level = _first_level
+        self._cut = _cut
 
     @property
     def second_len(self) -> int:
@@ -221,12 +265,7 @@ class _Context:
             f = self.path_edges[t]
             if f not in self.near_e:
                 out.append(
-                    SuitableEdge(
-                        edge=f,
-                        position=t + 1,
-                        far_vertex=self.path_vertices[t + 1],
-                        near_vertex=self.path_vertices[t],
-                    )
+                    SuitableEdge(f, t + 1, self.path_vertices[t + 1], self.path_vertices[t])
                 )
         return out
 
@@ -246,14 +285,7 @@ def _conditional_fan(ctx: _Context, su: SuitableEdge) -> ConditionalFan:
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(
         c, su.far_vertex, su.edge, stop_mask=stop
     )
-    return ConditionalFan(
-        centre=su.far_vertex,
-        edges=edges,
-        far_endpoints=far,
-        colour_seq=colour_seq,
-        next_colour=next_colour,
-        repeat_pos=repeat_pos,
-    )
+    return ConditionalFan(su.far_vertex, edges, far, colour_seq, next_colour, repeat_pos)
 
 
 def _classify(ctx: _Context, su: SuitableEdge) -> Classification:

@@ -29,7 +29,6 @@ Instances are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 __all__ = [
     "MAX_VERTICES",
@@ -50,7 +49,6 @@ MAX_VERTICES = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """An undirected multigraph without self-loops.
 
@@ -64,13 +62,54 @@ class Multigraph:
         pi:    Tightest multiplicity bound (max number of parallel edges on
                one vertex pair; 0 iff the graph has no edges).
         adj:   Per-vertex tuple of incident edge ids, ascending.
+
+    Assigning or deleting an attribute raises AttributeError.  Two graphs
+    are equal, and hash alike, when all five attributes are equal; copies
+    and pickles rebuild the graph through the constructor.
     """
+
+    __slots__ = ("n", "edges", "delta", "pi", "adj")
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
     delta: int
     pi: int
-    adj: tuple[tuple[int, ...], ...] = field(repr=False)
+    adj: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int, int], ...],
+        delta: int,
+        pi: int,
+        adj: tuple[tuple[int, ...], ...],
+    ):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", edges)
+        init(self, "delta", delta)
+        init(self, "pi", pi)
+        init(self, "adj", adj)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.n, self.edges, self.delta, self.pi, self.adj
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Multigraph, self._key()
 
     # -- basic accessors ----------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -211,7 +210,7 @@ class TestAudit:
         # whenever the simple bound does
         rep = audit_report(Colouring.from_assignment(Multigraph.from_text(P3_MG), {1: 1}), 5)
         fail = FractionBound(Fraction(1, 2), Fraction(1, 4), "fail")
-        rep = dataclasses.replace(rep, **{f"{failing}_bound": fail})
+        setattr(rep, f"{failing}_bound", fail)
         floor = "uncoloured edge 0 has chain degree 1 < L=5 although no chain shorter than L exists"
         bound = f"uncoloured fraction 1/2 exceeds the {failing} bound 1/4 at L=5"
         want = {"simple": [floor, bound], "iterated": [bound]}[failing]
@@ -284,6 +283,14 @@ class TestStats:
                 "iterated_bound": "14348907/25",
             }
         ]
+
+    def test_max_rounds_is_a_bound_failure(self, cli):
+        # the scheduler's MaxRoundsExceeded ends the sweep with no rows
+        code, out, err = cli(["stats", "--L", "5", "--max-rounds", "1"], stdin=P3_MG)
+        assert (code, out) == (2, "")
+        assert err == (
+            "bound failure: scheduler stopped after 1 rounds with 1 edges still uncoloured\n"
+        )
 
     def test_bad_L_list(self, cli):
         code, _, err = cli(["stats", "--L", "a,b"], stdin=P3_MG)

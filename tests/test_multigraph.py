@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -109,6 +111,18 @@ def test_round_trip_file(tmp_path, star3):
     path = str(tmp_path / "g.mg")
     star3.save(path)
     assert Multigraph.load(path) == star3
+
+
+def test_graphs_are_immutable_values(c4):
+    with pytest.raises(AttributeError):
+        c4.n = 5
+    with pytest.raises(AttributeError):
+        del c4.edges
+    twin = build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    assert twin is not c4 and twin == c4 and hash(twin) == hash(c4)
+    assert twin != build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    for dup in (copy.copy(c4), pickle.loads(pickle.dumps(c4))):
+        assert dup == c4 and hash(dup) == hash(c4)
 
 
 def test_load_reports_a_non_ascii_byte_with_its_line(tmp_path):

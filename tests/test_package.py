@@ -1,9 +1,14 @@
-"""The package surface: every exported name resolves."""
+"""The package surface: every exported name resolves, and each command
+loads only the modules it runs."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +23,57 @@ def test_every_exported_name_resolves(name):
     break only ``from ... import *``; catch it here."""
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+# what ``main`` loads, printed by a fresh interpreter after the command ran
+_LOADED = """\
+import sys
+before = set(sys.modules)
+from vizing.cli import main
+code = main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before), sep="\\n")
+sys.exit(code)
+"""
+
+_GRAPH = "mg 3 2 2 1\n0 1 1\n1 2 1\n"
+_DUMP = "mg 4 4 2 1\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n0 1\n1 2\n2 1\n3 2\n"
+_FORMATS = {"vizing", "vizing.cli", "vizing.multigraph", "vizing.colouring"}
+_COLOURER = _FORMATS | {"vizing.chains", "vizing.engine"}
+_AUDIT = _FORMATS | {"vizing.chains", "vizing.iterated", "vizing.audit"}
+
+
+@pytest.mark.parametrize(
+    "argv, dump, modules",
+    [
+        (["gen", "--n", "5"], False, _FORMATS),
+        (["colour"], False, _COLOURER),
+        (["orient"], True, _COLOURER),
+        # every chain of this graph is short, so no superb scan is loaded
+        (["schedule", "--L", "5"], False, _COLOURER),
+        (["audit", "--L", "5"], True, _AUDIT),
+        (["stats", "--L", "5"], False, _AUDIT | {"vizing.engine"}),
+    ],
+    ids=["gen", "colour", "orient", "schedule", "audit", "stats"],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, dump, modules):
+    """A command imports the package modules it runs and no others; none
+    imports dataclasses, and the colourers load neither fractions nor
+    json, whose import costs show in every call's start-up."""
+    source = tmp_path / "input"
+    source.write_text(_DUMP if dump else _GRAPH)
+    if argv[0] != "gen":
+        argv = [*argv, "--input", str(source)]
+    src = str(Path(vizing.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv, "--output", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {m for m in loaded if m.split(".")[0] == "vizing"} == modules
+    assert "dataclasses" not in loaded
+    if argv[0] in ("colour", "orient"):
+        assert not loaded & {"fractions", "json"}
