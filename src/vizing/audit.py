@@ -109,13 +109,6 @@ class AuditGraph:
         """Partner count of the uncoloured edge e (0 if e has no entry)."""
         return len(self.adjacency.get(e, ()))
 
-    def coloured_degree(self, f: int) -> int:
-        """How many uncoloured edges the coloured edge f partners."""
-        return self.reverse_degrees.get(f, 0)
-
-    def edge_count(self) -> int:
-        return sum(len(p) for p in self.adjacency.values())
-
     def min_uncoloured_degree(self) -> tuple[int | None, int]:
         """(edge, degree) minimising over uncoloured edges; (None, 0) when
         the colouring is full."""

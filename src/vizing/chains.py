@@ -162,8 +162,7 @@ def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
     such an early stop.
     """
     g = c.graph
-    colours = c.colours
-    missing_mask = c.missing_mask
+    colours, used, full = c._colours, c._used, c._full
     ends = g.edges
     around = g.adj[centre]
     u, v, _ = ends[first]
@@ -175,7 +174,7 @@ def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
     colour_seq: list[int] = []
     chosen_at: dict[int, int] = {}
     while True:
-        avail = missing_mask(tip) & ~chosen_at.get(tip, 0)
+        avail = full & ~used[tip] & ~chosen_at.get(tip, 0)
         if avail == 0:  # cannot happen: at most pi-1 exclusions of >= pi missing
             raise AssertionError("fan step has no available colour")
         bit = avail & -avail
@@ -194,7 +193,7 @@ def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
         tip = v if u == centre else u
         far.append(tip)
         colour_seq.append(col)
-        if stop_mask and missing_mask(tip) & stop_mask:
+        if stop_mask & ~used[tip]:
             return edges, far, colour_seq, None, None
 
 

@@ -6,7 +6,8 @@ pick a *suitable* edge f on it (far from the start, not the last edge, and
 carrying the path's primary colour alpha), imagine shifting the chain up to f
 so that f becomes uncoloured, and grow a second fan around f's far endpoint y.
 superb_scan, used by the audits and the scheduler, lists the eligible path
-edges and builds the second level for each of them in path order:
+edges one at a time, deriving the path's vertices only up to its window, and
+builds the second level for each of them in path order:
 
   * the conditional fan around y is defined against the *original*
     colouring: availability uses the original missing sets, and the fan
@@ -19,9 +20,11 @@ edges and builds the second level for each of them in path order:
     already augmenting), TypeI (beta missing at the fan's last far
     endpoint), or TypeII (the fan stopped on a repeated colour epsilon;
     delta is the smallest colour missing at y).  The Type0 test shifts
-    nothing: it reads the missing masks of y and the fan's last far endpoint
+    nothing: it reads the used masks of y and the fan's last far endpoint
     under the original colouring, adds alpha, which the shift through f
-    frees at y, and intersects them;
+    frees at y, to y's missing colours, and intersects them.  The fan and
+    the classification read the colouring's masks directly, with the
+    alpha|beta stop mask computed once per scan;
 
   * the superb test checks that the second alternating path (for TypeII,
     both candidate paths) is unaffected by the shift: the paths are walked
@@ -29,8 +32,11 @@ edges and builds the second level for each of them in path order:
     shifted chain's colours.  The overlay grows one path segment per
     suitable edge, because shift composition makes consecutive shifted
     colourings differ only on that segment, so a full scan costs about one
-    pass over the path rather than one shift per suitable edge.  The scan
-    never writes to the colouring;
+    pass over the path rather than one shift per suitable edge.  Each step
+    writes the segment's shifted colours straight into the overlay, with no
+    shift logs, and still checks the cut as a shift would: an uncoloured
+    edge after the first, a repeated edge or an improper result raises the
+    shift's ValueError.  The scan never writes to the colouring;
 
   * a superb edge's scan entry is its chain: everything before f, then the
     conditional fan (cut at the second critical index for TypeII), then the
@@ -230,8 +236,8 @@ class _Context:
     """First-level chain data reused across suitable-edge operations."""
 
     __slots__ = (
-        "c", "alpha", "beta",
-        "path_edges", "path_vertices", "prefix_len", "chain_edges",
+        "c", "alpha", "beta", "alpha_bit", "beta_bit", "stop_mask",
+        "path_edges", "start_vertex", "prefix_len", "chain_edges",
         "fan_vertices", "near_e",
     )
 
@@ -244,30 +250,34 @@ class _Context:
         self.c = c
         self.alpha = vc.alpha
         self.beta = vc.beta
+        self.alpha_bit = 1 << (vc.alpha - 1)
+        self.beta_bit = 1 << (vc.beta - 1)
+        # the conditional fans stop at a far endpoint missing alpha or beta
+        self.stop_mask = self.alpha_bit | self.beta_bit
         self.path_edges = vc.tail.edges
+        self.start_vertex = vc.tail.start_vertex
         self.prefix_len = vc.fan_prefix_len
         self.chain_edges = vc.edges()
         # the vertices whose missing masks the first-level fan's shift moves
         self.fan_vertices = {vc.fan.centre, *vc.fan.far_endpoints[: self.prefix_len]}
-        # vertices along the tail path: path_vertices[t] is where edge t starts
-        verts = [vc.tail.start_vertex]
-        g = c.graph
-        for h in self.path_edges:
-            verts.append(g.other(h, verts[-1]))
-        self.path_vertices = verts
-        self.near_e = line_distances(g, vc.fan.edges[0], 4)
+        self.near_e = line_distances(c.graph, vc.fan.edges[0], 4)
 
-    def suitables(self, limit: int | None) -> list[SuitableEdge]:
-        last = len(self.path_edges) - 1
+    def suitables(self, limit: int | None):
+        """The suitable edges among the first ``limit`` path edges, one at a
+        time; the path's vertices are derived as the walk reaches them, so
+        none past the window is."""
+        path, ends, near_e = self.path_edges, self.c.graph.edges, self.near_e
+        last = len(path) - 1
         stop = last if limit is None else min(limit, last)
-        out = []
-        for t in range(0, stop, 2):  # alpha-coloured edges sit at even offsets
-            f = self.path_edges[t]
-            if f not in self.near_e:
-                out.append(
-                    SuitableEdge(f, t + 1, self.path_vertices[t + 1], self.path_vertices[t])
-                )
-        return out
+        v = self.start_vertex
+        for t in range(stop):
+            f = path[t]
+            a, b, _ = ends[f]
+            w = b if v == a else a
+            # alpha-coloured edges sit at even offsets
+            if not t & 1 and f not in near_e:
+                yield SuitableEdge(f, t + 1, w, v)
+            v = w
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +285,48 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_fan(ctx: _Context, su: SuitableEdge) -> ConditionalFan:
+def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
+    """Grow the conditional fan around y and sort the suitable edge by how
+    it ends, reading the colouring's used masks directly.
+
+    Type0 asks whether (chain before f) + (conditional fan) is augmenting,
+    i.e. whether y and the fan's last far endpoint u_m share a missing
+    colour after that shift.  The chain is proper-shiftable (the shadow-fan
+    property guarantees it), so only the missing masks of y and u_m after
+    the shift matter, and they are read off the original colouring's masks
+    in O(1):
+
+      * shifting the first-level chain through f uncolours f (colour alpha)
+        and recolours its predecessor on the path from beta to alpha, so
+        alpha becomes missing at y and beta at the near vertex z.  The path
+        edge after f keeps beta at y, so the beta freed at z is never
+        missing at y and needs no term;
+      * every other vertex the fan can reach keeps its mask: the shift
+        changes masks elsewhere only at x and the first-level fan's far
+        endpoints, each an endpoint of a fan edge sharing x with e.  Were
+        u_m one of them, the fan edge from y to u_m would put f within line
+        distance 3 of e, but f lies beyond 4;
+      * the fan's own shift permutes the colours at y, and changes u_m's
+        mask only by fan colours, which are all used at y, so neither
+        change touches a colour missing at both.
+    """
+    c, alpha, beta = ctx.c, ctx.alpha, ctx.beta
+    used, stop, alpha_bit = c._used, ctx.stop_mask, ctx.alpha_bit
+    y = su.far_vertex
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0
-    c, near = ctx.c, su.near_vertex
-    if c.is_missing(near, ctx.alpha) or c.is_missing(near, ctx.beta):
+    if used[su.near_vertex] & stop != stop:
         raise AssertionError("the suitable edge's near vertex misses a path colour")
-    stop = (1 << (ctx.alpha - 1)) | (1 << (ctx.beta - 1))
-    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(
-        c, su.far_vertex, su.edge, stop_mask=stop
-    )
-    return ConditionalFan(su.far_vertex, edges, far, colour_seq, next_colour, repeat_pos)
-
-
-def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
-    fan = _conditional_fan(ctx, su)
-    c, alpha, beta = ctx.c, ctx.alpha, ctx.beta
-    y = su.far_vertex
+    fan = ConditionalFan(y, *_grow_fan(c, y, su.edge, stop))
     u_m = fan.far_endpoints[-1]
-    if _first_segment_augmenting(ctx, su, fan):
+    if u_m in ctx.fan_vertices:
+        raise AssertionError("the conditional fan reached the first-level fan")
+    at_u_m = used[u_m]
+    if (c._full & ~used[y] | alpha_bit) & ~at_u_m:
         return Classification(SuitableType.TYPE0, fan, alpha, beta)
-    if c.is_missing(u_m, beta):
+    if not at_u_m & ctx.beta_bit:  # beta is missing at u_m
         # were alpha missing at u_m too, the chain would have been augmenting
-        if c.is_missing(u_m, alpha):
+        if not at_u_m & alpha_bit:
             raise AssertionError("a TypeI fan end misses both path colours")
         return Classification(SuitableType.TYPE1, fan, alpha, beta)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
@@ -315,37 +344,6 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
         SuitableType.TYPE2, fan, alpha, beta,
         delta=delta, epsilon=epsilon, repeat_index=i,
     )
-
-
-def _first_segment_augmenting(
-    ctx: _Context, su: SuitableEdge, fan: ConditionalFan
-) -> bool:
-    """Is (chain before f) + (conditional fan) augmenting, i.e. do y and the
-    fan's last far endpoint u_m share a missing colour after that shift?
-
-    The chain is proper-shiftable (the shadow-fan property guarantees it), so
-    only the missing masks of y and u_m after the shift matter, and they are
-    read off the original colouring's masks in O(1):
-
-      * shifting the first-level chain through f uncolours f (colour alpha)
-        and recolours its predecessor on the path from beta to alpha, so
-        alpha becomes missing at y and beta at the near vertex z.  The path
-        edge after f keeps beta at y, so the beta freed at z is never
-        missing at y and needs no term;
-      * every other vertex the fan can reach keeps its mask: the shift
-        changes masks elsewhere only at x and the first-level fan's far
-        endpoints, each an endpoint of a fan edge sharing x with e.  Were
-        u_m one of them, the fan edge from y to u_m would put f within line
-        distance 3 of e, but f lies beyond 4;
-      * the fan's own shift permutes the colours at y, and changes u_m's
-        mask only by fan colours, which are all used at y, so neither
-        change touches a colour missing at both.
-    """
-    u_m = fan.far_endpoints[-1]
-    if u_m in ctx.fan_vertices:
-        raise AssertionError("the conditional fan reached the first-level fan")
-    at_y = ctx.c.missing_mask(su.far_vertex) | (1 << (ctx.alpha - 1))
-    return bool(at_y & ctx.c.missing_mask(u_m))
 
 
 # ---------------------------------------------------------------------------
@@ -393,37 +391,48 @@ class _Shifted(dict):
     of the walk, ``chains._walk``).
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "colours", "adj", "ends")
 
     def __init__(self, c: Colouring):
         super().__init__()
         self.c = c
+        self.colours = c._colours
+        self.adj = c.graph.adj
+        self.ends = c.graph.edges
 
     def __missing__(self, e: int) -> int:
-        return self.c.colours[e]
+        return self.colours[e]
 
     def advance(self, seg: list[int]) -> None:
         """Extend the shift along ``seg``, whose first edge is the last one
-        shifted so far (or the chain's first edge).  Raises the ValueErrors
-        of the shift in :meth:`Colouring.augment_in_place`: a repeated edge,
-        an uncoloured edge after the first, or a colour already used at an
-        endpoint."""
-        _old, new = self.c._shift_logs(seg)
-        colours, get = self.c.colours, self.get
-        adj, ends = self.c.graph.adj, self.c.graph.edges
+        shifted so far (or the chain's first edge): each edge takes its
+        successor's colour in c and the last edge none, written straight
+        into the overlay.  The cut is checked as the shift in
+        :meth:`Colouring.augment_in_place` checks it, with its three
+        ValueErrors: an uncoloured edge after the first, a repeated edge, or
+        a colour already used at an endpoint."""
+        colours = self.colours
+        cols = [colours[h] for h in seg]
+        if 0 in cols[1:]:
+            raise ValueError(f"edge {seg[cols.index(0, 1)]} is uncoloured")
+        if len(set(seg)) != len(seg):
+            raise ValueError("an edge repeats in the chain")
         # as Colouring._recolour does: free the segment's colours, then
-        # place each new colour only where it is free
-        for h, _col in new:
+        # place each new colour only where no edge at an endpoint holds it
+        # under the overlay (its entry there, else its colour in c)
+        for h in seg:
             self[h] = 0
-        for h, col in new:
-            if col:
-                u, v, _ = ends[h]
-                for other in adj[u] + adj[v]:
-                    if get(other, colours[other]) == col:
-                        raise ValueError(
-                            f"colour {col} already used at an endpoint of edge {h}"
-                        )
-                self[h] = col
+        get, adj, ends = self.get, self.adj, self.ends
+        for i in range(1, len(seg)):
+            h, col = seg[i - 1], cols[i]
+            u, v, _ = ends[h]
+            for other in adj[u]:
+                if get(other, colours[other]) == col:
+                    raise ValueError(f"colour {col} already used at an endpoint of edge {h}")
+            for other in adj[v]:
+                if get(other, colours[other]) == col:
+                    raise ValueError(f"colour {col} already used at an endpoint of edge {h}")
+            self[h] = col
 
     def stable(self, paths: list[AlternatingPath]) -> bool:
         """Does every path come out the same when walked under the shift?"""
@@ -450,31 +459,34 @@ def superb_scan(
     so the scan does not derive it again; a chain without a tail (augmenting
     fan) raises ValueError on the first step.  Yields a :class:`ScanEntry`
     per suitable edge among the first ``limit`` path edges, in path order;
-    a superb entry's ``edges()`` is its second-level chain.  The scan only
-    reads c, so stopping early needs no clean-up.  Each
-    edge's second paths are walked on c and again under an overlay of the
-    shifted chain's colours, which grows by the segment since the previous
-    suitable edge (shift composition), so the whole scan reads the path once
-    instead of shifting it once per suitable edge.  A stale chain whose
-    shift c no longer admits (an uncoloured edge after the first, or an
-    improper result) raises ValueError, as the shift would.
+    a superb entry's ``edges()`` is its second-level chain.  The suitable
+    edges are found as the scan reaches them, and the path's vertices past
+    the ``limit`` window are never derived, so a caller that stops at the
+    first hit pays for no more.  The scan only reads c, so stopping early
+    needs no clean-up.  Each edge's second paths are walked on c and again
+    under an overlay of the shifted chain's colours, which grows by the
+    segment since the previous suitable edge (shift composition), written
+    in directly, so the whole scan reads the path once instead of shifting
+    it once per suitable edge.  Each cut is still checked as the shift it
+    stands for: a stale chain whose shift c no longer admits (an uncoloured
+    edge after the first, a repeated edge, or an improper result) raises
+    the shift's ValueError at that step.
     """
     ctx = _Context(c, chain)
     shifted = _Shifted(c)
-    # the overlay holds the shift of chain_edges[:end] (the identity while
-    # end is 1: the first edge is uncoloured); each segment starts at the
-    # last edge shifted so far
-    end = 1
+    edges, base = ctx.chain_edges, ctx.prefix_len
+    # the overlay holds the shift of edges[: end + 1] (the identity while
+    # end is 0: the first edge is uncoloured); each segment starts at the
+    # last edge shifted so far and ends at the suitable edge
+    end = 0
     for su in ctx.suitables(limit):
-        target = ctx.prefix_len + su.position
-        shifted.advance(ctx.chain_edges[end - 1 : target])
-        end = target
+        cut = base + su.position - 1
+        shifted.advance(edges[end : cut + 1])
+        end = cut
         cls = _classify(ctx, su)
         if cls.type_tag is SuitableType.TYPE0:
             superb, sec, j = True, None, None
         else:
             paths, sec, j = _second_paths(c, cls)
             superb = shifted.stable(paths)
-        yield ScanEntry(
-            su, cls, superb, sec, j, ctx.chain_edges, ctx.prefix_len + su.position - 1
-        )
+        yield ScanEntry(su, cls, superb, sec, j, edges, cut)

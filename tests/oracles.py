@@ -226,6 +226,43 @@ def oracle_superb(g, cols, chain, cls):
     )
 
 
+def oracle_scan_cuts(g, cols, chain, lengths):
+    """The shift checks of a superb scan, one cut of ``chain`` at a time.
+
+    For each n in the increasing ``lengths``, yields (n, shifted) with
+    shifted = :func:`oracle_shift` of ``cols`` along chain[:n] when that cut
+    shifts properly; otherwise yields (n, message), the message of the
+    ValueError the shift raises, and stops.  The checks come in the shift's
+    order: an uncoloured edge after the first (the earliest), a repeated
+    edge, then a rescan of the cut's edges in chain order for one whose new
+    colour an edge at an endpoint also has after the shift.  Colours are
+    placed in chain order, so a clash between two cut edges is reported at
+    the later one.
+    """
+    at = {}
+    for h, (u, v, _) in enumerate(g.edges):
+        at.setdefault(u, []).append(h)
+        at.setdefault(v, []).append(h)
+    for n in lengths:
+        cut = chain[:n]
+        bare = [h for h in cut[1:] if cols[h] == 0]
+        if bare:
+            yield n, f"edge {bare[0]} is uncoloured"
+            return
+        if len(set(cut)) != len(cut):
+            yield n, "an edge repeats in the chain"
+            return
+        shifted = oracle_shift(cols, cut)
+        for i, h in enumerate(cut):
+            col = shifted[h]
+            later = set(cut[i:])
+            u, v, _ = g.edges[h]
+            if col and any(shifted[k] == col for k in at[u] + at[v] if k not in later):
+                yield n, f"colour {col} already used at an endpoint of edge {h}"
+                return
+        yield n, shifted
+
+
 def oracle_line_distance(g, e, f):
     """BFS distance in the line graph (edges adjacent iff sharing a vertex)."""
     if e == f:

@@ -74,7 +74,7 @@ class TestBuildAuditGraph:
         assert ag.adjacency == {0: frozenset({1})}
         assert ag.reverse_degrees == {1: 1}
         assert ag.degree(0) == 1
-        assert ag.coloured_degree(1) == 1
+        assert ag.reverse_degrees.get(1, 0) == 1
 
     def test_fully_coloured_graph_is_empty(self, p3):
         c = Colouring.from_assignment(p3, [1, 2])
@@ -82,14 +82,14 @@ class TestBuildAuditGraph:
             ag = build_audit_graph(c, kind, L_cap=10)
             assert ag.adjacency == {}
             assert ag.reverse_degrees == {}
-            assert ag.edge_count() == 0
+            assert sum(map(len, ag.adjacency.values())) == 0
 
     def test_star3_empty_colouring_has_no_pairs(self, star3):
         c = Colouring.empty(star3)
         for kind in ("simple", "iterated"):
             ag = build_audit_graph(c, kind, L_cap=10)
             assert set(ag.adjacency) == {0, 1, 2}
-            assert ag.edge_count() == 0
+            assert sum(map(len, ag.adjacency.values())) == 0
             assert ag.reverse_degrees == {}
 
     def test_unknown_kind_rejected(self, p3):
@@ -165,7 +165,7 @@ class TestBuildAuditGraph:
                 ag = build_audit_graph(c, kind, L_cap=12)
                 left = sum(len(p) for p in ag.adjacency.values())
                 right = sum(ag.reverse_degrees.values())
-                assert left == right == ag.edge_count()
+                assert left == right
                 recount = Counter()
                 for partners in ag.adjacency.values():
                     recount.update(partners)
@@ -220,7 +220,7 @@ class TestDegreeBounds:
             ag = build_audit_graph(c, "simple")
             res = check_degree_bounds(ag, g.delta, g.pi)
             if res.worst_edge is not None:
-                assert ag.coloured_degree(res.worst_edge) == res.max_degree
+                assert ag.reverse_degrees.get(res.worst_edge, 0) == res.max_degree
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ classification, superb checks, chain assembly, and the batch scan."""
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from vizing import (
@@ -38,6 +41,7 @@ from oracles import (
     oracle_alternating_path,
     oracle_classify,
     oracle_max_fan,
+    oracle_scan_cuts,
     oracle_shift,
     oracle_suitable_positions,
     oracle_superb,
@@ -87,6 +91,28 @@ def probes_with_suitables():
             continue
         if sus:
             yield g, c, e, x, sus
+
+
+def scanned_chains():
+    """First-level chains with suitable edges and their unlimited scans:
+    the gadgets, then probes of nearly full colourings of seeded random
+    graphs, whose tails are longer than the sparse stream's."""
+    for label, inst in gadget_instances():
+        vc = vizing_chain(inst.c, inst.x, inst.e)
+        yield label, inst.g, inst.c, vc, list(superb_scan(inst.c, vc))
+    for delta in (3, 4):
+        for seed in range(60):
+            g = generate_random(400, delta, 1, seed=seed)
+            c = random_partial_colouring(g, seed=seed + 1000, fill=0.99)
+            for e in sorted(c.uncoloured())[:8]:
+                u, v, _ = g.edges[e]
+                for x in (u, v):
+                    vc = vizing_chain(c, x, e)
+                    if vc.tail is None:
+                        continue
+                    entries = list(superb_scan(c, vc))
+                    if entries:
+                        yield (delta, seed, e, x), g, c, vc, entries
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +598,27 @@ def test_scan_matches_pointwise_on_random_probes():
     assert seen >= 10
 
 
+def _entry_key(en):
+    second = None if en.second_path is None else en.second_path.edges
+    return en.suitable, en.classification.type_tag, en.superb, second
+
+
 def test_scan_respects_limit():
+    """A scan limited to the first k path edges yields exactly the entries
+    of the unlimited scan at positions up to k, for every k from 1 to the
+    tail length: same suitable edge, type, superb flag and second path."""
     inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
     entries = list(superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e), limit=9))
     assert [en.suitable.position for en in entries] == [5, 7, 9]
+    probes = limits = 0
+    for label, _g, c, vc, full in scanned_chains():
+        keys = [_entry_key(en) for en in full]
+        for k in range(1, len(vc.tail.edges) + 1):
+            limited = [_entry_key(en) for en in superb_scan(c, vc, limit=k)]
+            assert limited == [key for key in keys if key[0].position <= k], (label, k)
+            limits += 1
+        probes += 1
+    assert probes >= 30 and limits >= 300
 
 
 def _state(c):
@@ -618,6 +661,56 @@ def test_scan_rejects_a_stale_chain():
     with pytest.raises(ValueError, match="colour 2 already used at an endpoint "
                        f"of edge {inst.path_edges[5]}"):
         next(scan)
+
+
+def test_scan_matches_a_reference_stepper_on_stale_chains():
+    """Seeded random stale chains: after the chain is built, one tail edge
+    is uncoloured or properly recoloured.  The scan yields one entry per cut
+    that :func:`oracles.oracle_scan_cuts` passes, at the same position and
+    with the superb flag of :func:`oracles.oracle_superb` on the stale
+    colours, then raises the stepper's ValueError at the same step, or ends
+    with it.  The one other way out is a guard of the classification: a
+    cut that shifts properly while the changed edge is one of the three
+    path edges around the suitable edge, so the chain no longer alternates
+    alpha and beta there, trips an AssertionError."""
+    rng = random.Random(2026)
+    outcomes = {"uncoloured": 0, "clash": 0, "guard": 0, "end": 0}
+    entries = 0
+    for label, g, c, vc, full in scanned_chains():
+        # a gadget's long tail takes twenty changes, a random probe's one
+        for _ in range(20 if isinstance(label, str) else 1):
+            h = rng.choice(vc.tail.edges)
+            stale = c.copy()
+            old = stale.unassign(h)
+            u, v, _ = g.edges[h]
+            free = [col for col in range(1, g.palette + 1)
+                    if col != old and stale.is_missing(u, col) and stale.is_missing(v, col)]
+            if free and rng.random() < 0.5:
+                stale.assign(h, rng.choice(free))
+            cols = list(stale.colours)
+            chain, base = vc.edges(), vc.fan_prefix_len
+            scan = superb_scan(stale, vc)
+            cuts = [base + en.suitable.position for en in full]
+            for n, step in oracle_scan_cuts(g, cols, chain, cuts):
+                if isinstance(step, str):
+                    with pytest.raises(ValueError, match=f"^{re.escape(step)}$"):
+                        next(scan)
+                    outcomes["uncoloured" if step.startswith("edge") else "clash"] += 1
+                    break
+                try:
+                    en = next(scan)
+                except AssertionError:
+                    assert h in chain[n - 2 : n + 1], (label, h, n)
+                    outcomes["guard"] += 1
+                    break
+                assert en.suitable.position == n - base, (label, h)
+                assert en.superb == oracle_superb(g, cols, chain[:n], en.classification)
+                entries += 1
+            else:
+                assert next(scan, None) is None
+                outcomes["end"] += 1
+            assert stale.colours == cols
+    assert min(outcomes.values()) >= 5 and entries >= 200, outcomes
 
 
 def test_scan_checks_each_second_path_start(monkeypatch):
