@@ -31,9 +31,10 @@ more).  Callers augment along a chain's ``edges()`` with
 
 On sparse inputs most fans stop at step 0, so the chain is the edge alone:
 x misses the smallest colour missing at the other endpoint.  The private
-``_free_colour`` reads that case off two masks, so the drivers in
-``engine`` colour such an edge with :meth:`Colouring.assign` and build no
-records; it never changes which colour the edge gets.
+``_free_colour`` reads that case off two masks, so the round scheduler
+returns such an edge as its own chain and builds no records; it never
+changes which colour the edge gets.  ``colour_sequential`` needs no such
+shortcut: it rotates every augmenting fan in place (``_rotate_fan``).
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ class Fan:
 
 
 def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
-    """The loop of :func:`max_fan`, shared with the conditional fans of the
-    iterated machinery.  The fan also stops as soon as a new far endpoint
+    """The loop of :func:`max_fan`, shared with ``colour_sequential``'s fan
+    rotation and the conditional fans of the iterated machinery.  The fan also stops as soon as a new far endpoint
     misses a colour in ``stop_mask``.  Returns (edges, far endpoints, colour
     sequence, next colour, repeat position); the next colour is None after
     such an early stop.
@@ -234,7 +235,9 @@ def _free_colour(c: Colouring, x: int, e: int) -> int:
     the fan stops at e itself: the smallest colour missing at e's other
     endpoint y, if x misses it too.  Otherwise 0, and the edge needs the
     full chain (which can still be e alone, after a longer fan whose first
-    critical index is 0 and whose path is empty).
+    critical index is 0 and whose path is empty).  Only the round
+    scheduler uses it; ``colour_sequential``'s fan rotation gives e the
+    same colour.
 
     Why this is the chain's colour choice, exactly:
 

@@ -24,11 +24,15 @@ implements this ladder and referees every chain the library builds.
 
 :class:`Colouring` maintains properness as a class invariant (dense colour
 array plus one used-colour bitmask per vertex, so missing-set probes are
-O(1) in the palette size).  Shifts happen in place:
-:meth:`Colouring.augment_in_place`, which the colourers call, is one pass:
-the shift and the colouring of the chain's last edge, undone on failure.  A
-lone uncoloured edge is a chain whose shift is the identity, so it takes the
-smallest colour missing at both ends directly, with no shift logs.
+O(1) in the palette size).  Shifts happen in place.  The private
+:meth:`Colouring._rotate_fan` is ``colour_sequential``'s write path for an
+augmenting maximal fan, its chain for nearly every edge: it rotates the fan
+straight from the tuple ``chains._grow_fan`` returns, with no chain records
+or shift logs.  Every other chain goes through
+:meth:`Colouring.augment_in_place`, one pass: the shift and the colouring of
+the chain's last edge, undone on failure.  A lone uncoloured edge is a chain
+whose shift is the identity, so it takes the smallest colour missing at both
+ends directly, with no shift logs.
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
 an undo log for :meth:`Colouring.apply_undo`; no library path calls it (the
 superb scan shifts a colours-only overlay instead).
@@ -257,6 +261,51 @@ class Colouring:
         used[v] |= bit
         self._uncoloured -= 1
         return 1 if lone else sum([colours[e] != col for e, col in old])
+
+    def _rotate_fan(self, x: int, fan) -> bool:
+        """Augment along the maximal fan around x that ``chains._grow_fan``
+        returned, in place: each fan edge e_i takes a_i and the last, e_k,
+        the smallest colour then missing at x and v_k.  Returns False and
+        writes nothing when the fan is not augmenting (tested as in
+        ``max_fan``).  The far endpoints' masks are written first, each step
+        checked as :meth:`_recolour` checks it; the shift only permutes x's
+        colours, so x's mask just gains e_k's colour.  A colour already used at a far endpoint, or shifted ends sharing no
+        missing colour (neither happens to a fan of this colouring), raise
+        augment_in_place's ValueError with the masks restored.
+        """
+        edges, far, seq = fan[0], fan[1], fan[2]
+        colours, used = self._colours, self._used
+        last = far[-1]
+        if not self._full & ~(used[x] | used[last]):
+            return False
+        for i, col in enumerate(seq):
+            # 1 << c >> 1 is colour c's bit, and 0 for the uncoloured e_0
+            v, bit, old = far[i], 1 << (col - 1), 1 << colours[edges[i]] >> 1
+            if used[v] & ~old & bit:
+                self._unrotate(edges, far, seq, i)
+                raise ValueError(f"colour {col} already used at an endpoint of edge {edges[i]}")
+            used[v] = used[v] & ~old | bit
+        at_last = used[last] & ~(1 << colours[edges[-1]] >> 1)
+        common = self._full & ~(used[x] | at_last)
+        if not common:
+            self._unrotate(edges, far, seq, len(seq))
+            raise ValueError("chain is not augmenting: no common missing colour")
+        for i, col in enumerate(seq):
+            colours[edges[i]] = col
+        bit = common & -common
+        colours[edges[-1]] = bit.bit_length()
+        used[x] |= bit
+        used[last] = at_last | bit
+        self._uncoloured -= 1
+        return True
+
+    def _unrotate(self, edges, far, seq, n: int) -> None:
+        """Undo the first n mask steps of :meth:`_rotate_fan`, which has
+        written no colour yet."""
+        colours, used = self._colours, self._used
+        for i in range(n - 1, -1, -1):
+            v = far[i]
+            used[v] = used[v] & ~(1 << (seq[i] - 1)) | 1 << colours[edges[i]] >> 1
 
     def _shift_logs(self, chain: Sequence[int]):
         """The (edge, colour) pairs of ``chain`` before and after a shift,

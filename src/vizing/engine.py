@@ -4,8 +4,9 @@ Three ways to put the chain machinery to work:
 
   * colour_sequential colours every edge of a finite multigraph in exactly
     m augmentations, one per edge, giving a full proper colouring with
-    delta + pi colours.  An edge whose fan is the edge alone is coloured
-    on the spot; only the others get a chain built;
+    delta + pi colours.  An augmenting fan, the edge alone included, is
+    rotated in place (Colouring._rotate_fan, its write path); only the
+    other edges get a chain built;
 
   * run_scheduler colours in rounds, each applying a greedy maximal set
     of vertex-disjoint chains of at most 3L edges: plain chains whose path
@@ -13,9 +14,9 @@ Three ways to put the chain machinery to work:
     the first L path positions whose second path is also short.  It stops
     once a round finds no such chain, leaving a colouring that cannot be
     improved at scale L -- the state the audit module's fraction bounds
-    apply to.  A chain that is the edge alone is applied as
-    colour_sequential applies it: augment_in_place colours it without
-    shift logs, and the round takes its two ends without a vertex set;
+    apply to.  A chain that is the edge alone (chains._free_colour reads
+    it off two masks) is coloured by augment_in_place without shift logs,
+    and the round takes its two ends without a vertex set;
 
   * orient turns a full colouring of a multiplicity-1 graph into an edge
     orientation with out-degree at most ceil((delta+2)/2), by pairing
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import TextIO
 
-from .chains import _free_colour, vizing_chain
+from .chains import _free_colour, _grow_fan, vizing_chain
 from .colouring import Colouring
 from .multigraph import Multigraph
 
@@ -55,22 +56,22 @@ __all__ = [
 def colour_sequential(g: Multigraph) -> Colouring:
     """A full proper colouring of g in exactly m augmentations.
 
-    Edges are handled in index order; each is augmented along the chain
-    from its smaller endpoint x (edge triples store that endpoint first).
-    When x misses the smallest colour missing at the other endpoint, the
-    fan and so the chain are the edge alone (see chains._free_colour): the
-    edge takes that colour directly and no chain is built.  Augmentation
-    recolours but never uncolours, so every edge is uncoloured when its
-    turn comes and coloured for good afterwards.
+    Edges are handled in index order, each from its smaller endpoint x
+    (edge triples store that endpoint first).  The maximal fan around x is
+    grown once; when it is augmenting, Colouring._rotate_fan applies it in
+    place, with no chain records or shift logs, and only a fan that is not
+    augmenting goes on to vizing_chain and augment_in_place.  The one-edge
+    fan needs no shortcut of its own: it stopped because x misses the
+    smallest colour missing at the other end, so it is augmenting and the
+    rotation gives the edge that colour (see chains._free_colour).
+    Augmentation recolours but never uncolours, so every edge is uncoloured
+    when its turn comes and coloured for good afterwards.
     """
     c = Colouring.empty(g)
     edges = g.edges
     for e in range(g.m):
         x = edges[e][0]
-        col = _free_colour(c, x, e)
-        if col:
-            c.assign(e, col)
-        else:
+        if not c._rotate_fan(x, _grow_fan(c, x, e)):
             c.augment_in_place(vizing_chain(c, x, e).edges())
     return c
 

@@ -314,9 +314,10 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
     used, stop, alpha_bit = c._used, ctx.stop_mask, ctx.alpha_bit
     y = su.far_vertex
     # the near vertex sits between two path edges coloured alpha and beta,
-    # so the early-stop condition cannot trigger at step 0
+    # so the early-stop condition cannot trigger at step 0, unless the chain
+    # is stale there
     if used[su.near_vertex] & stop != stop:
-        raise AssertionError("the suitable edge's near vertex misses a path colour")
+        raise ValueError("stale chain: the suitable edge's near vertex misses a path colour")
     fan = ConditionalFan(y, *_grow_fan(c, y, su.edge, stop))
     u_m = fan.far_endpoints[-1]
     if u_m in ctx.fan_vertices:
@@ -338,8 +339,8 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
     delta = c.min_missing(y)
     if fan.colour_seq[i] != epsilon:
         raise AssertionError("the TypeII repeat edge does not carry epsilon")
-    if delta == epsilon or {delta, epsilon} & {alpha, beta}:
-        raise AssertionError("the TypeII colours are not pairwise distinct")
+    if delta == epsilon or {delta, epsilon} & {alpha, beta}:  # only when stale
+        raise ValueError("stale chain: the TypeII colours are not pairwise distinct")
     return Classification(
         SuitableType.TYPE2, fan, alpha, beta,
         delta=delta, epsilon=epsilon, repeat_index=i,
@@ -470,7 +471,10 @@ def superb_scan(
     it once per suitable edge.  Each cut is still checked as the shift it
     stands for: a stale chain whose shift c no longer admits (an uncoloured
     edge after the first, a repeated edge, or an improper result) raises
-    the shift's ValueError at that step.
+    the shift's ValueError at that step.  A stale chain that still shifts
+    properly, but no longer alternates alpha and beta around a suitable
+    edge, raises a ValueError that starts "stale chain:" when that edge is
+    classified.
     """
     ctx = _Context(c, chain)
     shifted = _Shifted(c)

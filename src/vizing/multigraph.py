@@ -128,18 +128,6 @@ class Multigraph:
         u, v, _ = self.edges[e]
         return u, v
 
-    def other(self, e: int, x: int) -> int:
-        """Return the endpoint of edge e that is not x.
-
-        Raises ValueError if x is not an endpoint of e.
-        """
-        u, v, _ = self.edges[e]
-        if x == u:
-            return v
-        if x == v:
-            return u
-        raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
-
     def degree(self, x: int) -> int:
         """Number of edges incident to vertex x."""
         return len(self.adj[x])

@@ -28,6 +28,7 @@ from oracles import (
     oracle_max_fan,
     oracle_missing,
     oracle_vizing_chain,
+    other_end,
     prefix_stability_check,
 )
 
@@ -119,7 +120,7 @@ def test_path_properties_randomised():
             v = x
             for i, e in enumerate(p.edges):
                 assert c.colour_of(e) == want[i % 2]
-                v = g.other(e, v)
+                v = other_end(g, e, v)
                 visits[v] = visits.get(v, 0) + 1
             assert all(n <= 2 for n in visits.values())
             # the walk can never return to its start (no beta edge there)

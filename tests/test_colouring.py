@@ -9,8 +9,18 @@ import random
 
 import pytest
 
-from vizing import Colouring, build, generate_random, is_proper
+from vizing import (
+    Colouring,
+    build,
+    colour_sequential,
+    generate_random,
+    is_proper,
+    max_fan,
+    vizing_chain,
+)
+from vizing.chains import _grow_fan
 
+from gadgets import long_path_instance
 from helpers import random_instances, random_partial_colouring, random_shiftable_chain
 from oracles import (
     at_least,
@@ -450,6 +460,91 @@ def test_lone_edge_augmentation_matches_the_oracle():
     print(f"lone-edge sweep: {counts}")
     assert counts["no common colour"] >= 1, counts
     assert min(counts.values()) >= 100, counts
+
+
+def test_fan_rotation_matches_the_general_path():
+    """Every step of sequential colourings at pi = 1, 2 and 3: the fan
+    grown from the edge's smaller endpoint is rotated in place when it is
+    augmenting, and that leaves the colours, the used masks and the
+    uncoloured count that augment_in_place along vizing_chain leaves on a
+    copy (the masks the rotation writes are checked against a recompute);
+    the referee calls the fan augmenting.  Otherwise the rotation writes nothing, and max_fan agrees that the fan
+    is not augmenting.  Rotated fans include one-edge fans and fans that
+    reach one far endpoint through two parallel fan edges."""
+    counts = dict.fromkeys(("one edge", "longer", "shared far endpoint", "not augmenting"), 0)
+    # sparse graphs, and small dense multigraphs for parallel fan edges
+    for n, delta, pi in ((80, 5, 1), (80, 5, 2), (80, 5, 3), (12, 6, 2), (10, 8, 3)):
+        for seed in range(4):
+            g = generate_random(n, delta, pi, seed=seed)
+            c = Colouring.empty(g)
+            for e in range(g.m):
+                x = g.edges[e][0]
+                fan = _grow_fan(c, x, e)
+                want = c.copy()
+                want.augment_in_place(vizing_chain(want, x, e).edges())
+                got = c.copy()
+                if got._rotate_fan(x, fan):
+                    assert oracle_classify(g, list(c.colours), fan[0]) == "augmenting"
+                    assert _state(g, got) == _state(g, want)
+                    far = fan[1]
+                    # the rotation writes the masks of x and the far endpoints
+                    for w in {x, *far}:
+                        assert got.used_mask(w) == oracle_used_mask(g, got.colours, w)
+                    counts["one edge" if len(far) == 1 else "longer"] += 1
+                    counts["shared far endpoint"] += len(set(far)) < len(far)
+                else:
+                    assert not max_fan(c, x, e).augmenting
+                    assert _state(g, got) == _state(g, c)
+                    counts["not augmenting"] += 1
+                c = want
+            assert c.colours == colour_sequential(g).colours
+    assert min(counts.values()) >= 10, counts
+
+
+def test_fan_rotation_leaves_a_non_augmenting_fan():
+    """The gadget's fan needs a path (its last far endpoint uses every
+    colour x misses): the rotation returns False and writes nothing."""
+    inst = long_path_instance(16)
+    c = inst.c.copy()
+    assert c._rotate_fan(inst.x, _grow_fan(c, inst.x, inst.e)) is False
+    assert c == inst.c and _state(inst.g, c) == _state(inst.g, inst.c)
+
+
+def test_fan_rotation_checks_fire_and_restore():
+    """The rotation's two checks are ValueErrors, so they also run under
+    python -O, and they restore what the rotation wrote.  A fan step given
+    a colour its far endpoint already uses fails at that step, after
+    earlier steps have written their masks.  On two parallel edges x-v
+    (x = 0, v = 1), where x and v share only colour 6, a one-step fan that
+    moves 6 onto the uncoloured edge passes the test before the shift and
+    leaves no common colour after it."""
+    failed_late = 0
+    for g, c in random_instances(40, seed=81, n=12, delta=5, pi=2, fill=0.9):
+        for e in c.uncoloured():
+            for x in g.edges[e][:2]:
+                edges, far, seq = _grow_fan(c, x, e)[:3]
+                # a colour at v_{k-1} on no fan edge (whose steps free theirs)
+                taken = c.used_mask(far[-2]) if seq else 0
+                for col in seq:
+                    taken &= ~(1 << (col - 1))
+                if not (len(seq) >= 2 and taken and c.missing_mask(x) & c.missing_mask(far[-1])):
+                    continue
+                col = (taken & -taken).bit_length()
+                before = _state(g, c)
+                with pytest.raises(ValueError) as raised:
+                    c._rotate_fan(x, (edges, far, seq[:-1] + [col]))
+                assert str(raised.value) == (
+                    f"colour {col} already used at an endpoint of edge {edges[-2]}"
+                )
+                assert _state(g, c) == before
+                failed_late += 1
+    assert failed_late >= 10
+    g = build(6, [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 4, 1), (1, 5, 1)])
+    c = Colouring.from_assignment(g, [0, 1, 2, 3, 4, 5])
+    with pytest.raises(ValueError) as raised:
+        c._rotate_fan(0, ([0, 1], [1, 1], [6]))
+    assert str(raised.value) == "chain is not augmenting: no common missing colour"
+    assert _state(g, c) == _oracle_state(g, [0, 1, 2, 3, 4, 5])
 
 
 # ---------------------------------------------------------------------------

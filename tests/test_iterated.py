@@ -672,7 +672,7 @@ def test_scan_matches_a_reference_stepper_on_stale_chains():
     with it.  The one other way out is a guard of the classification: a
     cut that shifts properly while the changed edge is one of the three
     path edges around the suitable edge, so the chain no longer alternates
-    alpha and beta there, trips an AssertionError."""
+    alpha and beta there, raises a ValueError naming the stale chain."""
     rng = random.Random(2026)
     outcomes = {"uncoloured": 0, "clash": 0, "guard": 0, "end": 0}
     entries = 0
@@ -699,7 +699,8 @@ def test_scan_matches_a_reference_stepper_on_stale_chains():
                     break
                 try:
                     en = next(scan)
-                except AssertionError:
+                except ValueError as err:
+                    assert str(err).startswith("stale chain: "), err
                     assert h in chain[n - 2 : n + 1], (label, h, n)
                     outcomes["guard"] += 1
                     break

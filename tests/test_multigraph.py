@@ -81,12 +81,8 @@ def test_build_rejects_bad_multiplicity_tag():
         build(2, [(0, 1, 0)])
 
 
-def test_endpoints_and_other(p3):
+def test_endpoints(p3):
     assert p3.endpoints(1) == (1, 2)
-    assert p3.other(1, 1) == 2
-    assert p3.other(1, 2) == 1
-    with pytest.raises(ValueError, match="not an endpoint"):
-        p3.other(1, 0)
 
 
 # ---------------------------------------------------------------------------
