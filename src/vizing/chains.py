@@ -32,9 +32,11 @@ more).  Callers augment along a chain's ``edges()`` with
 On sparse inputs most fans stop at step 0, so the chain is the edge alone:
 x misses the smallest colour missing at the other endpoint.  The private
 ``_free_colour`` reads that case off two masks, so the round scheduler
-returns such an edge as its own chain and builds no records; it never
-changes which colour the edge gets.  ``colour_sequential`` needs no such
-shortcut: it rotates every augmenting fan in place (``_rotate_fan``).
+returns such an edge as its own chain and builds no records, and
+``colour_sequential`` colours it with ``Colouring._colour_free``, the same
+test and the same colour, before any fan is grown; neither changes which
+colour the edge gets.  ``colour_sequential`` rotates every other
+augmenting fan in place (``_rotate_fan``).
 """
 
 from __future__ import annotations
@@ -157,10 +159,13 @@ class Fan:
 
 def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
     """The loop of :func:`max_fan`, shared with ``colour_sequential``'s fan
-    rotation and the conditional fans of the iterated machinery.  The fan also stops as soon as a new far endpoint
-    misses a colour in ``stop_mask``.  Returns (edges, far endpoints, colour
-    sequence, next colour, repeat position); the next colour is None after
-    such an early stop.
+    rotation and the conditional fans of the iterated machinery.  Each step
+    tests the centre's used mask before scanning its adjacency: a centre
+    that does not use the wanted colour has no edge of it, so the fan stops
+    there with no repeat, as the scan would.  The fan also stops as soon as
+    a new far endpoint misses a colour in ``stop_mask``.  Returns (edges,
+    far endpoints, colour sequence, next colour, repeat position); the next
+    colour is None after such an early stop.
     """
     g = c.graph
     colours, used, full = c._colours, c._used, c._full
@@ -180,12 +185,14 @@ def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
             raise AssertionError("fan step has no available colour")
         bit = avail & -avail
         col = bit.bit_length()
+        if not used[centre] & bit:
+            return edges, far, colour_seq, col, None
         # properness makes the centre's col-edge unique
         for nxt in around:
             if colours[nxt] == col:
                 break
-        else:
-            return edges, far, colour_seq, col, None
+        else:  # unreachable: the centre's mask names only its edges' colours
+            raise AssertionError(f"no edge of colour {col} at vertex {centre}")
         if nxt in edges:
             return edges, far, colour_seq, col, edges.index(nxt)
         chosen_at[tip] = chosen_at.get(tip, 0) | bit
@@ -235,9 +242,9 @@ def _free_colour(c: Colouring, x: int, e: int) -> int:
     the fan stops at e itself: the smallest colour missing at e's other
     endpoint y, if x misses it too.  Otherwise 0, and the edge needs the
     full chain (which can still be e alone, after a longer fan whose first
-    critical index is 0 and whose path is empty).  Only the round
-    scheduler uses it; ``colour_sequential``'s fan rotation gives e the
-    same colour.
+    critical index is 0 and whose path is empty).  The round scheduler
+    uses it; ``colour_sequential`` makes the same test and gives e the
+    same colour in ``Colouring._colour_free``.
 
     Why this is the chain's colour choice, exactly:
 

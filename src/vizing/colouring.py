@@ -24,11 +24,12 @@ implements this ladder and referees every chain the library builds.
 
 :class:`Colouring` maintains properness as a class invariant (dense colour
 array plus one used-colour bitmask per vertex, so missing-set probes are
-O(1) in the palette size).  Shifts happen in place.  The private
-:meth:`Colouring._rotate_fan` is ``colour_sequential``'s write path for an
-augmenting maximal fan, its chain for nearly every edge: it rotates the fan
-straight from the tuple ``chains._grow_fan`` returns, with no chain records
-or shift logs.  Every other chain goes through
+O(1) in the palette size).  Shifts happen in place.  ``colour_sequential``
+has two private write paths of its own.  :meth:`Colouring._colour_free`
+colours an edge whose maximal fan is the edge alone, most edges of a sparse
+graph, off two masks.  :meth:`Colouring._rotate_fan` applies any other
+augmenting maximal fan straight from the tuple ``chains._grow_fan``
+returns, with no chain records or shift logs.  Every other chain goes through
 :meth:`Colouring.augment_in_place`, one pass: the shift and the colouring of
 the chain's last edge, undone on failure.  A lone uncoloured edge is a chain
 whose shift is the identity, so it takes the smallest colour missing at both
@@ -261,6 +262,24 @@ class Colouring:
         used[v] |= bit
         self._uncoloured -= 1
         return 1 if lone else sum([colours[e] != col for e, col in old])
+
+    def _colour_free(self, x: int, y: int, e: int) -> bool:
+        """Colour the uncoloured edge e = (x, y) when its maximal fan around
+        x is e alone: when x misses the smallest colour missing at y, e takes
+        that colour, written straight into the colour array and both masks,
+        and True is returned.  That is the colour the chain gives e (see
+        ``chains._free_colour``).  Otherwise returns False and writes
+        nothing."""
+        used = self._used
+        wanted = self._full & ~used[y]
+        bit = wanted & -wanted
+        if used[x] & bit:
+            return False
+        self._colours[e] = bit.bit_length()
+        used[x] |= bit
+        used[y] |= bit
+        self._uncoloured -= 1
+        return True
 
     def _rotate_fan(self, x: int, fan) -> bool:
         """Augment along the maximal fan around x that ``chains._grow_fan``

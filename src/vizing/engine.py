@@ -4,9 +4,10 @@ Three ways to put the chain machinery to work:
 
   * colour_sequential colours every edge of a finite multigraph in exactly
     m augmentations, one per edge, giving a full proper colouring with
-    delta + pi colours.  An augmenting fan, the edge alone included, is
-    rotated in place (Colouring._rotate_fan, its write path); only the
-    other edges get a chain built;
+    delta + pi colours.  An edge whose fan is the edge alone takes its
+    colour off two masks (Colouring._colour_free); any other augmenting
+    fan is rotated in place (Colouring._rotate_fan); only the remaining
+    edges get a chain built;
 
   * run_scheduler colours in rounds, each applying a greedy maximal set
     of vertex-disjoint chains of at most 3L edges: plain chains whose path
@@ -57,21 +58,22 @@ def colour_sequential(g: Multigraph) -> Colouring:
     """A full proper colouring of g in exactly m augmentations.
 
     Edges are handled in index order, each from its smaller endpoint x
-    (edge triples store that endpoint first).  The maximal fan around x is
-    grown once; when it is augmenting, Colouring._rotate_fan applies it in
+    (edge triples store that endpoint first).  When x misses the smallest
+    colour missing at the other end y, the fan is the edge alone, and
+    Colouring._colour_free gives the edge that colour straight off the two
+    masks, the chain's own choice (see chains._free_colour); that is most
+    edges of a sparse graph.  Otherwise the maximal fan around x is grown
+    once; when it is augmenting, Colouring._rotate_fan applies it in
     place, with no chain records or shift logs, and only a fan that is not
-    augmenting goes on to vizing_chain and augment_in_place.  The one-edge
-    fan needs no shortcut of its own: it stopped because x misses the
-    smallest colour missing at the other end, so it is augmenting and the
-    rotation gives the edge that colour (see chains._free_colour).
+    augmenting goes on to vizing_chain and augment_in_place.
     Augmentation recolours but never uncolours, so every edge is uncoloured
     when its turn comes and coloured for good afterwards.
     """
     c = Colouring.empty(g)
     edges = g.edges
     for e in range(g.m):
-        x = edges[e][0]
-        if not c._rotate_fan(x, _grow_fan(c, x, e)):
+        x, y, _ = edges[e]
+        if not c._colour_free(x, y, e) and not c._rotate_fan(x, _grow_fan(c, x, e)):
             c.augment_in_place(vizing_chain(c, x, e).edges())
     return c
 

@@ -259,7 +259,11 @@ def fan_probe_instances():
 
 
 def test_fan_matches_oracle_and_invariants():
+    """Both of the fan builder's exits are pinned against the oracle: the
+    stop where the centre has no edge of the wanted colour (read off its
+    used mask) and the stop at a repeated edge."""
     seen_nonaug = 0
+    stops = {"no edge": 0, "repeat": 0}
     for g, c in fan_probe_instances():
         for e in c.uncoloured():
             for x in g.endpoints(e):
@@ -285,7 +289,9 @@ def test_fan_matches_oracle_and_invariants():
                     )
                 if not fan.augmenting:
                     seen_nonaug += 1
+                stops["no edge" if fan.repeat_pos is None else "repeat"] += 1
     assert seen_nonaug >= 10
+    assert min(stops.values()) >= 10, stops
 
 
 # Two probes whose fans reach their last far endpoint twice, through parallel

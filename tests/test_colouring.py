@@ -18,7 +18,7 @@ from vizing import (
     max_fan,
     vizing_chain,
 )
-from vizing.chains import _grow_fan
+from vizing.chains import _free_colour, _grow_fan
 
 from gadgets import long_path_instance
 from helpers import random_instances, random_partial_colouring, random_shiftable_chain
@@ -462,18 +462,25 @@ def test_lone_edge_augmentation_matches_the_oracle():
     assert min(counts.values()) >= 100, counts
 
 
+# Sequential colourings at pi = 1, 2 and 3: sparse graphs, and small dense
+# multigraphs for parallel fan edges; seeds 0-3 of each.
+SEQUENTIAL_SHAPES = ((80, 5, 1), (80, 5, 2), (80, 5, 3), (12, 6, 2), (10, 8, 3))
+
+
 def test_fan_rotation_matches_the_general_path():
     """Every step of sequential colourings at pi = 1, 2 and 3: the fan
     grown from the edge's smaller endpoint is rotated in place when it is
     augmenting, and that leaves the colours, the used masks and the
     uncoloured count that augment_in_place along vizing_chain leaves on a
     copy (the masks the rotation writes are checked against a recompute);
-    the referee calls the fan augmenting.  Otherwise the rotation writes nothing, and max_fan agrees that the fan
-    is not augmenting.  Rotated fans include one-edge fans and fans that
-    reach one far endpoint through two parallel fan edges."""
+    the referee calls the fan augmenting.  Otherwise the rotation writes
+    nothing, and max_fan agrees that the fan is not augmenting.  Rotated
+    fans include fans that reach one far endpoint through two parallel fan
+    edges, and one-edge fans: the rotation handles them too, though
+    colour_sequential colours those with _colour_free before any fan is
+    grown, so they are not its rotation path."""
     counts = dict.fromkeys(("one edge", "longer", "shared far endpoint", "not augmenting"), 0)
-    # sparse graphs, and small dense multigraphs for parallel fan edges
-    for n, delta, pi in ((80, 5, 1), (80, 5, 2), (80, 5, 3), (12, 6, 2), (10, 8, 3)):
+    for n, delta, pi in SEQUENTIAL_SHAPES:
         for seed in range(4):
             g = generate_random(n, delta, pi, seed=seed)
             c = Colouring.empty(g)
@@ -497,6 +504,37 @@ def test_fan_rotation_matches_the_general_path():
                     assert _state(g, got) == _state(g, c)
                     counts["not augmenting"] += 1
                 c = want
+            assert c.colours == colour_sequential(g).colours
+    assert min(counts.values()) >= 10, counts
+
+
+def test_colour_free_matches_free_colour():
+    """Every step of the same sequential colourings: _colour_free colours
+    the edge exactly when _free_colour is nonzero, and then leaves the
+    colours, the used masks (checked against a recompute) and the
+    uncoloured count that augment_in_place([e]) leaves on a copy; the edge
+    takes _free_colour's colour.  Otherwise it writes nothing."""
+    counts = {True: 0, False: 0}
+    for n, delta, pi in SEQUENTIAL_SHAPES:
+        for seed in range(4):
+            g = generate_random(n, delta, pi, seed=seed)
+            c = Colouring.empty(g)
+            for e in range(g.m):
+                x, y, _ = g.edges[e]
+                col = _free_colour(c, x, e)
+                got = c.copy()
+                coloured = got._colour_free(x, y, e)
+                assert coloured is bool(col)
+                if coloured:
+                    want = c.copy()
+                    want.augment_in_place([e])
+                    assert _state(g, got) == _state(g, want)
+                    assert _state(g, got) == _oracle_state(g, got.colours)
+                    assert got.colour_of(e) == col
+                else:
+                    assert _state(g, got) == _state(g, c)
+                counts[coloured] += 1
+                c.augment_in_place(vizing_chain(c, x, e).edges())
             assert c.colours == colour_sequential(g).colours
     assert min(counts.values()) >= 10, counts
 
