@@ -8,7 +8,7 @@ of the combinatorial bounds driving it, and an orientation routine derived
 from a full colouring.
 
 Modules:
-    multigraph  bounded-degree multigraphs, generation, serialisation
+    multigraph  bounded-degree multigraphs, generation, the text format
     colouring   partial proper colourings and the shift along a chain
     chains      alternating paths, fans, augmenting chains
     iterated    second-order chains through distant path edges
@@ -59,7 +59,6 @@ _HOME = {
     "SuperbCount": "audit",
     "audit_report": "audit",
     "build_audit_graph": "audit",
-    "check_degree_bounds": "audit",
     "check_unimprovable": "audit",
     "superb_count_check": "audit",
     "uncoloured_fraction_bounds": "audit",

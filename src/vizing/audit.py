@@ -13,6 +13,9 @@ colourings:
   * degree bounds: a coloured edge serves at most (delta+pi)^4 plain chains
     and at most (delta+pi)^9 second-order chains, while under
     unimprovability every uncoloured edge has plain degree at least L;
+    only audit_report checks the caps, and DegreeBoundCheck is public as
+    the type of its simple_caps and iterated_caps, which the command line
+    reads;
 
   * improvement checks: whether any uncoloured edge still admits a short
     augmenting chain, in the plain or the second-order sense;
@@ -63,7 +66,6 @@ __all__ = [
     "VERDICT_NOT_APPLICABLE",
     "audit_report",
     "build_audit_graph",
-    "check_degree_bounds",
     "check_unimprovable",
     "superb_count_check",
     "uncoloured_fraction_bounds",
@@ -104,10 +106,6 @@ class AuditGraph:
         self.kind = kind
         self.adjacency = adjacency
         self.reverse_degrees = reverse_degrees
-
-    def degree(self, e: int) -> int:
-        """Partner count of the uncoloured edge e (0 if e has no entry)."""
-        return len(self.adjacency.get(e, ()))
 
     def min_uncoloured_degree(self) -> tuple[int | None, int]:
         """(edge, degree) minimising over uncoloured edges; (None, 0) when
@@ -221,7 +219,7 @@ class DegreeBoundCheck(NamedTuple):
     worst_edge: int | None
 
 
-def check_degree_bounds(
+def _check_degree_bounds(
     audit_graph: AuditGraph, delta: int, pi: int
 ) -> DegreeBoundCheck:
     """Check every coloured edge's degree against the cap for the kind:
@@ -279,10 +277,6 @@ class FractionBound(NamedTuple):
     fraction: Fraction
     bound: Fraction
     verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in (VERDICT_PASS, VERDICT_VACUOUS)
 
 
 def fraction_bound_value(mode: str, delta: int, pi: int, L: int) -> Fraction:
@@ -348,10 +342,6 @@ class SuperbCount(NamedTuple):
     count: int
     bound: Fraction
     verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in (VERDICT_PASS, VERDICT_VACUOUS)
 
 
 def superb_count_bound(delta: int, pi: int, L: int) -> Fraction:
@@ -569,8 +559,8 @@ def audit_report(
     g = c.graph
     simple_graph = _audit_graph(SIMPLE, simple)
     return AuditReport(
-        simple_caps=check_degree_bounds(simple_graph, g.delta, g.pi),
-        iterated_caps=check_degree_bounds(_audit_graph(ITERATED, iterated), g.delta, g.pi),
+        simple_caps=_check_degree_bounds(simple_graph, g.delta, g.pi),
+        iterated_caps=_check_degree_bounds(_audit_graph(ITERATED, iterated), g.delta, g.pi),
         simple_bound=_fraction_bound(c, L, SIMPLE, first_order),
         iterated_bound=_fraction_bound(c, L, ITERATED, first_order and second_order),
         min_uncoloured=simple_graph.min_uncoloured_degree(),

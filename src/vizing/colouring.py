@@ -24,19 +24,22 @@ implements this ladder and referees every chain the library builds.
 
 :class:`Colouring` maintains properness as a class invariant (dense colour
 array plus one used-colour bitmask per vertex, so missing-set probes are
-O(1) in the palette size).  Shifts happen in place.  ``colour_sequential``
-has two private write paths of its own.  :meth:`Colouring._colour_free`
-colours an edge whose maximal fan is the edge alone, most edges of a sparse
-graph, off two masks.  :meth:`Colouring._rotate_fan` applies any other
-augmenting maximal fan straight from the tuple ``chains._grow_fan``
-returns, with no chain records or shift logs.  Every other chain goes through
+O(1) in the palette size).  A colouring is built whole, from a colour array
+(``from_assignment``, ``from_dump``) that is checked for properness, and
+then changes in place.  ``colour_sequential`` has two private write paths of
+its own.  :meth:`Colouring._colour_free` colours an edge whose maximal fan
+is the edge alone, most edges of a sparse graph, off two masks.
+:meth:`Colouring._rotate_fan` applies any other augmenting maximal fan
+straight from the tuple ``chains._grow_fan`` returns, with no chain records
+or shift logs.  Every other chain goes through
 :meth:`Colouring.augment_in_place`, one pass: the shift and the colouring of
 the chain's last edge, undone on failure.  A lone uncoloured edge is a chain
 whose shift is the identity, so it takes the smallest colour missing at both
 ends directly, with no shift logs.
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
-an undo log for :meth:`Colouring.apply_undo`; no library path calls it (the
-superb scan shifts a colours-only overlay instead).
+an undo log for :meth:`Colouring.apply_undo`.  No library path calls either
+(the superb scan shifts a colours-only overlay instead); they stay only
+because the benchmark's tracer wraps them by name.
 
 Shifts along infinite chains never arise here: all inputs are finite, so
 every chain is a finite list.
@@ -65,9 +68,11 @@ class Colouring:
 
     The colour of edge e is an integer in 1..graph.palette, or 0 when e is
     uncoloured.  Properness (no two incident coloured edges share a colour)
-    is an invariant: every mutation validates it and raises ValueError on
-    violation.  The readers missing_mask, min_missing and is_missing sit on
-    the chain builders' hot path: they take a valid vertex 0..n-1 unchecked.
+    is an invariant: the constructor checks it, and every write path
+    (``augment_in_place``, ``shift_in_place``, ``apply_undo`` and the
+    private fast paths) keeps it or raises ValueError with the colouring
+    unchanged.  The readers missing_mask and min_missing sit on the chain
+    builders' hot path: they take a valid vertex 0..n-1 unchecked.
     """
 
     __slots__ = ("graph", "_colours", "_used", "_uncoloured", "_full")
@@ -149,25 +154,9 @@ class Colouring:
         """Ids of uncoloured edges, ascending."""
         return [e for e, col in enumerate(self._colours) if col == 0]
 
-    def assignment(self) -> dict[int, int]:
-        """The coloured edges as a dict {edge: colour}."""
-        return {e: col for e, col in enumerate(self._colours) if col != 0}
-
-    def used_mask(self, x: int) -> int:
-        """Bitmask of colours used at vertex x (bit col-1)."""
-        return self._used[x]
-
     def missing_mask(self, x: int) -> int:
         """Bitmask of colours missing at vertex x."""
         return self._full & ~self._used[x]
-
-    def missing_colours(self, x: int) -> set[int]:
-        """The set of palette colours not present on any edge at x.
-        Raises ValueError unless 0 <= x < n."""
-        if not (0 <= x < self.graph.n):
-            raise ValueError(f"vertex {x} out of range")
-        m = self.missing_mask(x)
-        return {c + 1 for c in range(self.graph.palette) if (m >> c) & 1}
 
     def min_missing(self, x: int) -> int:
         """Smallest colour missing at x (every vertex misses >= pi colours)."""
@@ -175,9 +164,6 @@ class Colouring:
         if m == 0:
             raise ValueError(f"vertex {x} has no missing colour")
         return (m & -m).bit_length()
-
-    def is_missing(self, x: int, col: int) -> bool:
-        return bool(self.missing_mask(x) >> (col - 1) & 1)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -189,35 +175,6 @@ class Colouring:
     __hash__ = None  # mutable; not usable as a dict key
 
     # -- mutation -----------------------------------------------------------
-
-    def assign(self, e: int, col: int) -> None:
-        """Colour edge e with col; e must be uncoloured and col free at both
-        endpoints (ValueError otherwise)."""
-        if self._colours[e] != 0:
-            raise ValueError(f"edge {e} is already coloured")
-        if not (1 <= col <= self.graph.palette):
-            raise ValueError(f"colour {col} outside palette 1..{self.graph.palette}")
-        bit = 1 << (col - 1)
-        u, v, _ = self.graph.edges[e]
-        if (self._used[u] | self._used[v]) & bit:
-            raise ValueError(f"colour {col} already used at an endpoint of edge {e}")
-        self._colours[e] = col
-        self._used[u] |= bit
-        self._used[v] |= bit
-        self._uncoloured -= 1
-
-    def unassign(self, e: int) -> int:
-        """Uncolour edge e, returning its previous colour."""
-        col = self._colours[e]
-        if col == 0:
-            raise ValueError(f"edge {e} is already uncoloured")
-        bit = 1 << (col - 1)
-        u, v, _ = self.graph.edges[e]
-        self._colours[e] = 0
-        self._used[u] &= ~bit
-        self._used[v] &= ~bit
-        self._uncoloured += 1
-        return col
 
     def shift_in_place(self, chain: Sequence[int]) -> list[tuple[int, int]]:
         """Shift this colouring along a proper-shiftable chain, in place.
@@ -255,7 +212,7 @@ class Colouring:
             if not lone:
                 self._recolour(new, old)  # cannot fail: old was proper
             raise ValueError("chain is not augmenting: no common missing colour")
-        # the colour is missing at both endpoints, so assign's checks hold
+        # the colour is missing at both endpoints, so the colouring stays proper
         bit = common & -common
         colours[last] = bit.bit_length()
         used[u] |= bit
@@ -387,10 +344,6 @@ class Colouring:
         uncoloured, edges in ascending id order."""
         return "".join(f"{e} {col}\n" for e, col in enumerate(self._colours))
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_text())
-
     @staticmethod
     def parse_dump(graph: Multigraph, text: str) -> list[int]:
         """Parse a colouring dump into a raw colour array (no properness
@@ -405,11 +358,6 @@ class Colouring:
     def from_dump(graph: Multigraph, text: str) -> "Colouring":
         """Parse a dump and validate it as a proper colouring."""
         return Colouring(graph, Colouring.parse_dump(graph, text))
-
-    @staticmethod
-    def load(graph: Multigraph, path: str) -> "Colouring":
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            return Colouring.from_dump(graph, fh.read())
 
 
 def _parse_dump_lines(graph: Multigraph, lines: list[str], offset: int = 0) -> list[int]:

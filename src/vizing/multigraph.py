@@ -2,7 +2,9 @@
 
 This module owns the input side of the package: a small immutable multigraph
 structure, a deterministic random generator for test instances, a BFS distance
-on the line graph, and a plain-text serialisation format.
+on the line graph, and a plain-text format.  ``Multigraph.to_text`` and
+``Multigraph.from_text`` convert a graph to and from that text; reading and
+writing files is the command line's business.
 
 Vertices are integers 0..n-1.  Parallel edges are allowed and distinguished by
 a multiplicity index k >= 1 per unordered vertex pair; self-loops are not.
@@ -123,21 +125,6 @@ class Multigraph:
         """Number of colours available to colourings of this graph."""
         return self.delta + self.pi
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        """Return the endpoints (u, v) of edge e, with u < v."""
-        u, v, _ = self.edges[e]
-        return u, v
-
-    def degree(self, x: int) -> int:
-        """Number of edges incident to vertex x."""
-        return len(self.adj[x])
-
-    def multiplicity(self, u: int, v: int) -> int:
-        """Number of parallel edges joining u and v."""
-        if u > v:
-            u, v = v, u
-        return sum(1 for (a, b, _) in self.edges if a == u and b == v)
-
     # -- serialisation ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -146,11 +133,6 @@ class Multigraph:
         lines.extend(f"{u} {v} {k}" for (u, v, k) in self.edges)
         return "\n".join(lines) + "\n"
 
-    def save(self, path: str) -> None:
-        """Write the ``mg`` text form to ``path``."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_text())
-
     @staticmethod
     def from_text(text: str) -> "Multigraph":
         """Parse the ``mg`` text format; see the module docstring.
@@ -158,12 +140,6 @@ class Multigraph:
         Raises ValueError with a 1-based line number on any malformed input.
         """
         return _parse_mg(text)
-
-    @staticmethod
-    def load(path: str) -> "Multigraph":
-        """Read a graph from an ``mg`` file written by :meth:`save`."""
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            return _parse_mg(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,23 @@ def random_partial_colouring(
     with no such colour stay uncoloured).
     """
     rng = random.Random(seed)
-    c = Colouring.empty(g)
+    colours = [0] * g.m
+    used = [0] * g.n
+    full = (1 << g.palette) - 1
     order = list(range(g.m))
     rng.shuffle(order)
     for e in order:
         if rng.random() > fill:
             continue
-        u, v = g.endpoints(e)
-        mask = c.missing_mask(u) & c.missing_mask(v)
+        u, v, _ = g.edges[e]
+        mask = full & ~(used[u] | used[v])
         if mask == 0:
             continue
         cols = [i + 1 for i in range(g.palette) if (mask >> i) & 1]
-        c.assign(e, rng.choice(cols))
-    return c
+        colours[e] = col = rng.choice(cols)
+        used[u] |= 1 << (col - 1)
+        used[v] |= 1 << (col - 1)
+    return Colouring.from_assignment(g, colours)
 
 
 def random_instances(
@@ -67,7 +71,7 @@ def random_shiftable_chain(g, c, seed: int, max_len: int = 8):
     chain = [rng.choice(unc)]
     used = set(chain)
     while len(chain) < max_len:
-        u, v = g.endpoints(chain[-1])
+        u, v, _ = g.edges[chain[-1]]
         cand = [
             h
             for x in (u, v)

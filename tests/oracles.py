@@ -333,10 +333,10 @@ def prefix_stability_check(c, d, x, alpha, beta):
     """
     if c.graph is not d.graph:
         raise ValueError("colourings must colour the same graph")
-    if not c.is_missing(x, beta):
+    if beta not in oracle_missing(c.graph, c.colours, x):
         raise ValueError(f"colour {beta} is not missing at vertex {x}")
     p_c = _walk(c.graph, c.colours, x, alpha, beta)
-    if not d.is_missing(x, beta):
+    if beta not in oracle_missing(d.graph, d.colours, x):
         raise ValueError(
             f"precondition violated: colour {beta} not missing at {x} under d"
         )

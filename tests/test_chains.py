@@ -107,12 +107,12 @@ def test_path_properties_randomised():
         for _ in range(10):
             x = rng.randrange(g.n)
             alpha, beta = rng.sample(range(1, g.palette + 1), 2)
-            if not c.is_missing(x, beta):
+            if beta not in oracle_missing(g, c.colours, x):
                 continue
             p = _walk(g, c.colours, x, alpha, beta)
             edges, last = oracle_alternating_path(g, c.colours, x, alpha, beta)
             assert p.edges == edges and p.last_vertex == last
-            assert (len(p.edges) == 0) == c.is_missing(x, alpha)
+            assert (len(p.edges) == 0) == (alpha in oracle_missing(g, c.colours, x))
             # edge injective, alternating colours, no vertex visited 3 times
             assert len(set(p.edges)) == len(p.edges)
             want = [alpha, beta]
@@ -180,19 +180,23 @@ def test_prefix_stability_randomised():
     for g, c in probes:
         x = rng.randrange(g.n)
         alpha, beta = rng.sample(range(1, g.palette + 1), 2)
-        if not c.is_missing(x, beta):
+        if beta not in oracle_missing(g, c.colours, x):
             continue
-        d = c.copy()
-        # extend d by colouring a few more edges, never putting beta on x
-        for e in d.uncoloured():
+        # extend c to d by colouring a few more edges, never putting beta on x
+        cols, used = list(c.colours), list(c._used)
+        for e in c.uncoloured():
             if rng.random() > 0.5:
                 continue
-            u, v = g.endpoints(e)
-            mask = d.missing_mask(u) & d.missing_mask(v)
+            u, v, _ = g.edges[e]
+            mask = (1 << g.palette) - 1 & ~(used[u] | used[v])
             if x in (u, v):
                 mask &= ~(1 << (beta - 1))
             if mask:
-                d.assign(e, (mask & -mask).bit_length())
+                bit = mask & -mask
+                cols[e] = bit.bit_length()
+                used[u] |= bit
+                used[v] |= bit
+        d = Colouring.from_assignment(g, cols)
         assert prefix_stability_check(c, d, x, alpha, beta) is True
         checked += 1
     assert checked >= 8
@@ -266,7 +270,7 @@ def test_fan_matches_oracle_and_invariants():
     stops = {"no edge": 0, "repeat": 0}
     for g, c in fan_probe_instances():
         for e in c.uncoloured():
-            for x in g.endpoints(e):
+            for x in g.edges[e][:2]:
                 fan = max_fan(c, x, e)
                 want = oracle_max_fan(g, c.colours, x, e)
                 assert fan.edges == want["edges"]
@@ -276,7 +280,7 @@ def test_fan_matches_oracle_and_invariants():
                 assert fan.repeat_pos == want["repeat_pos"]
                 assert fan.augmenting == want["augmenting"]
                 # structural invariants
-                assert all(x in g.endpoints(h) for h in fan.edges)
+                assert all(x in g.edges[h][:2] for h in fan.edges)
                 assert len(set(fan.edges)) == len(fan.edges)
                 for i, col in enumerate(fan.colour_seq):
                     assert c.colour_of(fan.edges[i + 1]) == col
@@ -336,16 +340,18 @@ def fan_probes(draw):
     if g.m == 0:
         g = build(2, [(0, 1, 1)])
     e = rng.randrange(g.m)
-    c = Colouring.empty(g)
+    colours, used = [0] * g.m, [0] * g.n
     order = [f for f in range(g.m) if f != e]
     rng.shuffle(order)
     for f in order:
-        u, v = g.endpoints(f)
-        free = c.missing_mask(u) & c.missing_mask(v)
+        u, v, _ = g.edges[f]
+        free = (1 << g.palette) - 1 & ~(used[u] | used[v])
         cols = [i + 1 for i in range(g.palette) if free >> i & 1]
         if cols and rng.random() < 0.95:
-            c.assign(f, rng.choice(cols))
-    return c
+            colours[f] = col = rng.choice(cols)
+            used[u] |= 1 << (col - 1)
+            used[v] |= 1 << (col - 1)
+    return Colouring.from_assignment(g, colours)
 
 
 @settings(max_examples=400)
@@ -356,7 +362,7 @@ def test_fan_augmenting_flag_matches_classifier(c):
     """The fan's mask test agrees with the general chain classifier at
     both endpoints of every uncoloured edge."""
     for e in c.uncoloured():
-        for x in c.graph.endpoints(e):
+        for x in c.graph.edges[e][:2]:
             fan = max_fan(c, x, e)
             assert fan.augmenting == (
                 oracle_classify(c.graph, list(c.colours), fan.edges) == "augmenting"
@@ -375,10 +381,15 @@ def test_free_colour_is_the_one_edge_fan():
 
     @settings(max_examples=400)
     @given(fan_probes())
+    # a probe of the last kind, at x = 1 and e = 4: the drawn examples
+    # depend on this function's source and need not contain one
+    @example(Colouring.from_assignment(
+        build(4, [(1, 3, 1), (0, 1, 1), (2, 3, 1), (0, 3, 1), (1, 2, 1)]), [3, 1, 4, 2, 0]
+    ))
     def check(c):
         g = c.graph
         for e in c.uncoloured():
-            u, v = g.endpoints(e)
+            u, v, _ = g.edges[e]
             for x, y in ((u, v), (v, u)):
                 col = _free_colour(c, x, e)
                 alone = max_fan(c, x, e).edges == [e]
@@ -399,7 +410,7 @@ def test_free_colour_is_the_one_edge_fan():
                     seen["one_edge_chain_longer_fan"] += chain == [e]
 
     check()
-    # 621, 461 and 7 with the derandomised profile
+    # 626, 486 and 9 with the derandomised profile, the pinned example included
     assert seen["free"] >= 500, seen
     assert seen["shared_but_blocked"] >= 300, seen
     assert seen["one_edge_chain_longer_fan"] >= 1, seen
@@ -431,7 +442,7 @@ def test_repeated_indices_conclusions_randomised():
     found = 0
     for g, c in random_instances(60, seed=55, n=7, delta=4, pi=1, fill=0.9):
         for e in c.uncoloured():
-            for x in g.endpoints(e):
+            for x in g.edges[e][:2]:
                 fan = max_fan(c, x, e)
                 if fan.augmenting:
                     continue
@@ -498,14 +509,14 @@ def test_chain_randomised_against_oracle():
     nonaug = 0
     for g, c in fan_probe_instances():
         for e in c.uncoloured():
-            for x in g.endpoints(e):
+            for x in g.edges[e][:2]:
                 ch = vizing_chain(c, x, e)
                 seq = ch.edges()
                 assert seq == oracle_vizing_chain(g, c.colours, x, e)
                 assert oracle_classify(g, list(c.colours), seq) == "augmenting"
                 # the tail path never touches the centre
                 for h in ([] if ch.tail is None else ch.tail.edges):
-                    assert x not in g.endpoints(h)
+                    assert x not in g.edges[h][:2]
                 # every prefix of the chain is proper-shiftable
                 for i in range(1, len(seq) + 1):
                     assert at_least(
@@ -524,20 +535,20 @@ def test_chain_randomised_against_oracle():
 def test_augment_p3(p3):
     c = Colouring.from_assignment(p3, {1: 1})
     out = augment(c, [0, 1])
-    assert out.assignment() == {0: 1, 1: 2}
+    assert out.colours == [1, 2]
     assert out.uncoloured_count == 0
 
 
 def test_augment_star3(star3):
     c = Colouring.from_assignment(star3, {1: 1, 2: 2})
     out = augment(c, [0, 1, 2])
-    assert out.assignment() == {0: 1, 1: 2, 2: 3}
+    assert out.colours == [1, 2, 3]
 
 
 def test_augment_single_edge(p3):
     c = Colouring.from_assignment(p3, {1: 1})
     out = augment(c, [0])
-    assert out.assignment() == {0: 2, 1: 1}
+    assert out.colours == [2, 1]
 
 
 def test_augment_accepts_vizing_chain_object(p3):
@@ -559,13 +570,13 @@ def test_augment_rejects_non_augmenting(p3):
 def test_augment_in_place_counts_changes(p3):
     c = Colouring.from_assignment(p3, {1: 1})
     assert c.augment_in_place([0, 1]) == 2
-    assert c.assignment() == {0: 1, 1: 2}
+    assert c.colours == [1, 2]
 
 
 def test_augment_randomised_properties():
     for g, c in random_instances(15, seed=57):
         for e in c.uncoloured()[:2]:
-            x = min(g.endpoints(e))
+            x = g.edges[e][0]
             ch = vizing_chain(c, x, e)
             out = augment(c, ch)
             assert is_proper(out)
@@ -587,7 +598,7 @@ def test_full_colouring_by_repeated_augmentation():
         steps = 0
         while c.uncoloured_count > 0:
             e = c.uncoloured()[0]
-            x = min(g.endpoints(e))
+            x = g.edges[e][0]
             c.augment_in_place(vizing_chain(c, x, e).edges())
             steps += 1
             assert steps <= g.m

@@ -47,30 +47,30 @@ def long_path(m):
 class TestColourSequential:
     def test_p3_frozen(self, p3):
         c = colour_sequential(p3)
-        assert c.assignment() == {0: 2, 1: 1}
+        assert c.colours == [2, 1]
 
     def test_dbl_frozen(self, dbl):
         c = colour_sequential(dbl)
-        assert c.assignment() == {0: 1, 1: 2}
+        assert c.colours == [1, 2]
 
     def test_star3_frozen(self, star3):
         c = colour_sequential(star3)
-        assert c.assignment() == {0: 3, 1: 2, 2: 1}
+        assert c.colours == [3, 2, 1]
 
     def test_c4_frozen(self, c4):
         c = colour_sequential(c4)
-        assert c.assignment() == {0: 1, 1: 3, 2: 1, 3: 2}
+        assert c.colours == [1, 3, 1, 2]
 
     def test_k4_needs_only_three_colours(self):
         # K4 happens to get an optimal 3-colouring, one colour per
         # perfect matching, even though the palette allows four.
         c = colour_sequential(k4())
-        assert c.assignment() == {0: 3, 1: 2, 2: 1, 3: 1, 4: 2, 5: 3}
-        assert len(set(c.assignment().values())) == 3
+        assert c.colours == [3, 2, 1, 1, 2, 3]
+        assert len(set(c.colours)) == 3
 
     def test_empty_graph(self):
         c = colour_sequential(build(0, []))
-        assert c.assignment() == {}
+        assert c.colours == []
 
     def test_random_graphs_full_and_proper(self):
         for seed in range(12):
@@ -82,7 +82,7 @@ class TestColourSequential:
 
     def test_deterministic(self):
         g = generate_random(100, 5, 2, seed=77)
-        assert colour_sequential(g).assignment() == colour_sequential(g).assignment()
+        assert colour_sequential(g).colours == colour_sequential(g).colours
 
 
 def _digest(c):
@@ -183,11 +183,11 @@ class TestBuildSchedule:
     def test_p3_singletons_seed0(self, p3):
         # both edges meet at vertex 1, so every round applies one chain;
         # seed 0 keeps the order (0, 1)
-        assert _after_rounds(p3, 5, 0, 1).assignment() == {0: 1}
+        assert _after_rounds(p3, 5, 0, 1).colours == [1, 0]
 
     def test_p3_singletons_seed1(self, p3):
         # the seed shuffles the order, so edge 1 goes first
-        assert _after_rounds(p3, 5, 1, 1).assignment() == {1: 1}
+        assert _after_rounds(p3, 5, 1, 1).colours == [0, 1]
 
     def test_small_L_rejected(self, p3):
         with pytest.raises(ValueError, match=r"L > 2\*delta"):
@@ -202,7 +202,7 @@ class TestBuildSchedule:
 
     def test_no_edges_empty_schedule(self):
         c, rounds = _rounds(build(4, []), 5, 0)
-        assert c.assignment() == {} and rounds == []
+        assert c.colours == [] and rounds == []
 
     def test_long_path_classes_are_separated(self):
         # on an empty colouring every edge's chain is the edge itself, so
@@ -217,8 +217,8 @@ class TestBuildSchedule:
         g = build(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
         c, rounds = _rounds(g, 5, 0)
         assert rounds[0]["augmented"] == 2
-        first = _after_rounds(g, 5, 0, 1).assignment()
-        assert {g.edges[e][0] < 3 for e in first} == {True, False}
+        first = _after_rounds(g, 5, 0, 1).colours
+        assert {g.edges[e][0] < 3 for e, col in enumerate(first) if col} == {True, False}
         assert c.uncoloured_count == 0
         assert is_proper(c)
 
@@ -303,9 +303,9 @@ class TestRunScheduler:
 
     def test_deterministic_per_seed(self):
         g = generate_random(60, 3, 1, seed=42)
-        a = run_scheduler(g, 9, seed=3).assignment()
-        assert a == run_scheduler(g, 9, seed=3).assignment()
-        assert a != run_scheduler(g, 9, seed=4).assignment()
+        a = run_scheduler(g, 9, seed=3).colours
+        assert a == run_scheduler(g, 9, seed=3).colours
+        assert a != run_scheduler(g, 9, seed=4).colours
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_SCHEDULED))
     def test_one_edge_chains_skip_the_shift(self, seed, monkeypatch):
@@ -333,9 +333,9 @@ class TestRunScheduler:
         assert len(lengths) - longer > longer > 0
 
     def test_empty_and_tiny(self):
-        assert run_scheduler(build(0, []), 5, 0).assignment() == {}
+        assert run_scheduler(build(0, []), 5, 0).colours == []
         c = run_scheduler(build(2, [(0, 1, 1)]), 5, 0)
-        assert c.assignment() == {0: 1}
+        assert c.colours == [1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_log_invariants(self, seed):
@@ -353,7 +353,7 @@ class TestRunScheduler:
         g = generate_random(60, 3, 1, seed=42)
         c, rounds = _rounds(g, 7, 0)
         again = run_scheduler(g, 7, 0, max_rounds=len(rounds))
-        assert again.assignment() == c.assignment()
+        assert again.colours == c.colours
         with pytest.raises(MaxRoundsExceeded):
             run_scheduler(g, 7, 0, max_rounds=len(rounds) - 1)
 
@@ -408,10 +408,10 @@ class TestCandidateChain:
 
     def test_search_leaves_colouring_untouched(self):
         inst = locked_instance(16)
-        snap = inst.c.assignment()
+        snap = list(inst.c.colours)
         for L in (3, 5, 17):
             _candidate_chain(inst.c, inst.e, L)
-            assert inst.c.assignment() == snap
+            assert inst.c.colours == snap
 
     def test_candidate_augments_cleanly(self):
         inst = locked_instance(16)

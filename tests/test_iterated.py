@@ -41,6 +41,7 @@ from oracles import (
     oracle_alternating_path,
     oracle_classify,
     oracle_max_fan,
+    oracle_missing,
     oracle_scan_cuts,
     oracle_shift,
     oracle_suitable_positions,
@@ -318,8 +319,8 @@ def test_type1_keeps_beta_missing_at_last_endpoint():
         cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
         assert cls.type_tag is SuitableType.TYPE1
         u_last = cls.fan.far_endpoints[-1]
-        assert inst.beta in inst.c.missing_colours(u_last)
-        assert inst.alpha not in inst.c.missing_colours(u_last)
+        assert inst.beta in oracle_missing(inst.g, inst.c.colours, u_last)
+        assert inst.alpha not in oracle_missing(inst.g, inst.c.colours, u_last)
     # the stable decoration's chain runs through the whole fan
     dec = inst.decorations[5]
     cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
@@ -341,21 +342,24 @@ def test_shift_through_suitable_edge_changes_missing_sets_locally():
     far vertex untouched."""
     for label, inst in gadget_instances():
         g, c = inst.g, inst.c
+
+        def missing(d, u):
+            return oracle_missing(g, d.colours, u)
+
         vc = vizing_chain(c, inst.x, inst.e)
         for su in suitable_edges(c, inst.x, inst.e):
             chain = vc.edges()[: vc.fan_prefix_len + su.position]
             cf = shift_along(c, chain)
             y, z = su.far_vertex, su.near_vertex
-            assert cf.missing_colours(y) == c.missing_colours(y) | {inst.alpha}
-            assert cf.missing_colours(z) == c.missing_colours(z) | {inst.beta}
-            assert inst.beta not in cf.missing_colours(y)
-            assert inst.alpha not in cf.missing_colours(z)
+            assert missing(cf, y) == missing(c, y) | {inst.alpha}
+            assert missing(cf, z) == missing(c, z) | {inst.beta}
+            assert inst.beta not in missing(cf, y)
+            assert inst.alpha not in missing(cf, z)
             assert cf.colour_of(su.edge) == 0
             for h in g.adj[y]:
                 for u in g.edges[h][:2]:
                     if u not in (y, z, inst.x):
-                        assert cf.missing_colours(u) == c.missing_colours(u), \
-                            (label, su.position, u)
+                        assert missing(cf, u) == missing(c, u), (label, su.position, u)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +377,11 @@ def test_superb_flags_on_gadgets():
 
 def test_superb_leaves_colouring_untouched():
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE1_UNSTABLE})
-    before = inst.c.assignment()
+    before = list(inst.c.colours)
     for su in suitable_edges(inst.c, inst.x, inst.e):
         is_superb(inst.c, inst.x, inst.e, su)
         check_shadow_fan(inst.c, inst.x, inst.e, su)
-        assert inst.c.assignment() == before
+        assert inst.c.colours == before
 
 
 def test_type1_second_path_agreement_and_divergence():
@@ -563,10 +567,10 @@ def scan_matches_pointwise(g, c, e, x):
     superb flag equals :func:`oracles.oracle_superb`, and a superb entry's
     chain starts with the first-level chain cut before the suitable edge and
     classifies as augmenting on the raw colours."""
-    before = c.assignment()
+    before = list(c.colours)
     vc = vizing_chain(c, x, e)
     entries = list(superb_scan(c, vc))
-    assert c.assignment() == before
+    assert c.colours == before
     cols = list(c.colours)
     tail = vc.tail.edges
     assert [en.suitable.position for en in entries] == \
@@ -622,7 +626,7 @@ def test_scan_respects_limit():
 
 
 def _state(c):
-    return list(c.colours), [c.used_mask(v) for v in range(c.graph.n)], c.uncoloured_count
+    return list(c.colours), list(c._used), c.uncoloured_count
 
 
 def test_scan_never_mutates_the_colouring():
@@ -646,16 +650,16 @@ def test_scan_rejects_a_stale_chain():
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE1_UNSTABLE})
     vc = vizing_chain(inst.c, inst.x, inst.e)
     assert inst.path_edges[3] == 8
-    stale = inst.c.copy()
-    stale.unassign(8)
+    cols = list(inst.c.colours)
+    cols[8] = 0
+    stale = Colouring.from_assignment(inst.g, cols)
     with pytest.raises(ValueError, match=r"^edge 8 is uncoloured$"):
         list(superb_scan(stale, vc))
     # path edge 6 recoloured 2: the cut through position 7 hands 2 to path
     # edge 5, whose far end q5 keeps the type1 pendant coloured 2
-    stale = inst.c.copy()
-    h = inst.path_edges[6]
-    stale.unassign(h)
-    stale.assign(h, 2)
+    cols = list(inst.c.colours)
+    cols[inst.path_edges[6]] = 2
+    stale = Colouring.from_assignment(inst.g, cols)
     scan = superb_scan(stale, vc)
     assert next(scan).suitable.position == 5
     with pytest.raises(ValueError, match="colour 2 already used at an endpoint "
@@ -680,14 +684,14 @@ def test_scan_matches_a_reference_stepper_on_stale_chains():
         # a gadget's long tail takes twenty changes, a random probe's one
         for _ in range(20 if isinstance(label, str) else 1):
             h = rng.choice(vc.tail.edges)
-            stale = c.copy()
-            old = stale.unassign(h)
+            cols = list(c.colours)
+            old, cols[h] = cols[h], 0
             u, v, _ = g.edges[h]
-            free = [col for col in range(1, g.palette + 1)
-                    if col != old and stale.is_missing(u, col) and stale.is_missing(v, col)]
+            both = oracle_missing(g, cols, u) & oracle_missing(g, cols, v)
+            free = [col for col in range(1, g.palette + 1) if col != old and col in both]
             if free and rng.random() < 0.5:
-                stale.assign(h, rng.choice(free))
-            cols = list(stale.colours)
+                cols[h] = rng.choice(free)
+            stale = Colouring.from_assignment(g, cols)
             chain, base = vc.edges(), vc.fan_prefix_len
             scan = superb_scan(stale, vc)
             cuts = [base + en.suitable.position for en in full]

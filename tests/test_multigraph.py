@@ -34,15 +34,14 @@ def test_build_dbl(dbl):
     assert dbl.delta == 2
     assert dbl.pi == 2
     assert dbl.edges == ((0, 1, 1), (0, 1, 2))
-    assert dbl.multiplicity(0, 1) == 2
-    assert dbl.multiplicity(1, 0) == 2
+    assert [edge[:2] for edge in dbl.edges].count((0, 1)) == 2
 
 
 def test_build_star3(star3):
     assert star3.delta == 3
     assert star3.pi == 1
-    assert star3.degree(0) == 3
-    assert all(star3.degree(x) == 1 for x in (1, 2, 3))
+    assert len(star3.adj[0]) == 3
+    assert all(len(star3.adj[x]) == 1 for x in (1, 2, 3))
 
 
 def test_build_orients_and_renumbers():
@@ -81,10 +80,6 @@ def test_build_rejects_bad_multiplicity_tag():
         build(2, [(0, 1, 0)])
 
 
-def test_endpoints(p3):
-    assert p3.endpoints(1) == (1, 2)
-
-
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -103,12 +98,6 @@ def test_round_trip(dbl, c4):
         assert Multigraph.from_text(g.to_text()) == g
 
 
-def test_round_trip_file(tmp_path, star3):
-    path = str(tmp_path / "g.mg")
-    star3.save(path)
-    assert Multigraph.load(path) == star3
-
-
 def test_graphs_are_immutable_values(c4):
     with pytest.raises(AttributeError):
         c4.n = 5
@@ -121,11 +110,11 @@ def test_graphs_are_immutable_values(c4):
         assert dup == c4 and hash(dup) == hash(c4)
 
 
-def test_load_reports_a_non_ascii_byte_with_its_line(tmp_path):
-    path = tmp_path / "g.mg"
-    path.write_bytes("mg 2 1 1 1\n0 \u0661 1\n".encode("utf-8"))
+def test_load_reports_a_non_ascii_byte_with_its_line():
+    # the UTF-8 bytes, decoded as the command line decodes a file it reads
+    data = "mg 2 1 1 1\n0 \u0661 1\n".encode("utf-8")
     with pytest.raises(ValueError, match=r"^line 2: non-ASCII character$"):
-        Multigraph.load(str(path))
+        Multigraph.from_text(data.decode("ascii", "surrogateescape"))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""The package surface: every exported name resolves, and each command
-loads only the modules it runs."""
+"""The package surface: every exported name resolves and has a caller
+outside the tests, and each command loads only the modules it runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -23,6 +25,56 @@ def test_every_exported_name_resolves(name):
     break only ``from ... import *``; catch it here."""
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_used_outside_the_tests() -> set[str]:
+    """Every name that the library, the demos or the benchmark mention: each
+    ``Name`` id and ``Attribute`` attr, each import alias in ``demos/`` and
+    ``bench/``, and each string constant in ``bench/``, where ``spans.py``
+    wraps methods by name."""
+    used: set[str] = set()
+    for folder in ("src/vizing", "demos", "bench"):
+        outside = folder != "src/vizing"
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif outside and isinstance(node, ast.alias):
+                    used.add(node.name)
+                elif folder == "bench" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each name in a module's ``__all__``, and each public attribute of a
+    class it exports, is used by the library, a demo or the benchmark, so
+    code that only the tests call does not stay in the library.
+
+    The scan works by name, so it is a floor: a name used for anything
+    counts (``json.load`` would keep a method ``load``).  Only the string
+    list in ``bench/spans.py`` keeps ``Colouring.shift_in_place`` and
+    ``Colouring.apply_undo`` alive."""
+    used = _names_used_outside_the_tests()
+    unused = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            if attr not in used:
+                unused.add(f"{name}.{attr}")
+            value = getattr(module, attr)
+            if inspect.isclass(value):
+                unused.update(
+                    f"{value.__module__}.{value.__name__}.{member}"
+                    for member in vars(value)
+                    if not member.startswith("_") and member not in used
+                )
+    assert sorted(unused) == []
 
 
 # what ``main`` loads, printed by a fresh interpreter after the command ran

@@ -97,10 +97,11 @@ def test_scheduler_settles_under_edge_relabelling(case, rng):
 @given(multigraphs(), st.randoms(use_true_random=False))
 def test_mg_and_dump_round_trip(g, rng):
     assert Multigraph.from_text(g.to_text()) == g
-    c = colour_sequential(g)
+    cols = list(colour_sequential(g).colours)
     for e in range(g.m):
         if rng.random() < 0.3:
-            c.unassign(e)
+            cols[e] = 0
+    c = Colouring.from_assignment(g, cols)
     assert Colouring.from_dump(g, c.to_text()) == c
 
 
