@@ -26,17 +26,11 @@ fixed preference.  Safe to run concurrently on shared read-only snapshots.
 The fan and walk loops scan the incident edges for the wanted colour and
 unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
 records are slotted classes built positionally (a keyword call costs
-more).  Callers augment along a chain's ``edges()`` with
-:meth:`Colouring.augment_in_place`.
-
-On sparse inputs most fans stop at step 0, so the chain is the edge alone:
-x misses the smallest colour missing at the other endpoint.  The private
-``_free_colour`` reads that case off two masks, so the round scheduler
-returns such an edge as its own chain and builds no records, and
-``colour_sequential`` colours it with ``Colouring._colour_free``, the same
-test and the same colour, before any fan is grown; neither changes which
-colour the edge gets.  ``colour_sequential`` rotates every other
-augmenting fan in place (``_rotate_fan``).
+more).  The colourers (``colour_sequential``, the round scheduler) grow a
+fan once with ``_grow_fan``, rotate it in place if it is augmenting
+(``Colouring._rotate_fan``), else hand it to ``_path_chain``, the second
+half of :func:`vizing_chain`, for :meth:`Colouring.augment_in_place`.  A
+fan that would be the edge alone is never grown: two masks decide it.
 """
 
 from __future__ import annotations
@@ -158,8 +152,8 @@ class Fan:
 
 
 def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
-    """The loop of :func:`max_fan`, shared with ``colour_sequential``'s fan
-    rotation and the conditional fans of the iterated machinery.  Each step
+    """The loop of :func:`max_fan`, shared with the colourers' per-edge
+    probes and the conditional fans of the iterated machinery.  Each step
     tests the centre's used mask before scanning its adjacency: a centre
     that does not use the wanted colour has no edge of it, so the fan stops
     there with no repeat, as the scan would.  The fan also stops as soon as
@@ -237,32 +231,6 @@ def max_fan(c: Colouring, x: int, e: int) -> Fan:
     return Fan(x, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
 
 
-def _free_colour(c: Colouring, x: int, e: int) -> int:
-    """The colour the chain for the uncoloured edge e around x gives e when
-    the fan stops at e itself: the smallest colour missing at e's other
-    endpoint y, if x misses it too.  Otherwise 0, and the edge needs the
-    full chain (which can still be e alone, after a longer fan whose first
-    critical index is 0 and whose path is empty).  The round scheduler
-    uses it; ``colour_sequential`` makes the same test and gives e the
-    same colour in ``Colouring._colour_free``.
-
-    Why this is the chain's colour choice, exactly:
-
-      * at fan step 0 no colour has been chosen yet, so the wanted colour is
-        the smallest one missing at y;
-      * the fan stops right there exactly when x has no edge of that colour,
-        that is, when x misses it too;
-      * the fan is then augmenting, and augmenting along [e] gives e the
-        smallest colour missing at both ends, which is this same colour;
-      * parallel edges change nothing, because the exclusions of earlier
-        choices at a far endpoint begin only at step 1.
-    """
-    u, v, _ = c.graph.edges[e]
-    wanted = c.missing_mask(v if u == x else u)
-    bit = wanted & -wanted
-    return bit.bit_length() if c.missing_mask(x) & bit else 0
-
-
 def repeated_colour_indices(fan: Fan) -> tuple[int, int, int]:
     """The indices (j, k) with equal fan colours a_j = a_k =: beta.
 
@@ -331,12 +299,6 @@ class VizingChain:
         return len(self.edges())
 
 
-def _path_avoids(path: AlternatingPath, x: int) -> bool:
-    # x misses one of the two path colours, so it has at most one edge in the
-    # two-coloured subgraph and can only be an endpoint of the path.
-    return path.last_vertex != x
-
-
 def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
     """The augmenting chain for the uncoloured edge e around endpoint x.
 
@@ -352,19 +314,27 @@ def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:
     fan = max_fan(c, x, e)
     if fan.augmenting:
         return VizingChain(fan, len(fan.edges))
+    return _path_chain(c, fan)
+
+
+def _path_chain(c: Colouring, fan: Fan) -> VizingChain:
+    """The chain :func:`vizing_chain` builds on a fan that is not
+    augmenting; the colourers pass the fan they grew, not regrowing it."""
+    x = fan.centre
     j, k, beta = repeated_colour_indices(fan)
     alpha = c.min_missing(x)
     # beta sits on an edge at x (the repeat edge), hence beta differs from
     # every colour missing at x, in particular from alpha; and beta, the
     # colour chosen at v_j and v_k, is missing at both.  So both walks meet
-    # the preconditions of _walk.
+    # the preconditions of _walk.  x misses alpha, so it has at most one
+    # edge in the two-coloured subgraph: a path avoids x unless it ends there.
     g, colours = c.graph, c.colours
     path_j = _walk(g, colours, fan.far_endpoints[j], alpha, beta)
-    if _path_avoids(path_j, x):
+    if path_j.last_vertex != x:
         i, tail = j, path_j
     else:
         path_k = _walk(g, colours, fan.far_endpoints[k], alpha, beta)
-        if not _path_avoids(path_k, x):  # unreachable: both ends at x
+        if path_k.last_vertex == x:  # unreachable: both ends at x
             raise AssertionError("both candidate alternating paths end at x")
         i, tail = k, path_k
     return VizingChain(fan, i + 1, tail, alpha, beta)

@@ -26,16 +26,14 @@ implements this ladder and referees every chain the library builds.
 array plus one used-colour bitmask per vertex, so missing-set probes are
 O(1) in the palette size).  A colouring is built whole, from a colour array
 (``from_assignment``, ``from_dump``) that is checked for properness, and
-then changes in place.  ``colour_sequential`` has two private write paths of
-its own.  :meth:`Colouring._colour_free` colours an edge whose maximal fan
-is the edge alone, most edges of a sparse graph, off two masks.
-:meth:`Colouring._rotate_fan` applies any other augmenting maximal fan
-straight from the tuple ``chains._grow_fan`` returns, with no chain records
-or shift logs.  Every other chain goes through
-:meth:`Colouring.augment_in_place`, one pass: the shift and the colouring of
-the chain's last edge, undone on failure.  A lone uncoloured edge is a chain
-whose shift is the identity, so it takes the smallest colour missing at both
-ends directly, with no shift logs.
+then changes in place.  ``colour_sequential`` and the round scheduler
+write through three paths.  :meth:`Colouring._colour_free`
+colours an edge whose maximal fan is the edge alone, most edges of a
+sparse graph, off two masks.  :meth:`Colouring._rotate_fan` applies any
+other augmenting maximal fan straight from the tuple ``chains._grow_fan``
+returns, with no chain records or shift logs.  Every other chain goes
+through :meth:`Colouring.augment_in_place`, one pass: the shift and the
+colouring of the chain's last edge, undone on failure.
 :meth:`Colouring.shift_in_place` applies a proper-shiftable chain and returns
 an undo log for :meth:`Colouring.apply_undo`.  No library path calls either
 (the superb scan shifts a colours-only overlay instead); they stay only
@@ -192,25 +190,19 @@ class Colouring:
         """Shift along an augmenting chain and colour its last edge with the
         smallest colour then missing at both endpoints, in one pass.
 
-        A lone uncoloured edge shifts to itself, so it is coloured directly,
-        without the shift logs, and 1 is returned.
-
         Returns the number of edges whose colour changed.  Raises ValueError
         on every chain :meth:`shift_in_place` rejects, and when the shifted
         last edge's endpoints share no missing colour; the colouring is
         then left unchanged.
         """
+        old, new = self._shift_logs(chain)
+        self._recolour(old, new)
         last = chain[-1]
         colours, used = self._colours, self._used
-        lone = len(chain) == 1 and not colours[last]
-        if not lone:
-            old, new = self._shift_logs(chain)
-            self._recolour(old, new)
         u, v, _ = self.graph.edges[last]
         common = self._full & ~(used[u] | used[v])
         if not common:
-            if not lone:
-                self._recolour(new, old)  # cannot fail: old was proper
+            self._recolour(new, old)  # cannot fail: old was proper
             raise ValueError("chain is not augmenting: no common missing colour")
         # the colour is missing at both endpoints, so the colouring stays proper
         bit = common & -common
@@ -218,15 +210,24 @@ class Colouring:
         used[u] |= bit
         used[v] |= bit
         self._uncoloured -= 1
-        return 1 if lone else sum([colours[e] != col for e, col in old])
+        return sum([colours[e] != col for e, col in old])
 
     def _colour_free(self, x: int, y: int, e: int) -> bool:
         """Colour the uncoloured edge e = (x, y) when its maximal fan around
         x is e alone: when x misses the smallest colour missing at y, e takes
         that colour, written straight into the colour array and both masks,
-        and True is returned.  That is the colour the chain gives e (see
-        ``chains._free_colour``).  Otherwise returns False and writes
-        nothing."""
+        and True is returned.  Otherwise returns False and writes nothing;
+        the edge needs the full chain (still e alone after a longer fan
+        whose first critical index is 0 and whose path is empty).  The
+        scheduler's probe makes the same test on its snapshot.
+
+        This is the chain's colour, exactly: at fan step 0 nothing has been
+        chosen, so the wanted colour is the smallest one missing at y (the
+        exclusions that parallel edges cause begin at step 1); the fan stops
+        there exactly when x has no edge of that colour, that is, misses it
+        too; the fan is then augmenting, and augmenting along [e] gives e
+        the smallest colour missing at both ends, this same colour.
+        """
         used = self._used
         wanted = self._full & ~used[y]
         bit = wanted & -wanted
@@ -245,8 +246,9 @@ class Colouring:
         writes nothing when the fan is not augmenting (tested as in
         ``max_fan``).  The far endpoints' masks are written first, each step
         checked as :meth:`_recolour` checks it; the shift only permutes x's
-        colours, so x's mask just gains e_k's colour.  A colour already used at a far endpoint, or shifted ends sharing no
-        missing colour (neither happens to a fan of this colouring), raise
+        colours, so x's mask just gains e_k's colour.  A colour already used
+        at a far endpoint, or shifted ends sharing no missing colour
+        (neither happens to a fan of this colouring), raise
         augment_in_place's ValueError with the masks restored.
         """
         edges, far, seq = fan[0], fan[1], fan[2]

@@ -4,10 +4,7 @@ Three ways to put the chain machinery to work:
 
   * colour_sequential colours every edge of a finite multigraph in exactly
     m augmentations, one per edge, giving a full proper colouring with
-    delta + pi colours.  An edge whose fan is the edge alone takes its
-    colour off two masks (Colouring._colour_free); any other augmenting
-    fan is rotated in place (Colouring._rotate_fan); only the remaining
-    edges get a chain built;
+    delta + pi colours;
 
   * run_scheduler colours in rounds, each applying a greedy maximal set
     of vertex-disjoint chains of at most 3L edges: plain chains whose path
@@ -15,14 +12,19 @@ Three ways to put the chain machinery to work:
     the first L path positions whose second path is also short.  It stops
     once a round finds no such chain, leaving a colouring that cannot be
     improved at scale L -- the state the audit module's fraction bounds
-    apply to.  A chain that is the edge alone (chains._free_colour reads
-    it off two masks) is coloured by augment_in_place without shift logs,
-    and the round takes its two ends without a vertex set;
+    apply to;
 
   * orient turns a full colouring of a multiplicity-1 graph into an edge
     orientation with out-degree at most ceil((delta+2)/2), by pairing
     colour classes into unions of paths and cycles and orienting each
     component consistently.
+
+colour_sequential and run_scheduler handle an edge alike, one write path
+per kind: an edge whose fan is the edge alone takes its colour off two
+masks (Colouring._colour_free); any other fan is grown once and, if
+augmenting, rotated in place (Colouring._rotate_fan); the rest get a chain
+built from that fan (chains._path_chain) for augment_in_place, at once in
+colour_sequential and from a probed plan after the round in the scheduler.
 
 The chains applied within one round are vertex-disjoint (checked), so the
 result does not depend on application order.  Everything is deterministic
@@ -35,7 +37,7 @@ from __future__ import annotations
 import random
 from typing import TextIO
 
-from .chains import _free_colour, _grow_fan, vizing_chain
+from .chains import Fan, _grow_fan, _path_chain
 from .colouring import Colouring
 from .multigraph import Multigraph
 
@@ -58,14 +60,8 @@ def colour_sequential(g: Multigraph) -> Colouring:
     """A full proper colouring of g in exactly m augmentations.
 
     Edges are handled in index order, each from its smaller endpoint x
-    (edge triples store that endpoint first).  When x misses the smallest
-    colour missing at the other end y, the fan is the edge alone, and
-    Colouring._colour_free gives the edge that colour straight off the two
-    masks, the chain's own choice (see chains._free_colour); that is most
-    edges of a sparse graph.  Otherwise the maximal fan around x is grown
-    once; when it is augmenting, Colouring._rotate_fan applies it in
-    place, with no chain records or shift logs, and only a fan that is not
-    augmenting goes on to vizing_chain and augment_in_place.
+    (edge triples store that endpoint first) and through the write path of
+    its kind (see the module docstring), probed and applied at once.
     Augmentation recolours but never uncolours, so every edge is uncoloured
     when its turn comes and coloured for good afterwards.
     """
@@ -73,8 +69,8 @@ def colour_sequential(g: Multigraph) -> Colouring:
     edges = g.edges
     for e in range(g.m):
         x, y, _ = edges[e]
-        if not c._colour_free(x, y, e) and not c._rotate_fan(x, _grow_fan(c, x, e)):
-            c.augment_in_place(vizing_chain(c, x, e).edges())
+        if not c._colour_free(x, y, e) and not c._rotate_fan(x, fan := _grow_fan(c, x, e)):
+            c.augment_in_place(_path_chain(c, Fan(x, *fan[:3], False, *fan[3:])).edges())
     return c
 
 
@@ -111,59 +107,92 @@ class MaxRoundsExceeded(RuntimeError):
         )
 
 
-def _candidate_chain(c: Colouring, e: int, L: int) -> list[int] | None:
-    """The edge sequence to augment for e at scale L, or None when every
-    route is too long.
-
-    Witnesses are tried smallest first: for each endpoint, the plain chain
-    qualifies when its fan is augmenting (no path at all) or its path has
-    fewer than L edges; otherwise the first superb edge within the first L
-    path positions whose second path has at most L edges supplies the
-    second-order chain.  An edge whose fan is the edge alone is its own
-    chain, returned without building one.  The superb scan's module is
-    loaded by the first tail of L edges or more.
+def _probe(c: Colouring, e: int, L: int) -> tuple | None:
+    """The plan for the uncoloured edge e at scale L, read off c without
+    writing it, or None when every route is too long.  For each endpoint x
+    in turn, with y the other end: ("free", x, e) when x misses the
+    smallest colour missing at y, so the fan is e alone; else the fan is
+    grown once, and ("fan", x, fan) holds _grow_fan's tuple when it is
+    augmenting; else ("chain", x, q) holds the edge list of the plain chain
+    when its path has fewer than L edges, or of the second-order chain
+    through the first superb edge within the first L path positions whose
+    second path has at most L edges.  The superb scan's module is loaded
+    by the first path of L edges or more.
     """
+    used, full = c._used, c._full
     u, v, _ = c.graph.edges[e]
-    for x in (u, v):
-        if _free_colour(c, x, e):
-            return [e]
-        chain = vizing_chain(c, x, e)
-        if chain.tail is None or len(chain.tail.edges) < L:
-            return chain.edges()
+    for x, y in ((u, v), (v, u)):
+        wanted = full & ~used[y]
+        if not used[x] & (wanted & -wanted):
+            return "free", x, e
+        fan = _grow_fan(c, x, e)
+        if full & ~(used[x] | used[fan[1][-1]]):
+            return "fan", x, fan
+        chain = _path_chain(c, Fan(x, *fan[:3], False, *fan[3:]))
+        if len(chain.tail.edges) < L:
+            return "chain", x, chain.edges()
         from .iterated import superb_scan
 
         for entry in superb_scan(c, chain, limit=L):
             if entry.superb and entry.second_len <= L:
-                return entry.edges()
+                return "chain", x, entry.edges()
     return None
 
 
-def _batch(c: Colouring, pending: list[int], L: int) -> list[list[int]]:
-    """A maximal set of vertex-disjoint short chains for the uncoloured
-    edges in `pending`, taken greedily in that order against the current
-    colouring.  An edge with an endpoint on an accepted chain is skipped
-    without computing its chain, since any chain of its would touch it; so
-    a chain that is the edge alone is accepted without a further test."""
+def _apply(c: Colouring, batch: list[tuple]) -> int:
+    """Write the plans of `batch` into c through _colour_free, _rotate_fan
+    and augment_in_place, and return the number of edges recoloured.  The
+    plans of a batch are vertex-disjoint, so each is still exact on c, and
+    one that c refuses raises rather than being skipped."""
+    edges = c.graph.edges
+    recoloured = 0
+    for kind, x, q in batch:
+        if kind == "free":
+            u, v, _ = edges[q]
+            if c._colour_free(x, v if x == u else u, q):
+                recoloured += 1
+                continue
+        elif kind == "fan":
+            if c._rotate_fan(x, q):
+                recoloured += len(q[0])
+                continue
+        else:
+            recoloured += c.augment_in_place(q)
+            continue
+        raise AssertionError(f"the {kind} plan around vertex {x} no longer applies")
+    return recoloured
+
+
+def _batch(c: Colouring, pending: list[int], L: int) -> list[tuple]:
+    """The plans of a maximal set of vertex-disjoint short chains for the
+    uncoloured edges in `pending`, probed greedily in that order against
+    the current colouring.  An edge with an endpoint on an accepted plan is
+    skipped without a probe, since any chain of its would touch it; so a
+    free edge is accepted without a further test."""
     edges = c.graph.edges
     covered: set[int] = set()
     size = 0
-    batch: list[list[int]] = []
+    batch: list[tuple] = []
     for e in pending:
         u, v, _ = edges[e]
         if u in covered or v in covered:
             continue
-        q = _candidate_chain(c, e, L)
-        if q is None:
+        plan = _probe(c, e, L)
+        if plan is None:
             continue
-        if len(q) > 3 * L:
-            raise AssertionError(
-                f"chain of {len(q)} edges exceeds the 3L budget ({3 * L})"
-            )
-        verts = (u, v) if len(q) == 1 else {w for f in q for w in edges[f][:2]}
-        if len(q) == 1 or covered.isdisjoint(verts):
-            covered.update(verts)
-            size += len(verts)
-            batch.append(q)
+        kind, x, q = plan
+        if kind == "free":
+            verts = (u, v)
+        else:
+            n = len(q[0] if kind == "fan" else q)
+            if n > 3 * L:
+                raise AssertionError(f"chain of {n} edges exceeds the 3L budget ({3 * L})")
+            verts = {x, *q[1]} if kind == "fan" else {w for f in q for w in edges[f][:2]}
+            if not covered.isdisjoint(verts):
+                continue
+        covered.update(verts)
+        size += len(verts)
+        batch.append(plan)
     if size != len(covered):
         raise AssertionError("chains within a round must be vertex-disjoint")
     return batch
@@ -180,10 +209,10 @@ def run_scheduler(
 
     The edges are shuffled once by `seed`.  Each round walks the
     still-uncoloured edges in that order and accepts, against one
-    snapshot, every chain of at most 3L edges (see _candidate_chain) that
-    shares no vertex with the chains accepted before it; then it applies
-    them all.  Vertex-disjoint chains touch neither each other's edges
-    nor each other's endpoint masks, so the order of application is
+    snapshot, the plan of every chain of at most 3L edges (see _probe)
+    that shares no vertex with those accepted before it; then _apply
+    writes them all.  Vertex-disjoint chains touch neither each other's
+    edges nor each other's endpoint masks, so the order of application is
     irrelevant.  The run stops when a round finds no chain; the result
     then cannot be improved at scale L, which check_unimprovable
     re-verifies.  Requires L > 2*delta, so that chain modifications fit
@@ -214,9 +243,7 @@ def run_scheduler(
             return c
         if max_rounds is not None and state.round >= max_rounds:
             raise MaxRoundsExceeded(state)
-        recoloured = 0
-        for q in batch:
-            recoloured += c.augment_in_place(q)
+        recoloured = _apply(c, batch)
         if recoloured > 3 * L * len(batch):
             raise AssertionError("a round recoloured more than 3L edges per chain")
         state.round += 1

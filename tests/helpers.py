@@ -84,3 +84,12 @@ def random_shiftable_chain(g, c, seed: int, max_len: int = 8):
         chain.append(nxt)
         used.add(nxt)
     return chain
+
+
+def plan_edges(plan) -> list[int]:
+    """The edge list of a round scheduler's plan (``vizing.engine._probe``):
+    the free edge alone, the augmenting fan's edges, or the chain."""
+    kind, _, q = plan
+    if kind == "free":
+        return [q]
+    return list(q[0]) if kind == "fan" else q

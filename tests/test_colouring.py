@@ -16,12 +16,14 @@ from vizing import (
     generate_random,
     is_proper,
     max_fan,
+    run_scheduler,
     vizing_chain,
 )
-from vizing.chains import _free_colour, _grow_fan
+from vizing.chains import _grow_fan
+from vizing.engine import _apply, _batch, _probe
 
 from gadgets import long_path_instance
-from helpers import random_instances, random_partial_colouring, random_shiftable_chain
+from helpers import plan_edges, random_instances, random_partial_colouring, random_shiftable_chain
 from oracles import (
     at_least,
     oracle_classify,
@@ -405,12 +407,12 @@ def test_augment_in_place_is_atomic():
 
 def test_lone_edge_augmentation_matches_the_oracle():
     """Augmenting along every one-edge chain [e] of dense random partial
-    colourings.  An uncoloured e is coloured without the shift logs: it
-    takes the smallest colour missing at both ends, 1 is returned, and the
-    used masks equal a recompute; when the ends share no missing colour the
-    call raises and leaves colours, masks and count unchanged.  A coloured
-    e keeps the general path, whose shift frees its colour before the
-    smallest common colour is written."""
+    colourings.  An uncoloured e, whose shift changes nothing, takes the
+    smallest colour missing at both ends, 1 is returned, and the used
+    masks equal a recompute; when the ends share no missing colour the
+    call raises and leaves colours, masks and count unchanged.  For a
+    coloured e the shift frees its colour before the smallest common
+    colour is written."""
     counts = dict.fromkeys(("uncoloured", "coloured", "no common colour"), 0)
     for t in range(300):
         g = generate_random(6, 4, 1 + t % 2, seed=t)
@@ -491,10 +493,11 @@ def test_fan_rotation_matches_the_general_path():
 
 def test_colour_free_matches_free_colour():
     """Every step of the same sequential colourings: _colour_free colours
-    the edge exactly when _free_colour is nonzero, and then leaves the
-    colours, the used masks (checked against a recompute) and the
-    uncoloured count that augment_in_place([e]) leaves on a copy; the edge
-    takes _free_colour's colour.  Otherwise it writes nothing."""
+    the edge exactly when x misses the smallest colour missing at y (by the
+    oracle), which is when the scheduler's probe plans it as a free edge at
+    x, and then leaves the colours, the used masks (checked against a
+    recompute) and the uncoloured count that augment_in_place([e]) leaves
+    on a copy; the edge takes that colour.  Otherwise it writes nothing."""
     counts = {True: 0, False: 0}
     for n, delta, pi in SEQUENTIAL_SHAPES:
         for seed in range(4):
@@ -502,10 +505,13 @@ def test_colour_free_matches_free_colour():
             c = Colouring.empty(g)
             for e in range(g.m):
                 x, y, _ = g.edges[e]
-                col = _free_colour(c, x, e)
+                col = min(oracle_missing(g, c.colours, y))
+                free = col in oracle_missing(g, c.colours, x)
+                # with L above every path length the probe stops at x
+                assert (_probe(c, e, g.m + 1)[:2] == ("free", x)) is free
                 got = c.copy()
                 coloured = got._colour_free(x, y, e)
-                assert coloured is bool(col)
+                assert coloured is free
                 if coloured:
                     want = c.copy()
                     want.augment_in_place([e])
@@ -518,6 +524,81 @@ def test_colour_free_matches_free_colour():
                 c.augment_in_place(vizing_chain(c, x, e).edges())
             assert c.colours == colour_sequential(g).colours
     assert min(counts.values()) >= 10, counts
+
+
+def _check_plans(g, c, e, L, counts):
+    """The plans for the uncoloured edge e on c: the scheduler's own
+    (_probe at scale L) and, at each endpoint x, a plan of every kind,
+    each applied through _apply on a copy.  A plan that applies leaves the
+    colours, the used masks (checked against a recompute), the uncoloured
+    count and the recoloured count that augment_in_place along the plan's
+    edge list leaves on another copy.  A free plan is refused exactly when
+    x uses the smallest colour missing at the other end (by the oracle),
+    and a fan plan exactly when max_fan's flag (refereed in test_chains)
+    calls the fan not augmenting; a refused plan raises and writes
+    nothing."""
+    u, v, _ = g.edges[e]
+    plan = _probe(c, e, L)
+    if plan is not None:
+        counts["probed " + plan[0]] += 1
+    plans = [(plan, True)]
+    for x, y in ((u, v), (v, u)):
+        fan = _grow_fan(c, x, e)
+        free = min(oracle_missing(g, c.colours, y)) in oracle_missing(g, c.colours, x)
+        plans += [
+            (("free", x, e), free),
+            (("fan", x, fan), max_fan(c, x, e).augmenting),
+            (("chain", x, vizing_chain(c, x, e).edges()), True),
+        ]
+    for plan, applies in plans:
+        if plan is None:
+            continue
+        got = c.copy()
+        if not applies:
+            with pytest.raises(AssertionError, match=f"the {plan[0]} plan around vertex"):
+                _apply(got, [plan])
+            assert _state(g, got) == _state(g, c)
+            counts["refused " + plan[0]] += 1
+            continue
+        want = c.copy()
+        assert _apply(got, [plan]) == want.augment_in_place(plan_edges(plan))
+        assert _state(g, got) == _state(g, want)
+        for w in {w for f in plan_edges(plan) for w in g.edges[f][:2]}:
+            assert got._used[w] == oracle_used_mask(g, got.colours, w)
+        counts[plan[0]] += 1
+
+
+def test_every_plan_kind_matches_augment_in_place():
+    """Every step of the sequential colourings, and every round snapshot of
+    run_scheduler on the same graphs at two scales (replayed with _batch
+    and _apply, and checked against run_scheduler's result): each pending
+    edge's plans agree with augment_in_place, as _check_plans says."""
+    kinds = ("free", "fan", "chain")
+    keys = [*kinds, "refused free", "refused fan", *("probed " + k for k in kinds)]
+    counts = dict.fromkeys(keys, 0)
+    for n, delta, pi in SEQUENTIAL_SHAPES:
+        for seed in range(4):
+            g = generate_random(n, delta, pi, seed=seed)
+            c = Colouring.empty(g)
+            for e in range(g.m):
+                _check_plans(g, c, e, g.m + 1, counts)
+                c.augment_in_place(vizing_chain(c, g.edges[e][0], e).edges())
+            for L in (2 * g.delta + 1, 4 * g.delta + 1):
+                c = Colouring.empty(g)
+                pending = list(range(g.m))
+                random.Random(seed).shuffle(pending)
+                while pending:
+                    for e in pending:
+                        _check_plans(g, c, e, L, counts)
+                    batch = _batch(c, pending, L)
+                    if not batch:
+                        break
+                    _apply(c, batch)
+                    pending = [e for e in pending if not c.colours[e]]
+                assert c.colours == run_scheduler(g, L, seed).colours
+    print(f"plan sweep: {counts}")
+    # the rarest kinds read 85 refused fans and 49 probed chains
+    assert min(counts.values()) >= 25, counts
 
 
 def test_fan_rotation_leaves_a_non_augmenting_fan():

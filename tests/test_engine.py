@@ -26,9 +26,10 @@ from vizing import (
     run_scheduler,
     vizing_chain,
 )
-from vizing.engine import _batch, _candidate_chain
+from vizing.engine import _batch, _probe
 
 from gadgets import TYPE1, locked_instance, long_path_instance
+from helpers import plan_edges
 
 
 def k4():
@@ -209,7 +210,7 @@ class TestBuildSchedule:
         # the batch in index order is the maximal matching of even edges
         g = long_path(199)
         batch = _batch(Colouring.empty(g), list(range(199)), 5)
-        assert batch == [[e] for e in range(0, 199, 2)]
+        assert [plan_edges(p) for p in batch] == [[e] for e in range(0, 199, 2)]
 
     def test_components_share_classes(self):
         # edges in different components never meet, so both components
@@ -225,7 +226,7 @@ class TestBuildSchedule:
     def test_only_uncoloured_edges_scheduled(self, path8):
         c = Colouring.empty(path8)
         c.augment_in_place(vizing_chain(c, 0, 0).edges())
-        batch = _batch(c, c.uncoloured(), 5)
+        batch = [plan_edges(p) for p in _batch(c, c.uncoloured(), 5)]
         assert {q[0] for q in batch} <= set(c.uncoloured())
         assert all(q[0] != 0 for q in batch)
 
@@ -309,28 +310,22 @@ class TestRunScheduler:
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_SCHEDULED))
     def test_one_edge_chains_skip_the_shift(self, seed, monkeypatch):
-        # only chains of two or more edges are shifted through _recolour; a
-        # chain that is the edge alone is coloured directly
-        lengths = []
-        recolours = 0
-        augment, recolour = Colouring.augment_in_place, Colouring._recolour
+        # only chains are shifted through _recolour; an edge that is its
+        # own fan is coloured off two masks and any other augmenting fan is
+        # rotated in place, each edge through exactly one write path
+        calls = dict.fromkeys(("_colour_free", "_rotate_fan", "augment_in_place", "_recolour"), 0)
+        for name in calls:
+            def counted(c, *args, _name=name, _fn=getattr(Colouring, name)):
+                calls[_name] += 1
+                return _fn(c, *args)
 
-        def counted_augment(c, chain):
-            lengths.append(len(chain))
-            return augment(c, chain)
-
-        def counted_recolour(c, old, new):
-            nonlocal recolours
-            recolours += 1
-            return recolour(c, old, new)
-
-        monkeypatch.setattr(Colouring, "augment_in_place", counted_augment)
-        monkeypatch.setattr(Colouring, "_recolour", counted_recolour)
-        c = run_scheduler(generate_random(2000, 4, 1, seed=seed), 16, seed)
+            monkeypatch.setattr(Colouring, name, counted)
+        g = generate_random(2000, 4, 1, seed=seed)
+        c = run_scheduler(g, 16, seed)
         assert _digest(c) == GOLDEN_SCHEDULED[seed]
-        longer = sum(n >= 2 for n in lengths)
-        assert recolours == longer
-        assert len(lengths) - longer > longer > 0
+        assert calls["_recolour"] == calls["augment_in_place"]
+        assert calls["_colour_free"] + calls["_rotate_fan"] + calls["augment_in_place"] == g.m
+        assert calls["_colour_free"] > calls["_rotate_fan"] > calls["augment_in_place"] > 0
 
     def test_empty_and_tiny(self):
         assert run_scheduler(build(0, []), 5, 0).colours == []
@@ -365,7 +360,7 @@ class TestRunScheduler:
             "if not sys.flags.optimize:\n"
             "    sys.exit('not running under -O')\n"
             "from vizing import build, engine\n"
-            "engine._candidate_chain = lambda c, e, L: list(range(3 * L + 1))\n"
+            "engine._probe = lambda c, e, L: ('chain', 0, list(range(3 * L + 1)))\n"
             "engine.run_scheduler(build(2, [(0, 1, 1)]), 5, 0)\n"
         )
         src = str(Path(vizing.__file__).resolve().parent.parent)
@@ -383,6 +378,12 @@ class TestRunScheduler:
 # ---------------------------------------------------------------------------
 
 
+def _probed_chain(c, e, L):
+    """The edge list of the scheduler's plan for e, or None."""
+    plan = _probe(c, e, L)
+    return None if plan is None else plan_edges(plan)
+
+
 class TestCandidateChain:
     """The scheduler's per-edge chain selection, pinned on the locked
     instance where both endpoint fans stall with long paths: plain chains
@@ -391,17 +392,17 @@ class TestCandidateChain:
 
     def test_no_candidate_below_first_superb_position(self):
         inst = locked_instance(16)
-        assert _candidate_chain(inst.c, inst.e, 3) is None
-        assert _candidate_chain(inst.c, inst.e, 4) is None
+        assert _probed_chain(inst.c, inst.e, 3) is None
+        assert _probed_chain(inst.c, inst.e, 4) is None
 
     def test_second_order_chain_from_position_five(self):
         inst = locked_instance(16)
         for L in (5, 6, 16):
-            assert _candidate_chain(inst.c, inst.e, L) == [0, 4, 26, 27, 28, 29]
+            assert _probed_chain(inst.c, inst.e, L) == [0, 4, 26, 27, 28, 29]
 
     def test_plain_chain_once_path_fits(self):
         inst = locked_instance(16)
-        q = _candidate_chain(inst.c, inst.e, 17)
+        q = _probed_chain(inst.c, inst.e, 17)
         plain = vizing_chain(inst.c, inst.g.edges[inst.e][0], inst.e).edges()
         assert q == plain
         assert len(q) == 17
@@ -410,12 +411,12 @@ class TestCandidateChain:
         inst = locked_instance(16)
         snap = list(inst.c.colours)
         for L in (3, 5, 17):
-            _candidate_chain(inst.c, inst.e, L)
+            _probed_chain(inst.c, inst.e, L)
             assert inst.c.colours == snap
 
     def test_candidate_augments_cleanly(self):
         inst = locked_instance(16)
-        q = _candidate_chain(inst.c, inst.e, 5)
+        q = _probed_chain(inst.c, inst.e, 5)
         c2 = inst.c.copy()
         assert c2.augment_in_place(q) == 6
         assert c2.colour_of(inst.e) != 0
@@ -423,7 +424,7 @@ class TestCandidateChain:
 
     def test_gadget_candidate_augments_cleanly(self):
         inst = long_path_instance(12, {5: TYPE1})
-        q = _candidate_chain(inst.c, inst.e, 7)
+        q = _probed_chain(inst.c, inst.e, 7)
         assert q is not None and len(q) <= 21
         c2 = inst.c.copy()
         c2.augment_in_place(q)

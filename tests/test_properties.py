@@ -227,8 +227,20 @@ def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
     assert c.colours == before
 
 
+# One fixed probe per rare bucket, so the floors below hold whatever
+# examples Hypothesis draws: (delta, T, decorations) of long_path_instance,
+# giving a superb TypeI, a superb TypeII and a non-superb TypeI entry; the
+# fan of each ends at z.
+PINNED_SCANS = ((3, 8, {5: TYPE1}), (4, 8, {5: TYPE2}), (3, 8, {5: TYPE1_UNSTABLE}))
+
+
 def test_superb_scan_matches_the_pointwise_operations():
     seen: Counter = Counter()
+    for delta, T, decor in PINNED_SCANS:
+        inst = long_path_instance(T, decor, delta)
+        _check_scan(inst.g, inst.c, inst.e, inst.x, seen, "gadget")
+    for key in (("TypeI", True), ("TypeII", True), ("TypeI", False), "u_m is z"):
+        assert seen[key] >= 1, seen
 
     @settings(max_examples=200)
     @given(st.one_of(decorated_paths(), random_probes()))
