@@ -18,7 +18,8 @@ colourings:
     reads;
 
   * improvement checks: whether any uncoloured edge still admits a short
-    augmenting chain, in the plain or the second-order sense;
+    augmenting chain, in the plain or the second-order sense, asked of the
+    round scheduler's probe with the audit's second-path bound;
 
   * fraction bounds: an unimprovable colouring leaves at most (delta+pi)^4/L
     (plain) or (delta+pi)^15/L^2 (second-order, once L > 10(delta+pi)^6) of
@@ -245,23 +246,17 @@ def check_unimprovable(c: Colouring, L: int, mode: str = ITERATED) -> bool:
     "iterated" mode (the default), additionally every superb path edge
     within the first L positions must lead to a second path of at least L
     edges -- an empty second path (always the case for Type0) violates this
-    whenever L > 0.  "simple" mode checks only the fan and path clauses.
+    whenever L > 0.  "simple" mode checks only the fan and path clauses
+    and runs no superb scan.  Each edge is asked of the round scheduler's
+    engine._probe, with the second-path bound L - 1 or None.
     """
     if mode not in (SIMPLE, ITERATED):
         raise ValueError(f"unknown improvement mode {mode!r}")
     _check_scale(L)
-    for e in c.uncoloured():
-        u, v, _ = c.graph.edges[e]
-        for x in (u, v):
-            chain = vizing_chain(c, x, e)
-            if chain.tail is None or len(chain.tail.edges) < L:
-                return False
-            if mode == SIMPLE:
-                continue
-            for entry in superb_scan(c, chain, limit=L):
-                if entry.superb and entry.second_len < L:
-                    return False
-    return True
+    from .engine import _probe  # here, so that a plain audit loads no engine
+
+    second = L - 1 if mode == ITERATED else None
+    return all(_probe(c, e, L, second) is None for e in c.uncoloured())
 
 
 # ---------------------------------------------------------------------------

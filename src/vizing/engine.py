@@ -107,7 +107,7 @@ class MaxRoundsExceeded(RuntimeError):
         )
 
 
-def _probe(c: Colouring, e: int, L: int) -> tuple | None:
+def _probe(c: Colouring, e: int, L: int, second: int | None) -> tuple | None:
     """The plan for the uncoloured edge e at scale L, read off c without
     writing it, or None when every route is too long.  For each endpoint x
     in turn, with y the other end: ("free", x, e) when x misses the
@@ -116,8 +116,11 @@ def _probe(c: Colouring, e: int, L: int) -> tuple | None:
     augmenting; else ("chain", x, q) holds the edge list of the plain chain
     when its path has fewer than L edges, or of the second-order chain
     through the first superb edge within the first L path positions whose
-    second path has at most L edges.  The superb scan's module is loaded
-    by the first path of L edges or more.
+    second path has at most `second` edges.  _batch passes second = L;
+    check_unimprovable passes L - 1 ("iterated": the audit fails on a
+    second path shorter than L) or None ("simple": no second-order search,
+    so the superb scan's module is not loaded, as it otherwise is by the
+    first path of L edges or more).
     """
     used, full = c._used, c._full
     u, v, _ = c.graph.edges[e]
@@ -131,11 +134,11 @@ def _probe(c: Colouring, e: int, L: int) -> tuple | None:
         chain = _path_chain(c, Fan(x, *fan[:3], False, *fan[3:]))
         if len(chain.tail.edges) < L:
             return "chain", x, chain.edges()
-        from .iterated import superb_scan
-
-        for entry in superb_scan(c, chain, limit=L):
-            if entry.superb and entry.second_len <= L:
-                return "chain", x, entry.edges()
+        if second is not None:
+            from .iterated import superb_scan
+            for entry in superb_scan(c, chain, limit=L):
+                if entry.superb and entry.second_len <= second:
+                    return "chain", x, entry.edges()
     return None
 
 
@@ -177,7 +180,7 @@ def _batch(c: Colouring, pending: list[int], L: int) -> list[tuple]:
         u, v, _ = edges[e]
         if u in covered or v in covered:
             continue
-        plan = _probe(c, e, L)
+        plan = _probe(c, e, L, L)
         if plan is None:
             continue
         kind, x, q = plan
@@ -215,8 +218,8 @@ def run_scheduler(
     edges nor each other's endpoint masks, so the order of application is
     irrelevant.  The run stops when a round finds no chain; the result
     then cannot be improved at scale L, which check_unimprovable
-    re-verifies.  Requires L > 2*delta, so that chain modifications fit
-    in 3L edges.
+    re-verifies through _probe with the second-path bound L - 1.
+    Requires L > 2*delta, so that chain modifications fit in 3L edges.
 
     When `log` is given, one JSON object is written per applied round,
     with keys augmented, recoloured, round and uncoloured_remaining; the

@@ -9,7 +9,8 @@ Path positions are then decorated to force a chosen classification:
                    fan is [f] and stops with no next edge, giving Type0;
   type1            a pendant coloured 2 leads to a vertex w that uses every
                    colour except beta; the fan stops early at w, the chain is
-                   not augmenting, and the short second path [w-s1] is far
+                   not augmenting, and the second path, a fresh alpha/beta
+                   path of `side` edges from w (one by default), is far
                    from the shift, so the edge is TypeI and superb;
   type1_unstable   like type1, but w's alpha-edge is spliced onto the path's
                    far end, so the second path runs back down the whole tail
@@ -111,10 +112,11 @@ class GadgetInstance:
 
 
 def long_path_instance(
-    T: int, decor: dict[int, str] | None = None, delta: int = 3
+    T: int, decor: dict[int, str] | None = None, delta: int = 3, side: int = 1
 ) -> GadgetInstance:
     """The plain skeleton: fan [e, h1, h2], first critical index 0, tail of T
-    edges from a.  decor maps odd positions in 5..T-1 to decoration kinds.
+    edges from a.  decor maps odd positions in 5..T-1 to decoration kinds;
+    each type1 decoration's second path has `side` edges.
 
     With a type1_unstable decoration the tail gains one extra edge at its far
     end (the splice), which the instance's path_edges includes.
@@ -124,6 +126,8 @@ def long_path_instance(
         raise ValueError("T must be even and at least 8")
     if delta not in (3, 4):
         raise ValueError("delta must be 3 or 4")
+    if side < 1:
+        raise ValueError("a type1 side path needs at least one edge")
     for pos, kind in decor.items():
         if pos % 2 == 0 or pos < 5 or pos > T - 1:
             raise ValueError(f"position {pos} cannot host a decoration")
@@ -158,14 +162,19 @@ def long_path_instance(
         elif kind == TYPE1:
             w = b.vertex()
             pend = b.edge(y, w, 2)
-            s1 = b.vertex()
-            sec = b.edge(w, s1, 3)
+            # w misses only beta = 1, so its second path is the alpha/beta
+            # walk from w: alpha 3 first, along fresh bare vertices
+            sec, s = [], w
+            for t in range(side):
+                nxt = b.vertex()
+                sec.append(b.edge(s, nxt, 3 if t % 2 == 0 else 1))
+                s = nxt
             b.edge(w, b.vertex(), 4)
             if delta == 4:
                 b.edge(w, b.vertex(), 5)
             info = Decoration(
                 kind, pos, f, y, z, [f, pend], "TypeI", True,
-                second_path=[sec], w=w,
+                second_path=sec, w=w,
             )
         elif kind == TYPE1_UNSTABLE:
             if splice_used:

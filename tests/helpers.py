@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import random
 
-from vizing import Colouring, Multigraph, generate_random
+from vizing import Colouring, Multigraph, generate_random, run_scheduler
+from vizing.engine import _apply, _batch
+
+# Sequential colourings at pi = 1, 2 and 3: sparse graphs, and small dense
+# multigraphs for parallel fan edges.
+SEQUENTIAL_SHAPES = ((80, 5, 1), (80, 5, 2), (80, 5, 3), (12, 6, 2), (10, 8, 3))
 
 
 def random_partial_colouring(
@@ -93,3 +98,22 @@ def plan_edges(plan) -> list[int]:
     if kind == "free":
         return [q]
     return list(q[0]) if kind == "fan" else q
+
+
+def round_snapshots(g: Multigraph, L: int, seed: int):
+    """Replay run_scheduler(g, L, seed) with the engine's _batch and _apply,
+    yielding the colouring before each round and the settled one last.  The
+    live colouring is yielded and written after the consumer resumes; once
+    the rounds run out it is checked against run_scheduler's result."""
+    c = Colouring.empty(g)
+    pending = list(range(g.m))
+    random.Random(seed).shuffle(pending)
+    while True:
+        yield c
+        batch = _batch(c, pending, L)
+        if not batch:
+            break
+        _apply(c, batch)
+        pending = [e for e in pending if not c.colours[e]]
+    if c.colours != run_scheduler(g, L, seed).colours:
+        raise AssertionError("the replayed rounds left another colouring than run_scheduler")

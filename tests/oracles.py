@@ -15,7 +15,10 @@ and shifts a raw colour list.
 The last two sections are the exception.  Three composition checks drive the
 package's own operations (the walk, chains, the superb scan) and compare
 their results with the oracles', because the property they check is how
-those operations compose.  And a few conveniences over the package's
+those operations compose.  The unimprovability referee,
+:func:`oracle_unimprovable`, takes its plain clause from
+:func:`oracle_vizing_chain` but its second-order clause from the package's
+superb scan, which the scan's own tests referee.  And a few conveniences over the package's
 operations -- a copying shift and augmentation refereed by
 :func:`oracle_classify`, weighted chain mass, the suitable edges of a probe,
 and pointwise reads of one suitable edge's :func:`superb_scan` entry -- serve
@@ -365,6 +368,36 @@ def check_shadow_fan(c, x, e, f):
     shifted = oracle_shift(c.colours, vc.edges()[: vc.fan_prefix_len + f.position])
     shadow = oracle_max_fan(c.graph, shifted, f.far_vertex, f.edge, big=vc.beta)
     return fan.edges == shadow["edges"][: len(fan.edges)]
+
+
+def oracle_short_chain(c, e, L, second):
+    """Does the uncoloured edge e admit a short improvement at scale L?  At
+    either endpoint x: a chain from :func:`oracle_vizing_chain` with fewer
+    than L edges off x (an augmenting fan has none, since every fan edge
+    meets x and no path edge does), or, when ``second`` is not None, a
+    superb entry of the package's :func:`superb_scan` over the first L path
+    positions whose second path has at most ``second`` edges."""
+    g, cols = c.graph, list(c.colours)
+    for x in g.edges[e][:2]:
+        chain = oracle_vizing_chain(g, cols, x, e)
+        if sum(x not in g.edges[h][:2] for h in chain) < L:
+            return True
+        if second is not None and any(
+            en.superb and en.second_len <= second
+            for en in superb_scan(c, vizing_chain(c, x, e), limit=L)
+        ):
+            return True
+    return False
+
+
+def oracle_unimprovable(c, L, mode):
+    """check_unimprovable's referee: no uncoloured edge has a plain chain
+    whose path is shorter than L, nor, in "iterated" mode, a superb edge
+    among the first L path positions whose second path is shorter than L."""
+    second = L - 1 if mode == "iterated" else None
+    return not any(
+        oracle_short_chain(c, e, L, second) for e, col in enumerate(c.colours) if col == 0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from vizing import (
     uncoloured_fraction_bounds,
     vizing_chain,
 )
-from vizing import audit, chains
+from vizing import audit, chains, engine, iterated
 from vizing.cli import main as cli_main
+from vizing.engine import _probe
 from vizing.iterated import ScanEntry, superb_scan
 from vizing.audit import (
     VERDICT_FAIL,
@@ -39,11 +40,13 @@ from gadgets import (
     TYPE1,
     TYPE1_UNSTABLE,
     TYPE2,
+    forked_type2_instance,
     locked_instance,
     long_path_instance,
 )
-from helpers import random_partial_colouring
-from oracles import EdgeWeights, weighted_chain_mass
+from helpers import SEQUENTIAL_SHAPES, random_partial_colouring, round_snapshots
+import oracles
+from oracles import EdgeWeights, oracle_short_chain, oracle_unimprovable, weighted_chain_mass
 
 
 def audit_instances():
@@ -228,6 +231,24 @@ class TestDegreeBounds:
 # ---------------------------------------------------------------------------
 
 
+def _count_calls(monkeypatch, calls, original, modules):
+    """Record in `calls` (returned) every call of `original` made through
+    one of `modules` that holds it under its own name."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if vars(module).get(original.__name__) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
+def _vizing_modules():
+    return [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "vizing"]
+
+
 class TestCheckUnimprovable:
     def test_fully_coloured_is_vacuously_true(self, p3):
         c = Colouring.from_assignment(p3, [1, 2])
@@ -266,6 +287,89 @@ class TestCheckUnimprovable:
         before = list(c.colours)
         check_unimprovable(c, 5, mode="iterated")
         assert c.colours == before
+
+    @pytest.mark.parametrize("L", [4, 16])
+    def test_simple_mode_runs_no_superb_scan(self, monkeypatch, L):
+        # both locked tails have 16 edges, so every probe gets past the
+        # plain clause; only the iterated check goes on to scan them
+        scans = _count_calls(monkeypatch, [], iterated.superb_scan, _vizing_modules())
+        c = locked_instance(16).c
+        assert check_unimprovable(c, L, mode="simple")
+        assert scans == []
+        assert check_unimprovable(c, L, mode="iterated") is (L == 4)
+        # at L = 16 the first endpoint's scan finds an empty second path
+        assert len(scans) == (2 if L == 4 else 1)
+
+    @pytest.fixture
+    def referee(self, monkeypatch):
+        """Compares check_unimprovable in both modes with
+        oracle_unimprovable, and each uncoloured edge's _probe(c, e, L, s)
+        is None with oracle_short_chain, for s in None, L - 1 and L, at
+        every scale L from 1 to two past the colouring's longest tail.
+        Tallies the probes by which of the three bounds find a chain.  The
+        brute-force chain is memoised per colouring, endpoint and edge, as
+        it depends on neither the scale nor the bound."""
+        chain, memo, keep = oracles.oracle_vizing_chain, {}, []
+
+        def memoised(g, cols, x, e):
+            key = (id(g), tuple(cols), x, e)
+            if key not in memo:
+                keep.append(g)
+                memo[key] = chain(g, cols, x, e)
+            return memo[key]
+
+        monkeypatch.setattr(oracles, "oracle_vizing_chain", memoised)
+        found = Counter()
+
+        def check(c):
+            top = max(
+                (len(ch.tail.edges) for e in c.uncoloured() for x in c.graph.edges[e][:2]
+                 if (ch := vizing_chain(c, x, e)).tail is not None),
+                default=0,
+            )
+            for L in range(1, top + 3):
+                for mode in ("simple", "iterated"):
+                    assert check_unimprovable(c, L, mode) == oracle_unimprovable(c, L, mode)
+                for e in c.uncoloured():
+                    bounds = (None, L - 1, L)
+                    got = tuple(_probe(c, e, L, s) is not None for s in bounds)
+                    assert got == tuple(oracle_short_chain(c, e, L, s) for s in bounds), (e, L)
+                    found[got] += 1
+        return check, found
+
+    def test_equals_the_referee_on_gadgets(self, referee):
+        check, found = referee
+        instances = [locked_instance(T) for T in (2, 10, 16)] + [
+            long_path_instance(12, {5: TYPE1, 7: BARE}),
+            long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE}),
+            long_path_instance(12, {5: TYPE2, 9: TYPE1}, delta=4),
+            long_path_instance(10, {5: TYPE1}, side=5),
+            long_path_instance(12, {5: TYPE1}, side=10),
+            forked_type2_instance(12, 7),
+        ]
+        for inst in instances:
+            check(inst.c)
+        print(f"gadget probes by (None, L - 1, L) finding a chain: {dict(found)}")
+        # stuck probes, plain chains, and second-order chains the plain
+        # clause misses; a chain that only the bound L finds needs both
+        # endpoints stuck, and every gadget with a type1 side path has an
+        # augmenting fan at its far endpoint (test_engine pins that split
+        # at the first endpoint)
+        assert {(False,) * 3, (False, True, True), (True,) * 3} <= set(found)
+
+    def test_equals_the_referee_on_round_snapshots(self, referee):
+        check, found = referee
+        for n, delta, pi in SEQUENTIAL_SHAPES:
+            g = generate_random(n, delta, pi, seed=0)
+            for L in (2 * g.delta + 1, 4 * g.delta + 1):
+                for c in round_snapshots(g, L, 0):
+                    check(c)
+        print(f"snapshot probes by (None, L - 1, L) finding a chain: {dict(found)}")
+        # every uncoloured edge of these snapshots has a plain chain at
+        # some scale up to its tails (the scheduler colours such graphs
+        # fully), so here the sweep checks the free, fan and plain-chain
+        # plans; the stuck and second-order probes come from the gadgets
+        assert found[(True,) * 3] >= 10000
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +550,13 @@ class TestWeightedChainMass:
 class TestOneChainPerProbe:
     """Each public audit builds every (uncoloured edge, endpoint) probe's
     plain fan once and passes the chain down.  Fans are counted by wrapping
-    max_fan in every vizing module that holds it."""
+    max_fan in every vizing module that holds it, and _grow_fan in the
+    engine, whose probe check_unimprovable asks."""
 
     @pytest.fixture
     def fans(self, monkeypatch):
-        calls = []
-        original = chains.max_fan
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "vizing" and vars(module).get("max_fan") is original:
-                monkeypatch.setattr(module, "max_fan", counted)
-        return calls
+        calls = _count_calls(monkeypatch, [], chains.max_fan, _vizing_modules())
+        return _count_calls(monkeypatch, calls, chains._grow_fan, [engine])
 
     @pytest.mark.parametrize(
         "call, result, probes",
@@ -483,15 +579,7 @@ class TestOneChainPerProbe:
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        calls = []
-        original = audit.superb_scan
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(audit, "superb_scan", counted)
-        return calls
+        return _count_calls(monkeypatch, [], iterated.superb_scan, _vizing_modules())
 
     def test_probe_count_rides_on_the_report_scan(self, fans, scans):
         inst = locked_instance(16)

@@ -16,14 +16,20 @@ from vizing import (
     generate_random,
     is_proper,
     max_fan,
-    run_scheduler,
     vizing_chain,
 )
 from vizing.chains import _grow_fan
-from vizing.engine import _apply, _batch, _probe
+from vizing.engine import _apply, _probe
 
 from gadgets import long_path_instance
-from helpers import plan_edges, random_instances, random_partial_colouring, random_shiftable_chain
+from helpers import (
+    SEQUENTIAL_SHAPES,
+    plan_edges,
+    random_instances,
+    random_partial_colouring,
+    random_shiftable_chain,
+    round_snapshots,
+)
 from oracles import (
     at_least,
     oracle_classify,
@@ -445,11 +451,6 @@ def test_lone_edge_augmentation_matches_the_oracle():
     assert min(counts.values()) >= 100, counts
 
 
-# Sequential colourings at pi = 1, 2 and 3: sparse graphs, and small dense
-# multigraphs for parallel fan edges; seeds 0-3 of each.
-SEQUENTIAL_SHAPES = ((80, 5, 1), (80, 5, 2), (80, 5, 3), (12, 6, 2), (10, 8, 3))
-
-
 def test_fan_rotation_matches_the_general_path():
     """Every step of sequential colourings at pi = 1, 2 and 3: the fan
     grown from the edge's smaller endpoint is rotated in place when it is
@@ -508,7 +509,7 @@ def test_colour_free_matches_free_colour():
                 col = min(oracle_missing(g, c.colours, y))
                 free = col in oracle_missing(g, c.colours, x)
                 # with L above every path length the probe stops at x
-                assert (_probe(c, e, g.m + 1)[:2] == ("free", x)) is free
+                assert (_probe(c, e, g.m + 1, g.m + 1)[:2] == ("free", x)) is free
                 got = c.copy()
                 coloured = got._colour_free(x, y, e)
                 assert coloured is free
@@ -528,7 +529,7 @@ def test_colour_free_matches_free_colour():
 
 def _check_plans(g, c, e, L, counts):
     """The plans for the uncoloured edge e on c: the scheduler's own
-    (_probe at scale L) and, at each endpoint x, a plan of every kind,
+    (_probe at scale L and second-path bound L) and, at each endpoint x, a plan of every kind,
     each applied through _apply on a copy.  A plan that applies leaves the
     colours, the used masks (checked against a recompute), the uncoloured
     count and the recoloured count that augment_in_place along the plan's
@@ -538,7 +539,7 @@ def _check_plans(g, c, e, L, counts):
     calls the fan not augmenting; a refused plan raises and writes
     nothing."""
     u, v, _ = g.edges[e]
-    plan = _probe(c, e, L)
+    plan = _probe(c, e, L, L)
     if plan is not None:
         counts["probed " + plan[0]] += 1
     plans = [(plan, True)]
@@ -584,18 +585,9 @@ def test_every_plan_kind_matches_augment_in_place():
                 _check_plans(g, c, e, g.m + 1, counts)
                 c.augment_in_place(vizing_chain(c, g.edges[e][0], e).edges())
             for L in (2 * g.delta + 1, 4 * g.delta + 1):
-                c = Colouring.empty(g)
-                pending = list(range(g.m))
-                random.Random(seed).shuffle(pending)
-                while pending:
-                    for e in pending:
+                for c in round_snapshots(g, L, seed):
+                    for e in c.uncoloured():
                         _check_plans(g, c, e, L, counts)
-                    batch = _batch(c, pending, L)
-                    if not batch:
-                        break
-                    _apply(c, batch)
-                    pending = [e for e in pending if not c.colours[e]]
-                assert c.colours == run_scheduler(g, L, seed).colours
     print(f"plan sweep: {counts}")
     # the rarest kinds read 85 refused fans and 49 probed chains
     assert min(counts.values()) >= 25, counts

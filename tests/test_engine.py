@@ -360,7 +360,7 @@ class TestRunScheduler:
             "if not sys.flags.optimize:\n"
             "    sys.exit('not running under -O')\n"
             "from vizing import build, engine\n"
-            "engine._probe = lambda c, e, L: ('chain', 0, list(range(3 * L + 1)))\n"
+            "engine._probe = lambda c, e, L, second: ('chain', 0, list(range(3 * L + 1)))\n"
             "engine.run_scheduler(build(2, [(0, 1, 1)]), 5, 0)\n"
         )
         src = str(Path(vizing.__file__).resolve().parent.parent)
@@ -380,7 +380,7 @@ class TestRunScheduler:
 
 def _probed_chain(c, e, L):
     """The edge list of the scheduler's plan for e, or None."""
-    plan = _probe(c, e, L)
+    plan = _probe(c, e, L, L)
     return None if plan is None else plan_edges(plan)
 
 
@@ -421,6 +421,19 @@ class TestCandidateChain:
         assert c2.augment_in_place(q) == 6
         assert c2.colour_of(inst.e) != 0
         assert is_proper(c2)
+
+    @pytest.mark.parametrize("L", [8, 10])
+    def test_second_path_of_l_edges_splits_the_two_bounds(self, L):
+        # position 5's TypeI edge has a second path of exactly L edges: the
+        # scheduler's bound L takes its second-order chain, the audit's
+        # bound L - 1 passes it over for position 7's bare Type0 chain
+        inst = long_path_instance(L, {5: TYPE1}, side=L)
+        dec = inst.decorations[5]
+        assert len(dec.second_path) == L
+        at_l = inst.fan_prefix + inst.path_edges[:4] + dec.fan_edges + dec.second_path
+        assert plan_edges(_probe(inst.c, inst.e, L, L)) == at_l
+        at_l_minus_one = inst.fan_prefix + inst.path_edges[:7]
+        assert plan_edges(_probe(inst.c, inst.e, L, L - 1)) == at_l_minus_one
 
     def test_gadget_candidate_augments_cleanly(self):
         inst = long_path_instance(12, {5: TYPE1})
