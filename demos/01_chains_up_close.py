@@ -65,7 +65,7 @@ ch = vizing_chain(c2, 3, 5)
 print()
 print("chain with a tail:", ch.edges())
 print("  fan part:", ch.edges()[:ch.fan_prefix_len])
-print("  tail in colours", ch.alpha, "/", ch.beta, "over edges", list(ch.tail.edges))
+print("  tail in colours", ch.tail.alpha, "/", ch.tail.beta, "over edges", list(ch.tail.edges))
 before = [c2.colour_of(f) for f in ch.tail.edges]
 d3 = c2.copy()
 d3.augment_in_place(ch.edges())

@@ -36,7 +36,7 @@ print(g.m, "edges, delta", g.delta, "pi", g.pi)
 try:
     run_scheduler(g, 8, seed=0, max_rounds=2)
 except MaxRoundsExceeded as ex:
-    c = ex.state.colouring
+    c = ex.colouring
 print("interrupted run:", c.uncoloured_count, "of", g.m, "edges still bare")
 
 # First level: each uncoloured edge is paired with the coloured edges on
@@ -70,7 +70,7 @@ c2 = Colouring.from_assignment(g2, cols)
 ch = vizing_chain(c2, 0, 0)
 print()
 print("stalled instance: tail of", len(ch.tail.edges), "edges in colours",
-      ch.alpha, "/", ch.beta)
+      ch.tail.alpha, "/", ch.tail.beta)
 it2 = build_audit_graph(c2, "iterated", L_cap=8)
 print("second-level partners of the bare edge:", sorted(it2.adjacency[0]))
 edge, deg = it2.max_coloured_degree()

@@ -42,13 +42,11 @@ _HOME = {
     "vizing_chain": "chains",
     "SuitableType": "iterated",
     "SuitableEdge": "iterated",
-    "ConditionalFan": "iterated",
     "Classification": "iterated",
     "ScanEntry": "iterated",
     "superb_scan": "iterated",
     "MaxRoundsExceeded": "engine",
     "Orientation": "engine",
-    "ScheduleState": "engine",
     "colour_sequential": "engine",
     "orient": "engine",
     "run_scheduler": "engine",

@@ -12,11 +12,13 @@ one shift-plus-colour step extends the colouring.  Three layers:
   * maximal fans around x: edge sequences (e_0=e, e_1, ...) pivoting on x,
     where each next edge's colour is the minimal colour available at the
     previous far endpoint (availability excludes colours already chosen at
-    the same far endpoint, which matters when parallel edges repeat it);
+    the same far endpoint, which matters when parallel edges repeat it).
+    The iterated machinery's conditional fans are the same :class:`Fan`,
+    grown by the same loop with an early stop;
 
   * the full chain: the fan itself when augmenting, otherwise the fan prefix
     through the first critical index followed by an alternating path that
-    avoids x.
+    avoids x; that path's record carries the chain's two colours.
 
 Everything is a pure function of a colouring snapshot and deterministic:
 minimal-colour choices always use the natural integer order, and the one
@@ -111,7 +113,8 @@ def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
 
 
 class Fan:
-    """A maximal fan around ``centre`` starting at an uncoloured edge.
+    """A fan around ``centre`` starting at ``edges[0]``: a maximal fan from
+    :func:`max_fan`, or a conditional fan of the iterated machinery.
 
     ``edges`` = (e_0, ..., e_k), all containing the centre; ``far_endpoints``
     their other endpoints (v_0, ..., v_k); ``colour_seq`` = (a_0, ..., a_{k-1})
@@ -121,11 +124,14 @@ class Fan:
     step, whose edge at the centre either does not exist or already sits in
     the fan -- repeats at most one earlier choice.
 
-    augmenting: whether the whole fan, viewed as a chain, is augmenting.
-    next_colour: the stop colour a_k.
+    augmenting: whether the fan, viewed as a chain, is augmenting; for a
+        conditional fan, the chain is the first-level chain up to the
+        suitable edge followed by the fan.
+    next_colour: the stop colour a_k, or None when a conditional fan
+        stopped early at a far endpoint missing a path colour.
     repeat_pos: position p >= 1 with edges[p] the centre's next_colour-edge,
         or None when no such edge exists (in which case the fan always turns
-        out to be augmenting).
+        out to be augmenting) or after an early stop.
     """
 
     __slots__ = (
@@ -139,7 +145,7 @@ class Fan:
         far_endpoints: list[int],
         colour_seq: list[int],
         augmenting: bool,
-        next_colour: int,
+        next_colour: int | None,
         repeat_pos: int | None,
     ):
         self.centre = centre
@@ -153,13 +159,14 @@ class Fan:
 
 def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
     """The loop of :func:`max_fan`, shared with the colourers' per-edge
-    probes and the conditional fans of the iterated machinery.  Each step
-    tests the centre's used mask before scanning its adjacency: a centre
-    that does not use the wanted colour has no edge of it, so the fan stops
-    there with no repeat, as the scan would.  The fan also stops as soon as
-    a new far endpoint misses a colour in ``stop_mask``.  Returns (edges,
-    far endpoints, colour sequence, next colour, repeat position); the next
-    colour is None after such an early stop.
+    probes (which keep the tuple) and the conditional fans of the iterated
+    machinery (which make it a :class:`Fan`).  Each step tests the centre's
+    used mask before scanning its adjacency: a centre that does not use the
+    wanted colour has no edge of it, so the fan stops there with no repeat,
+    as the scan would.  The fan also stops as soon as a new far endpoint
+    misses a colour in ``stop_mask``.  Returns (edges, far endpoints, colour
+    sequence, next colour, repeat position); the next colour is None after
+    such an early stop.
     """
     g = c.graph
     colours, used, full = c._colours, c._used, c._full
@@ -236,8 +243,9 @@ def repeated_colour_indices(fan: Fan) -> tuple[int, int, int]:
 
     k is the fan's final index and beta its stop colour; j+1 is the position
     of the centre's beta-edge inside the fan.  Defined only for
-    non-augmenting fans (ValueError otherwise); then the stop was forced by
-    a repeated edge, the pair is unique (the colour sequence is injective),
+    non-augmenting fans (ValueError otherwise) that did not stop early (the
+    iterated machinery rules that out first); then the stop was forced by a
+    repeated edge, the pair is unique (the colour sequence is injective),
     and the far endpoints v_j, v_k differ.
     """
     if fan.augmenting:
@@ -265,25 +273,17 @@ class VizingChain:
     When the fan is augmenting the chain is the whole fan and there is no
     tail.  Otherwise the chain keeps the fan prefix through the first
     critical index i (that is, fan_prefix_len = i+1 edges) and appends the
-    alternating alpha/beta-path from v_i, which avoids the centre.  Without
-    a tail, the last three fields are None.
+    alternating alpha/beta-path from v_i, which avoids the centre; the path
+    colours are the tail's ``alpha`` and ``beta``.  Without a tail, ``tail``
+    is None.
     """
 
-    __slots__ = ("fan", "fan_prefix_len", "tail", "alpha", "beta", "_edge_list")
+    __slots__ = ("fan", "fan_prefix_len", "tail", "_edge_list")
 
-    def __init__(
-        self,
-        fan: Fan,
-        fan_prefix_len: int,
-        tail: AlternatingPath | None = None,
-        alpha: int | None = None,
-        beta: int | None = None,
-    ):
+    def __init__(self, fan: Fan, fan_prefix_len: int, tail: AlternatingPath | None = None):
         self.fan = fan
         self.fan_prefix_len = fan_prefix_len
         self.tail = tail
-        self.alpha = alpha
-        self.beta = beta
         self._edge_list: list[int] | None = None
 
     def edges(self) -> list[int]:
@@ -337,4 +337,4 @@ def _path_chain(c: Colouring, fan: Fan) -> VizingChain:
         if path_k.last_vertex == x:  # unreachable: both ends at x
             raise AssertionError("both candidate alternating paths end at x")
         i, tail = k, path_k
-    return VizingChain(fan, i + 1, tail, alpha, beta)
+    return VizingChain(fan, i + 1, tail)

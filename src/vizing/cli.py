@@ -34,6 +34,7 @@ import sys
 
 from .colouring import Colouring, _parse_dump_lines, is_proper
 from .multigraph import (
+    MAX_EDGES,
     MAX_VERTICES,
     Multigraph,
     _check_characters,
@@ -205,6 +206,12 @@ def _load_colouring(args) -> Colouring:
 def cmd_gen(args) -> int:
     if args.n > MAX_VERTICES:  # the output would not parse back
         raise ValueError(f"--n {args.n} exceeds the vertex limit {MAX_VERTICES}")
+    target = min(args.pi * args.n * (args.n - 1) // 2, args.n * args.delta // 2)
+    if target > MAX_EDGES:  # generate_random would aim for that many edges
+        raise ValueError(
+            f"--n {args.n} --delta {args.delta} --pi {args.pi} aims for {target} edges, "
+            f"which exceeds the edge limit {MAX_EDGES}"
+        )
     g = generate_random(args.n, args.delta, args.pi, seed=args.seed)
     _emit(args, g.to_text())
     return EXIT_OK
@@ -248,7 +255,7 @@ def cmd_schedule(args) -> int:
     try:
         c = run_scheduler(g, args.L, args.seed, max_rounds=args.max_rounds, log=sys.stderr)
     except MaxRoundsExceeded as ex:
-        _emit(args, _dump_colouring(ex.state.colouring))
+        _emit(args, _dump_colouring(ex.colouring))
         return _exit_for([str(ex)])
     _emit(args, _dump_colouring(c))
     return EXIT_OK

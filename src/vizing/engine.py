@@ -44,7 +44,6 @@ from .multigraph import Multigraph
 __all__ = [
     "MaxRoundsExceeded",
     "Orientation",
-    "ScheduleState",
     "colour_sequential",
     "orient",
     "run_scheduler",
@@ -79,31 +78,16 @@ def colour_sequential(g: Multigraph) -> Colouring:
 # ---------------------------------------------------------------------------
 
 
-class ScheduleState:
-    """Scheduler progress, dumped when the round budget runs out: the
-    colouring so far, the scale L, rounds applied, and per-round
-    recoloured-edge counts."""
-
-    __slots__ = ("colouring", "L", "round", "changed_log")
-
-    def __init__(
-        self, colouring: Colouring, L: int, round: int, changed_log: list[int] | None = None
-    ):
-        self.colouring = colouring
-        self.L = L
-        self.round = round
-        self.changed_log = [] if changed_log is None else changed_log
-
-
 class MaxRoundsExceeded(RuntimeError):
-    """The scheduler hit its round budget before settling; `state` holds
-    the partial colouring and round statistics at the point of failure."""
+    """The scheduler hit its round budget before settling: `colouring` is
+    the partial colouring after the `rounds` rounds it applied."""
 
-    def __init__(self, state: ScheduleState):
-        self.state = state
+    def __init__(self, colouring: Colouring, rounds: int):
+        self.colouring = colouring
+        self.rounds = rounds
         super().__init__(
-            f"scheduler stopped after {state.round} rounds with "
-            f"{state.colouring.uncoloured_count} edges still uncoloured"
+            f"scheduler stopped after {rounds} rounds with "
+            f"{colouring.uncoloured_count} edges still uncoloured"
         )
 
 
@@ -224,8 +208,8 @@ def run_scheduler(
     When `log` is given, one JSON object is written per applied round,
     with keys augmented, recoloured, round and uncoloured_remaining; the
     final round that finds nothing is not logged.  Raises
-    MaxRoundsExceeded (carrying the state) when a round with work to do
-    would go past max_rounds.
+    MaxRoundsExceeded, carrying the partial colouring and the rounds
+    applied, when a round with work to do would go past max_rounds.
     """
     if L <= 2 * g.delta:
         raise ValueError(
@@ -233,7 +217,7 @@ def run_scheduler(
             f"which needs L > 2*delta = {2 * g.delta}"
         )
     c = Colouring.empty(g)
-    state = ScheduleState(colouring=c, L=L, round=0)
+    rounds = 0
     if log is not None:
         import json
     pending = list(range(g.m))
@@ -244,18 +228,17 @@ def run_scheduler(
         batch = _batch(c, pending, L)
         if not batch:
             return c
-        if max_rounds is not None and state.round >= max_rounds:
-            raise MaxRoundsExceeded(state)
+        if max_rounds is not None and rounds >= max_rounds:
+            raise MaxRoundsExceeded(c, rounds)
         recoloured = _apply(c, batch)
         if recoloured > 3 * L * len(batch):
             raise AssertionError("a round recoloured more than 3L edges per chain")
-        state.round += 1
-        state.changed_log.append(recoloured)
+        rounds += 1
         if log is not None:
             log.write(
                 json.dumps(
                     {
-                        "round": state.round,
+                        "round": rounds,
                         "augmented": len(batch),
                         "recoloured": recoloured,
                         "uncoloured_remaining": c.uncoloured_count,

@@ -9,12 +9,13 @@ superb_scan, used by the audits and the scheduler, lists the eligible path
 edges one at a time, deriving the path's vertices only up to its window, and
 builds the second level for each of them in path order:
 
-  * the conditional fan around y is defined against the *original*
-    colouring: availability uses the original missing sets, and the fan
-    additionally stops early upon reaching a far endpoint whose missing set
-    contains alpha or beta.  Its defining property is that this fan is a
-    prefix of the ordinary fan around y computed under the shifted colouring
-    with beta reordered to be the largest colour (the tests check it);
+  * the conditional fan around y is a :class:`chains.Fan` grown against the
+    *original* colouring: availability uses the original missing sets, and
+    the fan additionally stops early upon reaching a far endpoint whose
+    missing set contains alpha or beta (its next_colour is then None).  Its
+    defining property is that this fan is a prefix of the ordinary fan
+    around y computed under the shifted colouring with beta reordered to be
+    the largest colour (the tests check it);
 
   * the classification sorts a suitable edge into Type0 (chain-so-far
     already augmenting), TypeI (beta missing at the fan's last far
@@ -22,9 +23,12 @@ builds the second level for each of them in path order:
     delta is the smallest colour missing at y).  The Type0 test shifts
     nothing: it reads the used masks of y and the fan's last far endpoint
     under the original colouring, adds alpha, which the shift through f
-    frees at y, to y's missing colours, and intersects them.  The fan and
-    the classification read the colouring's masks directly, with the
-    alpha|beta stop mask computed once per scan;
+    frees at y, to y's missing colours, and intersects them.  The fan's
+    augmenting flag records that test, so Type0 holds exactly when the flag
+    is set; TypeII takes its repeated pair from repeated_colour_indices, as
+    a first-level chain does.  The fan and the classification read the
+    colouring's masks directly, with the alpha|beta stop mask computed once
+    per scan;
 
   * the superb test checks that the second alternating path (for TypeII,
     both candidate paths) is unaffected by the shift: the paths are walked
@@ -50,13 +54,12 @@ from __future__ import annotations
 import enum
 
 from .colouring import Colouring
-from .chains import AlternatingPath, VizingChain, _grow_fan, _walk
+from .chains import AlternatingPath, Fan, VizingChain, _grow_fan, _walk, repeated_colour_indices
 from .multigraph import line_distances
 
 __all__ = [
     "SuitableType",
     "SuitableEdge",
-    "ConditionalFan",
     "Classification",
     "ScanEntry",
     "superb_scan",
@@ -97,42 +100,6 @@ class SuitableEdge:
         )
 
 
-class ConditionalFan:
-    """The fan grown around far_vertex = y, starting at the suitable edge.
-
-    edges = (g_0, ..., g_m) all contain y, with far endpoints (u_0, ..., u_m)
-    and colour_seq the chosen colours (c(g_{i+1}) for i < m).  Stops:
-
-      * early_stop: the newest far endpoint has alpha or beta missing
-        (next_colour is then None);
-      * otherwise maximal: the wanted colour (next_colour) has no edge at y
-        (repeat_pos None) or that edge already sits in the fan (repeat_pos
-        its position).
-    """
-
-    __slots__ = ("centre", "edges", "far_endpoints", "colour_seq", "next_colour", "repeat_pos")
-
-    def __init__(
-        self,
-        centre: int,
-        edges: list[int],
-        far_endpoints: list[int],
-        colour_seq: list[int],
-        next_colour: int | None,
-        repeat_pos: int | None,
-    ):
-        self.centre = centre
-        self.edges = edges
-        self.far_endpoints = far_endpoints
-        self.colour_seq = colour_seq
-        self.next_colour = next_colour
-        self.repeat_pos = repeat_pos
-
-    @property
-    def early_stop(self) -> bool:
-        return self.next_colour is None
-
-
 class Classification:
     """A suitable edge's type together with its colour witnesses.
 
@@ -147,7 +114,7 @@ class Classification:
     def __init__(
         self,
         type_tag: SuitableType,
-        fan: ConditionalFan,
+        fan: Fan,
         alpha: int,
         beta: int,
         delta: int | None = None,
@@ -248,10 +215,10 @@ class _Context:
                 "to pick suitable edges from"
             )
         self.c = c
-        self.alpha = vc.alpha
-        self.beta = vc.beta
-        self.alpha_bit = 1 << (vc.alpha - 1)
-        self.beta_bit = 1 << (vc.beta - 1)
+        self.alpha = alpha = vc.tail.alpha
+        self.beta = beta = vc.tail.beta
+        self.alpha_bit = 1 << (alpha - 1)
+        self.beta_bit = 1 << (beta - 1)
         # the conditional fans stop at a far endpoint missing alpha or beta
         self.stop_mask = self.alpha_bit | self.beta_bit
         self.path_edges = vc.tail.edges
@@ -318,12 +285,14 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
     # is stale there
     if used[su.near_vertex] & stop != stop:
         raise ValueError("stale chain: the suitable edge's near vertex misses a path colour")
-    fan = ConditionalFan(y, *_grow_fan(c, y, su.edge, stop))
-    u_m = fan.far_endpoints[-1]
+    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, y, su.edge, stop)
+    u_m = far[-1]
     if u_m in ctx.fan_vertices:
         raise AssertionError("the conditional fan reached the first-level fan")
     at_u_m = used[u_m]
-    if (c._full & ~used[y] | alpha_bit) & ~at_u_m:
+    augmenting = bool((c._full & ~used[y] | alpha_bit) & ~at_u_m)
+    fan = Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
+    if augmenting:
         return Classification(SuitableType.TYPE0, fan, alpha, beta)
     if not at_u_m & ctx.beta_bit:  # beta is missing at u_m
         # were alpha missing at u_m too, the chain would have been augmenting
@@ -332,13 +301,8 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
         return Classification(SuitableType.TYPE1, fan, alpha, beta)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
-    if fan.early_stop or fan.repeat_pos is None:
-        raise AssertionError("a TypeII fan did not stop on a repeated colour")
-    i = fan.repeat_pos - 1
-    epsilon = fan.next_colour
+    i, _, epsilon = repeated_colour_indices(fan)
     delta = c.min_missing(y)
-    if fan.colour_seq[i] != epsilon:
-        raise AssertionError("the TypeII repeat edge does not carry epsilon")
     if delta == epsilon or {delta, epsilon} & {alpha, beta}:  # only when stale
         raise ValueError("stale chain: the TypeII colours are not pairwise distinct")
     return Classification(

@@ -22,8 +22,9 @@ with one ``u v k`` line per edge; fields are separated by spaces or tabs,
 and every field is an optional ``-`` followed by ASCII digits.  The parser is strict: the header bounds must equal the
 recomputed tight bounds and the k values per vertex pair must form exactly
 1..m (the writer always emits this normal form).  The header's
-``n`` may not exceed :data:`MAX_VERTICES`; that is checked before anything is
-allocated, since isolated vertices make ``n`` unbounded by the input's size.
+``n`` may not exceed :data:`MAX_VERTICES`, nor its ``m`` :data:`MAX_EDGES`;
+both are checked before anything is allocated, since isolated vertices make
+``n`` unbounded by the input's size.
 
 Instances are immutable after construction and safe to share between threads.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import random
 
 __all__ = [
+    "MAX_EDGES",
     "MAX_VERTICES",
     "Multigraph",
     "build",
@@ -44,6 +46,12 @@ __all__ = [
 # peaks at about 75 bytes per vertex before its edges, so a header alone can
 # ask for at most about 75 MB.
 MAX_VERTICES = 1_000_000
+
+# The largest edge count an ``mg`` header may announce, and ``vizing gen``
+# may aim for.  Parsing peaks at about 400 bytes per edge beyond the text
+# (tracemalloc on Python 3.11, random graphs of 2e5 edges), so a graph at
+# the limit parses in about 1.6 GB, within a 2 GB budget.
+MAX_EDGES = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +147,11 @@ class Multigraph:
 
         Raises ValueError with a 1-based line number on any malformed input.
         """
-        return _parse_mg(text)
+        _check_characters(text, header=True)
+        lines = text.splitlines()
+        if not lines:
+            raise ValueError("line 1: empty input, expected 'mg' header")
+        return _parse_mg_lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +239,6 @@ def _check_characters(text: str, header: bool = False) -> None:
             raise ValueError(f"line {lineno}: control character")
 
 
-def _parse_mg(text: str) -> Multigraph:
-    _check_characters(text, header=True)
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("line 1: empty input, expected 'mg' header")
-    return _parse_mg_lines(lines)
-
-
 def _parse_mg_lines(lines: list[str]) -> Multigraph:
     """The ``mg`` parser on the lines of a checked text (at least one line):
     the header, then exactly the edge lines it announces."""
@@ -249,6 +253,8 @@ def _parse_mg_lines(lines: list[str]) -> Multigraph:
         raise ValueError("line 1: n and m must be non-negative")
     if n > MAX_VERTICES:
         raise ValueError(f"line 1: n = {n} exceeds the vertex limit {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ValueError(f"line 1: m = {m} exceeds the edge limit {MAX_EDGES}")
     body = lines[1:]
     if len(body) != m:
         raise ValueError(

@@ -366,7 +366,7 @@ def check_shadow_fan(c, x, e, f):
     entry = scan_entry(c, x, e, f)
     f, fan = entry.suitable, entry.classification.fan
     shifted = oracle_shift(c.colours, vc.edges()[: vc.fan_prefix_len + f.position])
-    shadow = oracle_max_fan(c.graph, shifted, f.far_vertex, f.edge, big=vc.beta)
+    shadow = oracle_max_fan(c.graph, shifted, f.far_vertex, f.edge, big=vc.tail.beta)
     return fan.edges == shadow["edges"][: len(fan.edges)]
 
 

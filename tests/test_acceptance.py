@@ -184,7 +184,7 @@ def _probe_state(g, cols, c):
                 )
                 assert (
                     O.prefix_stability_check(
-                        c, d, chain.tail.start_vertex, chain.alpha, chain.beta
+                        c, d, chain.tail.start_vertex, chain.tail.alpha, chain.tail.beta
                     )
                     is True
                 )
@@ -246,7 +246,7 @@ def _scheduler_snapshots(g, L, seed, stops=(1, 2, 4)):
         try:
             run_scheduler(g, L, seed, max_rounds=r)
         except MaxRoundsExceeded as ex:
-            snaps.append(ex.state.colouring)
+            snaps.append(ex.colouring)
     snaps.append(run_scheduler(g, L, seed))
     return snaps
 

@@ -485,7 +485,7 @@ def test_chain_frozen_instance_a_takes_k():
     ch = vizing_chain(c, 4, 7)
     # the 1/2-path from v_0 = 3 is (e10, e5) and ends at x = 4, so the
     # critical index is k = 2 and the tail runs from v_2 = 1
-    assert (ch.alpha, ch.beta) == (1, 2)
+    assert (ch.tail.alpha, ch.tail.beta) == (1, 2)
     path_j = _walk(g, c.colours, 3, 1, 2)
     assert path_j.edges == [10, 5] and path_j.last_vertex == 4
     assert ch.fan_prefix_len == 3  # first critical index 2
@@ -500,7 +500,7 @@ def test_chain_frozen_instance_b_takes_j():
     assert fan.edges == [11, 8, 3]
     assert fan.augmenting is False
     ch = vizing_chain(c, 5, 11)
-    assert (ch.alpha, ch.beta) == (2, 1)
+    assert (ch.tail.alpha, ch.tail.beta) == (2, 1)
     assert ch.fan_prefix_len == 1  # first critical index 0
     assert ch.tail.edges == [7]
     assert ch.edges() == [11, 7]

@@ -17,7 +17,7 @@ import pytest
 import vizing
 from vizing import Colouring, FractionBound, Multigraph, audit_report
 from vizing.cli import _audit_offenders, _report_tsv, main
-from vizing.multigraph import MAX_VERTICES
+from vizing.multigraph import MAX_EDGES, MAX_VERTICES
 
 from gadgets import long_path_instance
 
@@ -343,26 +343,39 @@ class TestUsage:
         assert code == 0
         assert "gen" in out and "orient" in out
 
-    def test_gen_above_vertex_limit_rejected(self, cli):
-        code, out, err = cli(["gen", "--n", str(MAX_VERTICES + 1)])
-        assert (code, out) == (1, "")
-        assert "exceeds the vertex limit" in err
+    @pytest.mark.parametrize(
+        "argv,stderr",
+        [
+            (["--n", str(MAX_VERTICES + 1)],
+             f"error: --n {MAX_VERTICES + 1} exceeds the vertex limit {MAX_VERTICES}\n"),
+            # a target of 1.5e9 edges on three vertices, which would exhaust memory
+            (["--n", "3", "--delta", "1000000000", "--pi", "1000000000"],
+             "error: --n 3 --delta 1000000000 --pi 1000000000 aims for 1500000000 "
+             f"edges, which exceeds the edge limit {MAX_EDGES}\n"),
+        ],
+        ids=["vertices", "edges"],
+    )
+    def test_gen_above_vertex_limit_rejected(self, cli, argv, stderr):
+        code, out, err = cli(["gen", *argv])
+        assert (code, out, err) == (1, "", stderr)
 
     @pytest.mark.parametrize(
-        "n,code,stderr",
+        "n,m,code,stderr",
         [
-            (10**9, 1, f"error: line 1: n = 1000000000 exceeds the vertex limit {MAX_VERTICES}\n"),
-            (MAX_VERTICES, 0, ""),
+            (10**9, 0, 1, f"error: line 1: n = 1000000000 exceeds the vertex limit {MAX_VERTICES}\n"),
+            (MAX_VERTICES, 0, 0, ""),
+            (2, 10**9, 1, f"error: line 1: m = 1000000000 exceeds the edge limit {MAX_EDGES}\n"),
         ],
-        ids=["over", "at"],
+        ids=["over", "at", "edges-over"],
     )
-    def test_oversized_header_fails_fast(self, tmp_path, n, code, stderr):
+    def test_oversized_header_fails_fast(self, tmp_path, n, m, code, stderr):
         """A header alone may not make the parser allocate n adjacency lists
-        for a huge n.  The child runs under a 400 MB address-space limit, so
-        a regression shows as a MemoryError traceback on stderr instead of
-        exhausting the machine's memory; a header at the limit still fits."""
+        for a huge n, nor read on for a huge m.  The child runs under a
+        400 MB address-space limit, so a regression shows as a MemoryError
+        traceback on stderr instead of exhausting the machine's memory; a
+        header at the vertex limit still fits."""
         graph = tmp_path / "g.mg"
-        graph.write_text(f"mg {n} 0 0 0\n")
+        graph.write_text(f"mg {n} {m} 0 0\n")
         limit = 400 * 2**20
 
         def cap_memory():
@@ -379,7 +392,7 @@ class TestUsage:
         )
         assert (proc.returncode, proc.stderr) == (code, stderr)
         if code == 0:
-            assert proc.stdout == f"mg {n} 0 0 0\n"
+            assert proc.stdout == f"mg {n} {m} 0 0\n"
 
     @pytest.mark.parametrize("command", [["colour"], ["audit", "--L", "5"], ["orient"]])
     def test_negative_edge_count_in_header(self, cli, command):

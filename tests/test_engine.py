@@ -173,7 +173,7 @@ def _after_rounds(g, L, seed, k):
     """The partial colouring left after k applied rounds."""
     with pytest.raises(MaxRoundsExceeded) as exc:
         run_scheduler(g, L, seed, max_rounds=k)
-    return exc.value.state.colouring
+    return exc.value.colouring
 
 
 class TestBuildSchedule:
@@ -294,13 +294,14 @@ class TestRunScheduler:
         log = io.StringIO()
         with pytest.raises(MaxRoundsExceeded) as exc:
             run_scheduler(g, 7, seed=0, max_rounds=1, log=log)
-        state = exc.value.state
+        ex = exc.value
         (first,) = [json.loads(line) for line in log.getvalue().splitlines()]
-        assert state.round == 1
-        assert state.L == 7
-        assert state.changed_log == [first["recoloured"]]
-        assert state.colouring.uncoloured_count == first["uncoloured_remaining"]
-        assert "1 rounds" in str(exc.value)
+        assert ex.rounds == first["round"] == 1
+        assert ex.colouring.uncoloured_count == first["uncoloured_remaining"]
+        assert str(ex) == (
+            f"scheduler stopped after 1 rounds with {first['uncoloured_remaining']} "
+            "edges still uncoloured"
+        )
 
     def test_deterministic_per_seed(self):
         g = generate_random(60, 3, 1, seed=42)

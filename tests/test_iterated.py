@@ -215,16 +215,14 @@ def test_conditional_fan_shapes_on_gadgets():
                 # one-edge fan stopping because y has no edge of the wanted
                 # colour (2, the smallest missing at z)
                 assert fan.edges == [dec.f]
-                assert not fan.early_stop
                 assert fan.next_colour == 2 and fan.repeat_pos is None
             elif dec.kind in (TYPE1, TYPE1_UNSTABLE):
                 # pendant joins, then the walk stops early at w (beta missing)
                 assert fan.colour_seq == [2]
-                assert fan.early_stop
+                assert fan.next_colour is None
                 assert fan.far_endpoints[-1] == dec.w
             else:  # TYPE2
                 assert fan.colour_seq == [2, 4]
-                assert not fan.early_stop
                 assert fan.next_colour == 2 and fan.repeat_pos == 1
 
 
@@ -241,7 +239,7 @@ def shadow_fan_oracle(g, c, x, e, su):
     vc = vizing_chain(c, x, e)
     chain = vc.edges()[: vc.fan_prefix_len + su.position]
     cols = oracle_shift(c.colours, chain)
-    return oracle_max_fan(g, cols, su.far_vertex, su.edge, big=vc.beta)
+    return oracle_max_fan(g, cols, su.far_vertex, su.edge, big=vc.tail.beta)
 
 
 def test_shadow_fan_on_gadgets_and_random_probes():
@@ -301,6 +299,7 @@ def test_type0_iff_first_segment_augments():
             status = oracle_classify(inst.g, inst.c.colours, chain)
             assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0), \
                 (label, su.position)
+            assert cls.fan.augmenting is (cls.type_tag is SuitableType.TYPE0), (label, su.position)
             seen += 1
     for g, c, e, x, sus in probes_with_suitables():
         for su in sus:
@@ -308,6 +307,7 @@ def test_type0_iff_first_segment_augments():
             chain = ivc1_edges(c, x, e, su, cls.fan)
             status = oracle_classify(g, c.colours, chain)
             assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0)
+            assert cls.fan.augmenting is (cls.type_tag is SuitableType.TYPE0)
             seen += 1
     assert seen >= 20
 
@@ -529,7 +529,7 @@ def frozen_probe(gseed, e, x):
 def test_frozen_instance_all_type0():
     g, c, e, x = frozen_probe(3, 0, 303)
     vc = vizing_chain(c, x, e)
-    assert (vc.alpha, vc.beta, vc.fan_prefix_len) == (2, 1, 1)
+    assert (vc.tail.alpha, vc.tail.beta, vc.fan_prefix_len) == (2, 1, 1)
     assert vc.tail.edges[:5] == [590, 283, 357, 202, 235]
     sus = suitable_edges(c, x, e)
     assert [(s.edge, s.position) for s in sus] == [(235, 5), (632, 7), (91, 9)]
@@ -574,7 +574,7 @@ def scan_matches_pointwise(g, c, e, x):
     cols = list(c.colours)
     tail = vc.tail.edges
     assert [en.suitable.position for en in entries] == \
-        oracle_suitable_positions(g, cols, tail, vc.alpha, e)
+        oracle_suitable_positions(g, cols, tail, vc.tail.alpha, e)
     for en in entries:
         su, cls = en.suitable, en.classification
         assert su.edge == tail[su.position - 1]

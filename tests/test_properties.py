@@ -208,7 +208,7 @@ def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
     entries = list(superb_scan(c, vc))
     assert c.colours == before
     assert [en.suitable.position for en in entries] == \
-        oracle_suitable_positions(g, before, vc.tail.edges, vc.alpha, e)
+        oracle_suitable_positions(g, before, vc.tail.edges, vc.tail.alpha, e)
     for en in entries:
         su, cls = en.suitable, en.classification
         first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
