@@ -55,8 +55,8 @@ print(g.m, "edges; chain tail has", len(chain.tail.edges), "edges")
 entries = []
 for entry in superb_scan(c, chain, limit=12):
     entries.append(entry)
-    print("position", entry.suitable.position, "edge", entry.suitable.edge,
-          "type", entry.classification.type_tag, "superb?", entry.superb)
+    print("position", entry.position, "edge", entry.edge,
+          "type", entry.type_tag, "superb?", entry.superb)
 
 # Counting: bucket the superb edges by the colour pair their second path
 # uses.  Type0 edges count for every pair, so on the bare path the

@@ -41,8 +41,6 @@ _HOME = {
     "repeated_colour_indices": "chains",
     "vizing_chain": "chains",
     "SuitableType": "iterated",
-    "SuitableEdge": "iterated",
-    "Classification": "iterated",
     "ScanEntry": "iterated",
     "superb_scan": "iterated",
     "MaxRoundsExceeded": "engine",

@@ -356,40 +356,28 @@ def _path_colour_set(path: AlternatingPath | None) -> frozenset[int]:
 
 
 class _SuperbTally:
-    """The superb edges of one scan, bucketed by the colours their second
-    paths use and fed one entry at a time, so no entry is kept."""
+    """The superb edges of one scan, counted by the colour set of their
+    second paths and fed one entry at a time, so no entry is kept."""
 
-    __slots__ = ("empty", "by_single", "by_pair")
+    __slots__ = ("by_colours",)
 
     def __init__(self) -> None:
-        self.empty = 0
-        self.by_single: Counter[int] = Counter()
-        self.by_pair: Counter[frozenset[int]] = Counter()
+        self.by_colours: Counter[frozenset[int]] = Counter()
 
     def add(self, entry: ScanEntry) -> None:
-        if not entry.superb:
-            return
-        cols = _path_colour_set(entry.second_path)
-        if len(cols) == 0:
-            self.empty += 1
-        elif len(cols) == 1:
-            self.by_single[next(iter(cols))] += 1
-        else:
-            self.by_pair[cols] += 1
+        if entry.superb:
+            self.by_colours[_path_colour_set(entry.second_path)] += 1
 
     def best(self, c: Colouring, L: int) -> SuperbCount:
         """The best colour-pair bucket (ties to the smallest pair) against
-        the count bound at scale L."""
+        the count bound at scale L: a pair counts every superb edge whose
+        second path's colours it contains."""
         palette = c.graph.palette
         best: tuple[int, int, int] | None = None
         for gamma in range(1, palette + 1):
             for theta in range(gamma + 1, palette + 1):
-                count = (
-                    self.empty
-                    + self.by_single[gamma]
-                    + self.by_single[theta]
-                    + self.by_pair[frozenset((gamma, theta))]
-                )
+                pair = {gamma, theta}
+                count = sum(n for cols, n in self.by_colours.items() if cols <= pair)
                 if best is None or count > best[2]:
                     best = (gamma, theta, count)
         if best is None:

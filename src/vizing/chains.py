@@ -230,6 +230,8 @@ def max_fan(c: Colouring, x: int, e: int) -> Fan:
     colours missing at x.  The flag is therefore read off the masks before
     the shift, in O(1).
     """
+    if not 0 <= e < c.graph.m:
+        raise ValueError(f"edge id {e} out of range")
     if c.colours[e] != 0:
         raise ValueError(f"edge {e} is coloured; fans start at uncoloured edges")
     # raises ValueError when x is not an endpoint of e

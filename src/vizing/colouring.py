@@ -69,7 +69,9 @@ class Colouring:
     is an invariant: the constructor checks it, and every write path
     (``augment_in_place``, ``shift_in_place``, ``apply_undo`` and the
     private fast paths) keeps it or raises ValueError with the colouring
-    unchanged.  The readers missing_mask and min_missing sit on the chain
+    unchanged, also for an empty chain or log and for an edge id outside
+    0..m-1, which Python indexing would otherwise alias to another edge.
+    The readers missing_mask and min_missing sit on the chain
     builders' hot path: they take a valid vertex 0..n-1 unchecked.
     """
 
@@ -287,9 +289,11 @@ class Colouring:
 
     def _shift_logs(self, chain: Sequence[int]):
         """The (edge, colour) pairs of ``chain`` before and after a shift,
-        for :meth:`_recolour`.  Raises ValueError when an edge repeats or an
-        edge after the first is uncoloured."""
+        for :meth:`_recolour`.  Raises ValueError when the chain is empty,
+        an edge id is outside 0..m-1, an edge repeats or an edge after the
+        first is uncoloured."""
         colours = self._colours
+        _check_edge_ids(chain, len(colours), "chain")
         cols = [colours[e] for e in chain]
         if 0 in cols[1:]:
             raise ValueError(f"edge {chain[cols.index(0, 1)]} is uncoloured")
@@ -303,12 +307,14 @@ class Colouring:
         """Revert a :meth:`shift_in_place` (or any log of (edge, colour)
         pairs on distinct edges), with the same checks as the shift."""
         palette = self.graph.palette
+        ids = [e for e, _ in log]
+        _check_edge_ids(ids, self.graph.m, "undo log")
         for e, col in log:
             if not (0 <= col <= palette):
                 raise ValueError(f"colour {col} outside palette 1..{palette}")
-        if len({e for e, _ in log}) != len(log):
+        if len(set(ids)) != len(log):
             raise ValueError("an edge repeats in the undo log")
-        self._recolour([(e, self._colours[e]) for e, _ in log], log)
+        self._recolour([(e, self._colours[e]) for e in ids], log)
 
     def _recolour(self, old: list[tuple[int, int]], new: list[tuple[int, int]]) -> None:
         """Replace the current colours ``old`` of distinct edges by ``new``
@@ -389,6 +395,17 @@ def _parse_dump_lines(graph: Multigraph, lines: list[str], offset: int = 0) -> l
             )
         colours[e] = col
     return colours
+
+
+def _check_edge_ids(ids: Sequence[int], m: int, what: str) -> None:
+    """Reject an empty sequence of edge ids, or one with an id outside
+    0..m-1, with ValueError: a negative id would index an edge from the end
+    and alias another edge, which the repeat checks compare by id."""
+    if not ids:
+        raise ValueError(f"empty {what}")
+    lo, hi = min(ids), max(ids)
+    if lo < 0 or hi >= m:
+        raise ValueError(f"edge id {lo if lo < 0 else hi} out of range")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ builds the second level for each of them in path order:
   * the classification sorts a suitable edge into Type0 (chain-so-far
     already augmenting), TypeI (beta missing at the fan's last far
     endpoint), or TypeII (the fan stopped on a repeated colour epsilon;
-    delta is the smallest colour missing at y).  The Type0 test shifts
+    delta is the smallest colour missing at y), and writes the type, the fan
+    and the TypeII witnesses into the edge's entry.  The Type0 test shifts
     nothing: it reads the used masks of y and the fan's last far endpoint
     under the original colouring, adds alpha, which the shift through f
     frees at y, to y's missing colours, and intersects them.  The fan's
@@ -42,9 +43,11 @@ builds the second level for each of them in path order:
     edge after the first, a repeated edge or an improper result raises the
     shift's ValueError.  The scan never writes to the colouring;
 
-  * a superb edge's scan entry is its chain: everything before f, then the
-    conditional fan (cut at the second critical index for TypeII), then the
-    second alternating path, joined by its edges() on demand.
+  * each suitable edge is one :class:`ScanEntry`, filled in as the scan
+    goes (the edge, its type and fan, its verdict); the tail's colours stay
+    on ``chain.tail``.  A superb entry's edges() is its chain: everything
+    before f, the conditional fan (cut at the second critical index for
+    TypeII) and the second alternating path, joined on demand.
 
 Everything is deterministic; minimal-colour choices use the natural order.
 """
@@ -59,107 +62,63 @@ from .multigraph import line_distances
 
 __all__ = [
     "SuitableType",
-    "SuitableEdge",
-    "Classification",
     "ScanEntry",
     "superb_scan",
 ]
 
 
 class SuitableType(enum.Enum):
-    """Classification of a suitable edge by how its conditional fan ends."""
+    """The type of a suitable edge (:attr:`ScanEntry.type_tag`), by how its
+    conditional fan ends."""
 
     TYPE0 = "Type0"
     TYPE1 = "TypeI"
     TYPE2 = "TypeII"
 
 
-class SuitableEdge:
-    """An eligible path edge f: far from the chain's start (line-graph
-    distance > 4), not the path's last edge, and coloured alpha.
-
-    position is 1-based within the tail path, so the path prefix of that
-    length ends with f.  far_vertex (y) is f's endpoint farther along the
-    path; near_vertex (z) is the closer one.  Two suitable edges are equal
-    when all four fields are.
-    """
-
-    __slots__ = ("edge", "position", "far_vertex", "near_vertex")
-
-    def __init__(self, edge: int, position: int, far_vertex: int, near_vertex: int):
-        self.edge = edge
-        self.position = position
-        self.far_vertex = far_vertex
-        self.near_vertex = near_vertex
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edge, self.position, self.far_vertex, self.near_vertex) == (
-            other.edge, other.position, other.far_vertex, other.near_vertex
-        )
-
-
-class Classification:
-    """A suitable edge's type together with its colour witnesses.
-
-    alpha/beta are the tail path's colours.  For TypeII, delta is the
-    smallest colour missing at y, epsilon the repeated fan colour, and
-    repeat_index the earlier fan index that chose epsilon; all four colours
-    are pairwise distinct.
-    """
-
-    __slots__ = ("type_tag", "fan", "alpha", "beta", "delta", "epsilon", "repeat_index")
-
-    def __init__(
-        self,
-        type_tag: SuitableType,
-        fan: Fan,
-        alpha: int,
-        beta: int,
-        delta: int | None = None,
-        epsilon: int | None = None,
-        repeat_index: int | None = None,
-    ):
-        self.type_tag = type_tag
-        self.fan = fan
-        self.alpha = alpha
-        self.beta = beta
-        self.delta = delta
-        self.epsilon = epsilon
-        self.repeat_index = repeat_index
-
-
 class ScanEntry:
-    """One suitable edge's verdict from :func:`superb_scan`; a superb
-    entry's :meth:`edges` is its second-level augmenting chain.
+    """One suitable edge f of a tail path with its type and verdict from
+    :func:`superb_scan`; a superb entry's :meth:`edges` is its second-level
+    augmenting chain.
 
-    second_path is the second alternating path computed under the *input*
-    colouring: absent for Type0 (whose second path is empty by convention)
-    and for non-superb TypeII edges whose candidate paths both end at y.
-    second_critical_index is the fan index it starts from (None without it).
+    The edge: f is far from the chain's start (line-graph distance > 4),
+    not the path's last edge, and coloured alpha.  position is 1-based
+    within the tail path, so the path prefix of that length ends with f.
+    far_vertex (y) is f's endpoint farther along the path; near_vertex (z)
+    is the closer one.
+
+    The type: type_tag and the conditional fan around y.  For TypeII, delta
+    is the smallest colour missing at y, epsilon the repeated fan colour,
+    and repeat_index the earlier fan index that chose epsilon; with the
+    tail's alpha and beta (``chain.tail.alpha``/``.beta``, not repeated
+    here) all four colours are pairwise distinct.  The three are None for
+    the other types.
+
+    The verdict: second_path is the second alternating path computed under
+    the *input* colouring: absent for Type0 (whose second path is empty by
+    convention) and for non-superb TypeII edges whose candidate paths both
+    end at y.  second_critical_index is the fan index it starts from (None
+    without it).
     """
 
     __slots__ = (
-        "suitable", "classification", "superb", "second_path", "second_critical_index",
+        "edge", "position", "far_vertex", "near_vertex",
+        "type_tag", "fan", "delta", "epsilon", "repeat_index",
+        "superb", "second_path", "second_critical_index",
         "_first_level", "_cut",
     )
 
     def __init__(
-        self,
-        suitable: SuitableEdge,
-        classification: Classification,
-        superb: bool,
-        second_path: AlternatingPath | None,
-        second_critical_index: int | None,
-        _first_level: list[int],
-        _cut: int,
+        self, edge: int, position: int, far_vertex: int, near_vertex: int,
+        _first_level: list[int], _cut: int,
     ):
-        self.suitable = suitable
-        self.classification = classification
-        self.superb = superb
-        self.second_path = second_path
-        self.second_critical_index = second_critical_index
+        self.edge = edge
+        self.position = position
+        self.far_vertex = far_vertex
+        self.near_vertex = near_vertex
+        # type_tag and fan are written by _classify, superb by the scan
+        self.delta = self.epsilon = self.repeat_index = None
+        self.second_path = self.second_critical_index = None
         self._first_level = _first_level
         self._cut = _cut
 
@@ -183,11 +142,10 @@ class ScanEntry:
         ValueError when the edge is not superb."""
         if not self.superb:
             raise ValueError(
-                f"edge {self.suitable.edge} is suitable but not superb; its chain is undefined"
+                f"edge {self.edge} is suitable but not superb; its chain is undefined"
             )
-        cls = self.classification
-        fan = cls.fan.edges
-        if cls.type_tag is SuitableType.TYPE2:
+        fan = self.fan.edges
+        if self.type_tag is SuitableType.TYPE2:
             if self.second_path is None:  # unreachable for a superb edge
                 raise AssertionError("both candidate second paths end at the centre")
             fan = fan[: self.second_critical_index + 1]
@@ -230,10 +188,11 @@ class _Context:
         self.near_e = line_distances(c.graph, vc.fan.edges[0], 4)
 
     def suitables(self, limit: int | None):
-        """The suitable edges among the first ``limit`` path edges, one at a
-        time; the path's vertices are derived as the walk reaches them, so
-        none past the window is."""
+        """A new entry for each suitable edge among the first ``limit`` path
+        edges, one at a time; the path's vertices are derived as the walk
+        reaches them, so none past the window is."""
         path, ends, near_e = self.path_edges, self.c.graph.edges, self.near_e
+        chain, base = self.chain_edges, self.prefix_len
         last = len(path) - 1
         stop = last if limit is None else min(limit, last)
         v = self.start_vertex
@@ -243,7 +202,7 @@ class _Context:
             w = b if v == a else a
             # alpha-coloured edges sit at even offsets
             if not t & 1 and f not in near_e:
-                yield SuitableEdge(f, t + 1, w, v)
+                yield ScanEntry(f, t + 1, w, v, chain, base + t)
             v = w
 
 
@@ -252,9 +211,10 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
+def _classify(ctx: _Context, en: ScanEntry) -> None:
     """Grow the conditional fan around y and sort the suitable edge by how
-    it ends, reading the colouring's used masks directly.
+    it ends, reading the colouring's used masks directly; writes the type,
+    the fan and the TypeII witnesses into the entry.
 
     Type0 asks whether (chain before f) + (conditional fan) is augmenting,
     i.e. whether y and the fan's last far endpoint u_m share a missing
@@ -279,36 +239,36 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
     """
     c, alpha, beta = ctx.c, ctx.alpha, ctx.beta
     used, stop, alpha_bit = c._used, ctx.stop_mask, ctx.alpha_bit
-    y = su.far_vertex
+    y = en.far_vertex
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0, unless the chain
     # is stale there
-    if used[su.near_vertex] & stop != stop:
+    if used[en.near_vertex] & stop != stop:
         raise ValueError("stale chain: the suitable edge's near vertex misses a path colour")
-    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, y, su.edge, stop)
+    edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, y, en.edge, stop)
     u_m = far[-1]
     if u_m in ctx.fan_vertices:
         raise AssertionError("the conditional fan reached the first-level fan")
     at_u_m = used[u_m]
     augmenting = bool((c._full & ~used[y] | alpha_bit) & ~at_u_m)
-    fan = Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
+    en.fan = fan = Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
     if augmenting:
-        return Classification(SuitableType.TYPE0, fan, alpha, beta)
+        en.type_tag = SuitableType.TYPE0
+        return
     if not at_u_m & ctx.beta_bit:  # beta is missing at u_m
         # were alpha missing at u_m too, the chain would have been augmenting
         if not at_u_m & alpha_bit:
             raise AssertionError("a TypeI fan end misses both path colours")
-        return Classification(SuitableType.TYPE1, fan, alpha, beta)
+        en.type_tag = SuitableType.TYPE1
+        return
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
     i, _, epsilon = repeated_colour_indices(fan)
     delta = c.min_missing(y)
     if delta == epsilon or {delta, epsilon} & {alpha, beta}:  # only when stale
         raise ValueError("stale chain: the TypeII colours are not pairwise distinct")
-    return Classification(
-        SuitableType.TYPE2, fan, alpha, beta,
-        delta=delta, epsilon=epsilon, repeat_index=i,
-    )
+    en.type_tag = SuitableType.TYPE2
+    en.delta, en.epsilon, en.repeat_index = delta, epsilon, i
 
 
 # ---------------------------------------------------------------------------
@@ -316,34 +276,33 @@ def _classify(ctx: _Context, su: SuitableEdge) -> Classification:
 # ---------------------------------------------------------------------------
 
 
-def _second_paths(
-    c: Colouring, cls: Classification
-) -> tuple[list[AlternatingPath], AlternatingPath | None, int | None]:
+def _second_paths(ctx: _Context, en: ScanEntry) -> list[AlternatingPath]:
     """The alternating paths a superb test must compare, walked under the
-    input colouring, plus the chain's second path and second critical index
-    when determined.
+    input colouring; writes the chain's second path and second critical
+    index into the entry when they are determined.
 
     TypeI compares one alpha/beta path from the last far endpoint; its path
     is also the chain's second path.  TypeII compares delta/epsilon paths
     from both the repeated index's far endpoint and the last one; the chain
     uses whichever avoids y (preferring the earlier index).
     """
-    fan = cls.fan
+    g, colours, fan = ctx.c.graph, ctx.c.colours, en.fan
     last = len(fan.edges) - 1
-    if cls.type_tag is SuitableType.TYPE1:
-        p = _walk(c.graph, c.colours, fan.far_endpoints[-1], cls.alpha, cls.beta)
-        return [p], p, last
+    if en.type_tag is SuitableType.TYPE1:
+        p = _walk(g, colours, fan.far_endpoints[-1], ctx.alpha, ctx.beta)
+        en.second_path, en.second_critical_index = p, last
+        return [p]
     p_i, p_m = (
-        _walk(c.graph, c.colours, fan.far_endpoints[q], cls.delta, cls.epsilon)
-        for q in (cls.repeat_index, last)
+        _walk(g, colours, fan.far_endpoints[q], en.delta, en.epsilon)
+        for q in (en.repeat_index, last)
     )
     # delta is missing at y, so y can only be an endpoint of a
     # delta/epsilon path and the last-vertex test decides avoidance
     if p_i.last_vertex != fan.centre:
-        return [p_i, p_m], p_i, cls.repeat_index
-    if p_m.last_vertex != fan.centre:
-        return [p_i, p_m], p_m, last
-    return [p_i, p_m], None, None
+        en.second_path, en.second_critical_index = p_i, en.repeat_index
+    elif p_m.last_vertex != fan.centre:
+        en.second_path, en.second_critical_index = p_m, last
+    return [p_i, p_m]
 
 
 class _Shifted(dict):
@@ -442,19 +401,17 @@ def superb_scan(
     """
     ctx = _Context(c, chain)
     shifted = _Shifted(c)
-    edges, base = ctx.chain_edges, ctx.prefix_len
+    edges = ctx.chain_edges
     # the overlay holds the shift of edges[: end + 1] (the identity while
     # end is 0: the first edge is uncoloured); each segment starts at the
-    # last edge shifted so far and ends at the suitable edge
+    # last edge shifted so far and ends at the suitable edge, edges[en._cut]
     end = 0
-    for su in ctx.suitables(limit):
-        cut = base + su.position - 1
-        shifted.advance(edges[end : cut + 1])
-        end = cut
-        cls = _classify(ctx, su)
-        if cls.type_tag is SuitableType.TYPE0:
-            superb, sec, j = True, None, None
+    for en in ctx.suitables(limit):
+        shifted.advance(edges[end : en._cut + 1])
+        end = en._cut
+        _classify(ctx, en)
+        if en.type_tag is SuitableType.TYPE0:
+            en.superb = True
         else:
-            paths, sec, j = _second_paths(c, cls)
-            superb = shifted.stable(paths)
-        yield ScanEntry(su, cls, superb, sec, j, edges, cut)
+            en.superb = shifted.stable(_second_paths(ctx, en))
+        yield en

@@ -9,7 +9,7 @@ uncoloured), and every lookup is a fresh scan.  Slow on purpose.
 strongest rung of the ladder in the ``colouring`` module's docstring
 (edge-injective, shiftable, proper-shiftable, augmenting), and
 :data:`LADDER` ranks its labels for :func:`at_least`.  The superb reference,
-:func:`oracle_superb`, reads a suitable edge's classification as plain data
+:func:`oracle_superb`, reads a suitable edge's scan entry as plain data
 and shifts a raw colour list.
 
 The last two sections are the exception.  Three composition checks drive the
@@ -197,11 +197,12 @@ def oracle_vizing_chain(g, cols, x, e):
     raise AssertionError("no critical index with an x-avoiding path")
 
 
-def oracle_superb(g, cols, chain, cls):
+def oracle_superb(g, cols, chain, entry, alpha, beta):
     """Is a suitable edge superb: do its second paths survive the shift?
 
-    ``chain`` is the first-level chain cut right after the suitable edge and
-    ``cls`` the edge's classification, read as plain data.  Type0 is superb
+    ``chain`` is the first-level chain cut right after the suitable edge,
+    ``entry`` the edge's scan entry, whose type, fan and TypeII witnesses
+    are read as plain data, and alpha/beta the tail's colours.  Type0 is superb
     by definition.  Otherwise the shift of a copy of ``cols`` along the
     chain must be proper at the endpoints of the shifted edges (ValueError
     if not), and each compared walk must come out the same before and after
@@ -209,13 +210,13 @@ def oracle_superb(g, cols, chain, cls):
     TypeII the delta/epsilon walks from the repeated index's far endpoint
     and from the last one.
     """
-    kind, far = cls.type_tag.value, cls.fan.far_endpoints
+    kind, far = entry.type_tag.value, entry.fan.far_endpoints
     if kind == "Type0":
         return True
     if kind == "TypeI":
-        walks = [(far[-1], cls.alpha, cls.beta)]
+        walks = [(far[-1], alpha, beta)]
     else:
-        walks = [(far[q], cls.delta, cls.epsilon) for q in (cls.repeat_index, -1)]
+        walks = [(far[q], entry.delta, entry.epsilon) for q in (entry.repeat_index, -1)]
     shifted = oracle_shift(cols, chain)
     for h in chain:
         col = shifted[h]
@@ -363,11 +364,10 @@ def check_shadow_fan(c, x, e, f):
     suitable.
     """
     vc = vizing_chain(c, x, e)
-    entry = scan_entry(c, x, e, f)
-    f, fan = entry.suitable, entry.classification.fan
-    shifted = oracle_shift(c.colours, vc.edges()[: vc.fan_prefix_len + f.position])
-    shadow = oracle_max_fan(c.graph, shifted, f.far_vertex, f.edge, big=vc.tail.beta)
-    return fan.edges == shadow["edges"][: len(fan.edges)]
+    en = scan_entry(c, x, e, f)
+    shifted = oracle_shift(c.colours, vc.edges()[: vc.fan_prefix_len + en.position])
+    shadow = oracle_max_fan(c.graph, shifted, en.far_vertex, en.edge, big=vc.tail.beta)
+    return en.fan.edges == shadow["edges"][: len(en.fan.edges)]
 
 
 def oracle_short_chain(c, e, L, second):
@@ -439,30 +439,39 @@ def augment(c, chain):
 
 
 def suitable_edges(c, x, e, limit=None):
-    """The suitable edges of the probe (x, e) among the first ``limit``
-    tail path edges, in path order, as :func:`superb_scan` lists them;
-    ValueError when the fan around (x, e) is augmenting."""
-    return [en.suitable for en in superb_scan(c, vizing_chain(c, x, e), limit)]
+    """The :func:`superb_scan` entries of the probe (x, e) among the first
+    ``limit`` tail path edges, in path order, read for their suitable edges
+    (edge, position, far_vertex, near_vertex); ValueError when the fan
+    around (x, e) is augmenting."""
+    return list(superb_scan(c, vizing_chain(c, x, e), limit))
+
+
+def suitable_key(entry):
+    """A scan entry's suitable edge as the tuple (edge, position,
+    far_vertex, near_vertex)."""
+    return entry.edge, entry.position, entry.far_vertex, entry.near_vertex
 
 
 def scan_entry(c, x, e, f):
     """The :func:`superb_scan` entry of the probe (x, e) for the suitable
-    edge f, named by its edge id or by a SuitableEdge equal to one the scan
-    lists; ValueError when f names none."""
+    edge f, named by its edge id, by its (edge, position, far_vertex,
+    near_vertex) tuple, or by an entry with those four fields; ValueError
+    when f names none."""
+    key = f if isinstance(f, (int, tuple)) else suitable_key(f)
     for entry in superb_scan(c, vizing_chain(c, x, e)):
-        if entry.suitable == f or entry.suitable.edge == f:
+        if key == entry.edge or key == suitable_key(entry):
             return entry
     raise ValueError(f"edge {f} is not suitable for this chain")
 
 
 def conditional_fan(c, x, e, f):
     """The conditional fan grown around the suitable edge's far vertex."""
-    return scan_entry(c, x, e, f).classification.fan
+    return scan_entry(c, x, e, f).fan
 
 
 def classify_suitable(c, x, e, f):
-    """The suitable edge's type with its colour witnesses."""
-    return scan_entry(c, x, e, f).classification
+    """The suitable edge's entry, read for its type and colour witnesses."""
+    return scan_entry(c, x, e, f)
 
 
 def is_superb(c, x, e, f):

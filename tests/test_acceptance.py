@@ -205,6 +205,7 @@ class TestExhaustiveOracleEquivalence:
         levels = enumerate_small_multigraphs(7)
         assert [len(lvl) for lvl in levels] == [1, 3, 7, 20, 51, 151, 428]
 
+    @pytest.mark.slow
     def test_all_reachable_colourings_match_the_simulators(self):
         # sweeps every colouring reachable from empty by single-chain
         # augmentations (either endpoint, any order) over the whole corpus;

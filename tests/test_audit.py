@@ -696,7 +696,7 @@ class TestOneChainPerProbe:
         # no gadget here has superb second paths of L edges, so each superb
         # entry's is given as many edges as its position: at L = 5 the one
         # entry in range has exactly L, beyond that position 5 falls short
-        monkeypatch.setattr(ScanEntry, "second_len", property(lambda en: en.suitable.position))
+        monkeypatch.setattr(ScanEntry, "second_len", property(lambda en: en.position))
         inst = locked_instance(16)
         for L in range(1, 19):
             _, got = verdicts(inst.c, L)

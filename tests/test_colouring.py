@@ -411,6 +411,56 @@ def test_augment_in_place_is_atomic():
     assert min(counts.values()) >= 500, counts
 
 
+def _aliasing_path():
+    """The path 0-1-2-3, edges 0, 1, 2, with edge 0 uncoloured: Python
+    indexing would read edge id -k as edge 3 - k."""
+    g = build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    return g, Colouring.from_assignment(g, {1: 1, 2: 2})
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        # unchecked, -2 would alias edge 1 and the shift leave colours [1, 1, 2]
+        (lambda c: c.augment_in_place([0, 1, -2]), "^edge id -2 out of range$"),
+        # unchecked, this would succeed with vertices 1 and 2 left at mask 7
+        (lambda c: c.augment_in_place([0, 1, 2, -2]), "^edge id -2 out of range$"),
+        # unchecked, -1 would alias edge 2 and the masks become [0, 1, 1, 0]
+        (lambda c: c.apply_undo([(2, 1), (-1, 3)]), "^edge id -1 out of range$"),
+        (lambda c: c.augment_in_place([0, 3]), "^edge id 3 out of range$"),
+        (lambda c: c.apply_undo([(3, 1)]), "^edge id 3 out of range$"),
+        (lambda c: c.augment_in_place([]), "^empty chain$"),
+        (lambda c: c.shift_in_place([]), "^empty chain$"),
+        (lambda c: c.apply_undo([]), "^empty undo log$"),
+    ],
+    ids=["augment-alias", "augment-alias-last", "undo-alias", "augment-too-large",
+         "undo-too-large", "augment-empty", "shift-empty", "undo-empty"],
+)
+def test_write_paths_reject_aliased_and_empty_ids(write, message):
+    """An edge id outside 0..m-1, or an empty chain or log, raises
+    ValueError before anything is written: the colours and the used masks
+    equal a fresh recompute, and the colouring is the one before."""
+    g, c = _aliasing_path()
+    before = list(c.colours)
+    with pytest.raises(ValueError, match=message):
+        write(c)
+    assert _state(g, c) == _oracle_state(g, before)
+    assert c._used == Colouring(g, c.colours)._used
+
+
+@pytest.mark.parametrize("e", [-1, 3])
+def test_max_fan_rejects_an_edge_id_out_of_range(e):
+    """Unchecked, -1 would alias the uncoloured edge 2 and give a fan on
+    edge "-1"; 3 would raise IndexError."""
+    g = build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    c = Colouring.from_assignment(g, {0: 1, 1: 2})
+    before = list(c.colours)
+    with pytest.raises(ValueError, match=f"^edge id {e} out of range$"):
+        max_fan(c, 2, e)
+    assert _state(g, c) == _oracle_state(g, before)
+    assert c._used == Colouring(g, c.colours)._used
+
+
 def test_lone_edge_augmentation_matches_the_oracle():
     """Augmenting along every one-edge chain [e] of dense random partial
     colourings.  An uncoloured e, whose shift changes nothing, takes the

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from vizing import (
     AlternatingPath,
-    SuitableEdge,
+    ScanEntry,
     SuitableType,
     build,
     generate_random,
@@ -28,6 +29,7 @@ from gadgets import (
     TYPE1_UNSTABLE,
     TYPE2,
     forked_type2_instance,
+    locked_instance,
     long_path_instance,
 )
 from helpers import random_partial_colouring
@@ -49,6 +51,7 @@ from oracles import (
     scan_entry,
     shift_along,
     suitable_edges,
+    suitable_key,
 )
 
 
@@ -172,22 +175,23 @@ def test_non_suitable_edge_is_rejected():
 
 
 def test_forged_suitable_edge_is_rejected():
-    """A SuitableEdge is accepted only as the scan lists it: one
-    with a wrong position or near vertex, or naming a nearby or beta edge,
-    raises ValueError like the bare edge id does."""
+    """A suitable edge named as an (edge, position, far_vertex,
+    near_vertex) tuple is accepted only as the scan lists it: one with a
+    wrong position or near vertex, or naming a nearby or beta edge, raises
+    ValueError like the bare edge id does."""
     inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
     q, path = inst.q, inst.path_edges
     forged = [
         # the suitable edge at position 5, claimed at position 7
-        SuitableEdge(edge=path[4], position=7, far_vertex=q[5], near_vertex=q[4]),
+        (path[4], 7, q[5], q[4]),
         # the suitable edge at position 9, claimed at position 7
-        SuitableEdge(edge=path[8], position=7, far_vertex=q[9], near_vertex=q[8]),
+        (path[8], 7, q[9], q[8]),
         # a near edge (position 1) dressed as a suitable one
-        SuitableEdge(edge=path[0], position=1, far_vertex=q[1], near_vertex=q[0]),
+        (path[0], 1, q[1], q[0]),
         # the right edge with its endpoints swapped
-        SuitableEdge(edge=path[8], position=9, far_vertex=q[8], near_vertex=q[9]),
+        (path[8], 9, q[8], q[9]),
         # a beta edge
-        SuitableEdge(edge=path[9], position=10, far_vertex=q[10], near_vertex=q[9]),
+        (path[9], 10, q[10], q[9]),
     ]
     for su in forged:
         for op in (conditional_fan, classify_suitable, is_superb, iterated_chain):
@@ -196,7 +200,9 @@ def test_forged_suitable_edge_is_rejected():
     genuine = suitable_edges(inst.c, inst.x, inst.e)
     assert [su.position for su in genuine] == [5, 7, 9, 11, 13, 15]
     for su in genuine:
-        assert scan_entry(inst.c, inst.x, inst.e, su).suitable == su
+        key = suitable_key(su)
+        assert suitable_key(scan_entry(inst.c, inst.x, inst.e, su)) == key
+        assert suitable_key(scan_entry(inst.c, inst.x, inst.e, key)) == key
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,7 @@ def test_shadow_fan_on_gadgets_and_random_probes():
 
 def test_classification_on_gadgets():
     for label, inst in gadget_instances():
+        tail = vizing_chain(inst.c, inst.x, inst.e).tail
         for su in suitable_edges(inst.c, inst.x, inst.e):
             cls = classify_suitable(inst.c, inst.x, inst.e, su)
             dec = inst.decorations.get(su.position)
@@ -280,7 +287,7 @@ def test_classification_on_gadgets():
                     assert cls.epsilon == dec.epsilon
                     assert cls.repeat_index == dec.repeat_index
                     assert cls.fan.colour_seq[cls.repeat_index] == cls.epsilon
-                    assert {cls.delta, cls.epsilon}.isdisjoint({cls.alpha, cls.beta})
+                    assert {cls.delta, cls.epsilon}.isdisjoint({tail.alpha, tail.beta})
 
 
 def ivc1_edges(c, x, e, su, fan):
@@ -420,7 +427,7 @@ def test_type2_paths_on_forked_gadget():
     assert not is_superb(inst.c, inst.x, inst.e, dec.f)
     vc = vizing_chain(inst.c, inst.x, inst.e)
     chain = vc.edges()[: vc.fan_prefix_len + 7]
-    assert not oracle_superb(inst.g, list(inst.c.colours), chain, cls)
+    assert not oracle_superb(inst.g, list(inst.c.colours), chain, cls, inst.alpha, inst.beta)
     cf = shift_along(inst.c, chain)
     assert _walk(inst.g, cf.colours, u_m, cls.delta, cls.epsilon).edges == \
         dec.second_path[:3]
@@ -446,16 +453,16 @@ def test_iterated_chain_composition_on_gadgets():
             assert edges[: len(first)] == first, (label, su.position)
             fan_segment = edges[len(first) : len(edges) - chain.second_len]
             if dec is None or dec.kind == BARE:
-                assert chain.classification.type_tag is SuitableType.TYPE0
+                assert chain.type_tag is SuitableType.TYPE0
                 assert chain.edges() == first + [su.edge]
                 assert chain.second_path is None
             elif dec.kind == TYPE1:
-                assert chain.classification.type_tag is SuitableType.TYPE1
+                assert chain.type_tag is SuitableType.TYPE1
                 assert fan_segment == dec.fan_edges
                 assert chain.second_path.edges == dec.second_path
                 assert chain.edges() == first + dec.fan_edges + dec.second_path
             else:  # TYPE2, superb, repeat index 0 with an empty path
-                assert chain.classification.type_tag is SuitableType.TYPE2
+                assert chain.type_tag is SuitableType.TYPE2
                 assert chain.second_critical_index == 0
                 assert fan_segment == [su.edge]
                 assert chain.second_path.edges == []
@@ -470,10 +477,10 @@ def test_scan_entry_edges_join_prefix_fan_and_second_path():
     inst = long_path_instance(16, {5: TYPE1, 9: TYPE2, 11: TYPE1_UNSTABLE}, delta=4)
     vc = vizing_chain(inst.c, inst.x, inst.e)
     cols = list(inst.c.colours)
-    entries = {en.suitable.position: en for en in superb_scan(inst.c, vc)}
+    entries = {en.position: en for en in superb_scan(inst.c, vc)}
     assert sorted(entries) == [5, 7, 9, 11, 13, 15]
     assert not entries[11].superb
-    with pytest.raises(ValueError, match=f"^edge {entries[11].suitable.edge} is suitable "
+    with pytest.raises(ValueError, match=f"^edge {entries[11].edge} is suitable "
                        "but not superb; its chain is undefined$"):
         entries[11].edges()
     for pos, en in entries.items():
@@ -482,18 +489,18 @@ def test_scan_entry_edges_join_prefix_fan_and_second_path():
         first = vc.edges()[: vc.fan_prefix_len + pos - 1]
         edges = en.edges()
         assert edges[: len(first)] == first, pos
-        assert edges[len(first)] == en.suitable.edge, pos
+        assert edges[len(first)] == en.edge, pos
         assert oracle_classify(inst.g, cols, edges) == "augmenting", pos
         # each call builds a fresh list; the first-level chain stays whole
         edges.append(-1)
         assert en.edges() == edges[:-1] and vc.edges() == inst.fan_prefix + inst.path_edges
     # TypeI runs through the whole fan; TypeII stops at its repeat index 0
     t1, t2 = entries[5], entries[9]
-    assert t1.second_critical_index == len(t1.classification.fan.edges) - 1 == 1
-    assert t2.classification.type_tag is SuitableType.TYPE2
-    assert len(t2.classification.fan.edges) == 3 and t2.second_critical_index == 0
+    assert t1.second_critical_index == len(t1.fan.edges) - 1 == 1
+    assert t2.type_tag is SuitableType.TYPE2
+    assert len(t2.fan.edges) == 3 and t2.second_critical_index == 0
     first = vc.edges()[: vc.fan_prefix_len + 8]
-    assert t2.edges() == first + [t2.suitable.edge]
+    assert t2.edges() == first + [t2.edge]
 
 
 def test_iterated_chain_augments_like_any_chain():
@@ -573,14 +580,14 @@ def scan_matches_pointwise(g, c, e, x):
     assert c.colours == before
     cols = list(c.colours)
     tail = vc.tail.edges
-    assert [en.suitable.position for en in entries] == \
+    assert [en.position for en in entries] == \
         oracle_suitable_positions(g, cols, tail, vc.tail.alpha, e)
     for en in entries:
-        su, cls = en.suitable, en.classification
-        assert su.edge == tail[su.position - 1]
-        assert {su.near_vertex, su.far_vertex} == set(g.edges[su.edge][:2])
-        first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
-        assert en.superb == oracle_superb(g, cols, first + [su.edge], cls)
+        assert en.edge == tail[en.position - 1]
+        assert {en.near_vertex, en.far_vertex} == set(g.edges[en.edge][:2])
+        first = vc.edges()[: vc.fan_prefix_len + en.position - 1]
+        assert en.superb == oracle_superb(
+            g, cols, first + [en.edge], en, vc.tail.alpha, vc.tail.beta)
         if en.superb:
             assert en.edges()[: len(first)] == first
             assert oracle_classify(g, cols, en.edges()) == "augmenting"
@@ -604,7 +611,7 @@ def test_scan_matches_pointwise_on_random_probes():
 
 def _entry_key(en):
     second = None if en.second_path is None else en.second_path.edges
-    return en.suitable, en.classification.type_tag, en.superb, second
+    return suitable_key(en), en.type_tag, en.superb, second
 
 
 def test_scan_respects_limit():
@@ -613,13 +620,13 @@ def test_scan_respects_limit():
     tail length: same suitable edge, type, superb flag and second path."""
     inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
     entries = list(superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e), limit=9))
-    assert [en.suitable.position for en in entries] == [5, 7, 9]
+    assert [en.position for en in entries] == [5, 7, 9]
     probes = limits = 0
     for label, _g, c, vc, full in scanned_chains():
         keys = [_entry_key(en) for en in full]
         for k in range(1, len(vc.tail.edges) + 1):
             limited = [_entry_key(en) for en in superb_scan(c, vc, limit=k)]
-            assert limited == [key for key in keys if key[0].position <= k], (label, k)
+            assert limited == [key for key in keys if key[0][1] <= k], (label, k)
             limits += 1
         probes += 1
     assert probes >= 30 and limits >= 300
@@ -661,7 +668,7 @@ def test_scan_rejects_a_stale_chain():
     cols[inst.path_edges[6]] = 2
     stale = Colouring.from_assignment(inst.g, cols)
     scan = superb_scan(stale, vc)
-    assert next(scan).suitable.position == 5
+    assert next(scan).position == 5
     with pytest.raises(ValueError, match="colour 2 already used at an endpoint "
                        f"of edge {inst.path_edges[5]}"):
         next(scan)
@@ -694,7 +701,7 @@ def test_scan_matches_a_reference_stepper_on_stale_chains():
             stale = Colouring.from_assignment(g, cols)
             chain, base = vc.edges(), vc.fan_prefix_len
             scan = superb_scan(stale, vc)
-            cuts = [base + en.suitable.position for en in full]
+            cuts = [base + en.position for en in full]
             for n, step in oracle_scan_cuts(g, cols, chain, cuts):
                 if isinstance(step, str):
                     with pytest.raises(ValueError, match=f"^{re.escape(step)}$"):
@@ -708,8 +715,9 @@ def test_scan_matches_a_reference_stepper_on_stale_chains():
                     assert h in chain[n - 2 : n + 1], (label, h, n)
                     outcomes["guard"] += 1
                     break
-                assert en.suitable.position == n - base, (label, h)
-                assert en.superb == oracle_superb(g, cols, chain[:n], en.classification)
+                assert en.position == n - base, (label, h)
+                assert en.superb == oracle_superb(
+                    g, cols, chain[:n], en, vc.tail.alpha, vc.tail.beta)
                 entries += 1
             else:
                 assert next(scan, None) is None
@@ -724,10 +732,9 @@ def test_scan_checks_each_second_path_start(monkeypatch):
     a path breaking it raises ValueError, also under python -O."""
     real = iterated._second_paths
 
-    def swapped(c, cls):
-        paths, sec, j = real(c, cls)
+    def swapped(ctx, en):
         return [AlternatingPath(p.start_vertex, p.beta, p.alpha, p.edges, p.last_vertex)
-                for p in paths], sec, j
+                for p in real(ctx, en)]
 
     monkeypatch.setattr(iterated, "_second_paths", swapped)
     inst = long_path_instance(16, {5: TYPE1})
@@ -744,14 +751,85 @@ def test_scan_second_paths_match_oracle_walks():
     # a plain copy of the input colour array, for the oracles
     cols = list(inst.c.colours)
     for en in superb_scan(inst.c, vc):
-        if en.classification.type_tag is not SuitableType.TYPE1:
+        if en.type_tag is not SuitableType.TYPE1:
             continue
-        u_m = en.classification.fan.far_endpoints[-1]
+        u_m = en.fan.far_endpoints[-1]
         edges_c, _ = oracle_alternating_path(
             inst.g, cols, u_m, inst.alpha, inst.beta)
         assert en.second_path.edges == edges_c
-        chain = vc.edges()[: vc.fan_prefix_len + en.suitable.position]
+        chain = vc.edges()[: vc.fan_prefix_len + en.position]
         shifted = oracle_shift(cols, chain)
         edges_cf, _ = oracle_alternating_path(
             inst.g, shifted, u_m, inst.alpha, inst.beta)
         assert en.superb == (edges_c == edges_cf)
+
+
+def test_every_scan_entry_is_complete():
+    """Every field of every entry a scan yields is set (none raises
+    AttributeError) and agrees with the references, on gadgets giving Type0,
+    TypeI and TypeII, superb and not.  The suitable edge is the tail edge at
+    its position with its near and far ends; the fan is the conditional fan
+    of the shadow-fan oracle, and Type0 holds exactly when the chain up to
+    it augments; TypeII witnesses are the smallest colour missing at y and
+    the repeated fan colour, distinct from each other and from the tail's
+    colours, and None for the other types; the superb flag is the oracle's,
+    and the second path is the walk from its critical index's far endpoint
+    that the chain uses."""
+    locked = locked_instance(16)
+    probes = [(label, inst.c, inst.e, inst.x) for label, inst in gadget_instances()]
+    probes += [("locked", locked.c, locked.e, x) for x in (locked.x, locked.a)]
+    seen = Counter()
+    for label, c, e, x in probes:
+        g, cols = c.graph, list(c.colours)
+        vc = vizing_chain(c, x, e)
+        tail, alpha, beta = vc.tail.edges, vc.tail.alpha, vc.tail.beta
+        for en in superb_scan(c, vc):
+            where = (label, x, en.position)
+            fields = {name: getattr(en, name) for name in ScanEntry.__slots__}
+            assert fields["_first_level"] == vc.edges(), where
+            # the suitable edge
+            assert en.edge == tail[en.position - 1] and cols[en.edge] == alpha, where
+            ends = set(g.edges[en.edge][:2])
+            assert ends & set(g.edges[tail[en.position]][:2]) == {en.far_vertex}, where
+            assert ends & set(g.edges[tail[en.position - 2]][:2]) == {en.near_vertex}, where
+            first = vc.edges()[: vc.fan_prefix_len + en.position - 1]
+            assert en._cut == len(first), where
+            # its type
+            assert en.fan.centre == en.far_vertex and en.fan.edges[0] == en.edge, where
+            assert check_shadow_fan(c, x, e, en), where
+            status = oracle_classify(g, cols, first + en.fan.edges)
+            assert (status == "augmenting") == (en.type_tag is SuitableType.TYPE0), where
+            witnesses = (en.delta, en.epsilon, en.repeat_index)
+            if en.type_tag is SuitableType.TYPE2:
+                assert en.delta == min(oracle_missing(g, cols, en.far_vertex)), where
+                assert en.fan.colour_seq[en.repeat_index] == en.epsilon != en.delta, where
+                assert {en.delta, en.epsilon}.isdisjoint({alpha, beta}), where
+            else:
+                assert witnesses == (None, None, None), where
+            if en.type_tag is SuitableType.TYPE1:
+                assert beta in oracle_missing(g, cols, en.fan.far_endpoints[-1]), where
+            # its verdict
+            assert en.superb == oracle_superb(g, cols, first + [en.edge], en, alpha, beta), where
+            if en.type_tag is SuitableType.TYPE0:
+                assert (en.second_path, en.second_critical_index) == (None, None), where
+                assert en.edges() == first + en.fan.edges, where
+            elif en.second_path is None:
+                assert en.type_tag is SuitableType.TYPE2 and not en.superb, where
+                assert en.second_critical_index is None, where
+            else:
+                # TypeI starts at the fan's last index; TypeII at the repeat
+                # index unless that walk ends at y
+                far, index = en.fan.far_endpoints, len(en.fan.edges) - 1
+                colours = (alpha, beta)
+                if en.type_tag is SuitableType.TYPE2:
+                    colours = (en.delta, en.epsilon)
+                    if oracle_alternating_path(g, cols, far[en.repeat_index], *colours)[1] \
+                            != en.far_vertex:
+                        index = en.repeat_index
+                assert en.second_critical_index == index, where
+                walk, last = oracle_alternating_path(g, cols, far[index], *colours)
+                assert en.second_path.edges == walk and last != en.far_vertex, where
+                assert en.second_len == len(walk), where
+            seen[en.type_tag.value, en.superb] += 1
+    assert set(seen) == {("Type0", True), ("TypeI", True), ("TypeI", False),
+                         ("TypeII", True), ("TypeII", False)}, seen

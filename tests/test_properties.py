@@ -207,23 +207,23 @@ def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
     vc = vizing_chain(c, x, e)
     entries = list(superb_scan(c, vc))
     assert c.colours == before
-    assert [en.suitable.position for en in entries] == \
+    assert [en.position for en in entries] == \
         oracle_suitable_positions(g, before, vc.tail.edges, vc.tail.alpha, e)
     for en in entries:
-        su, cls = en.suitable, en.classification
-        first = vc.edges()[: vc.fan_prefix_len + su.position - 1]
-        assert en.superb == oracle_superb(g, before, first + [su.edge], cls)
+        first = vc.edges()[: vc.fan_prefix_len + en.position - 1]
+        assert en.superb == oracle_superb(
+            g, before, first + [en.edge], en, vc.tail.alpha, vc.tail.beta)
         if en.superb:
             assert oracle_classify(g, before, en.edges()) == "augmenting"
             assert en.edges()[: len(first)] == first
         else:
             with pytest.raises(ValueError, match="not superb"):
-                iterated_chain(c, x, e, su)
-        status = oracle_classify(g, before, first + cls.fan.edges)
-        assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0)
+                iterated_chain(c, x, e, en)
+        status = oracle_classify(g, before, first + en.fan.edges)
+        assert (status == "augmenting") == (en.type_tag is SuitableType.TYPE0)
         seen[source] += 1
-        seen[cls.type_tag.value, en.superb] += 1
-        seen["u_m is z"] += cls.fan.far_endpoints[-1] == su.near_vertex
+        seen[en.type_tag.value, en.superb] += 1
+        seen["u_m is z"] += en.fan.far_endpoints[-1] == en.near_vertex
     assert c.colours == before
 
 
