@@ -1,0 +1,120 @@
+"""The golden manifest: SHA-256 digests of the command line's and the demos'
+output, pinned in ``tests/golden_cli.json``.
+
+The command-line matrix runs in process through ``vizing.cli.main``.  On
+each graph of ``gen --n 1500`` at delta 3 and 4, pi 1, 2 and 3, and seeds 0
+and 1, it runs ``gen`` itself, ``colour``, ``schedule --L 16`` with its round
+log, ``schedule --L 16 --max-rounds 2`` (exit 2), ``audit`` as simple JSON
+and as iterated TSV at L = 3, 5, 9 and 16 on both the full dump (from
+``colour``) and the interrupted one, ``stats --L 9,16``, and ``orient``
+when pi = 1: 256 runs.  Each run's digest covers its exit code, stdout and
+stderr.  Each demo's digest covers its stdout, with the wall-clock figure
+of demo 02 masked; ``tests/test_demos.py`` checks those on its own runs.
+
+A change that alters output bytes on purpose regenerates the manifest and
+says why::
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden_cli.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+_CLOCK = re.compile(r" in [0-9.]+ s;")
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def demo_digest(name: str, stdout: str) -> str:
+    """A demo's stdout digest, with wall-clock figures masked."""
+    if name.startswith("02_"):
+        stdout = _CLOCK.sub(" in <t> s;", stdout)
+    return digest(stdout)
+
+
+def _run(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process command."""
+    from vizing.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_digests() -> dict[str, str]:
+    """The digest of every run of the command-line matrix, by run name."""
+    runs: dict[str, str] = {}
+    for delta in (3, 4):
+        for pi in (1, 2, 3):
+            for seed in (0, 1):
+                graph = f"d{delta}p{pi}s{seed}"
+
+                def run(name, argv, stdin=""):
+                    result = _run(argv, stdin)
+                    runs[f"{graph} {name}"] = digest(*result)
+                    return result
+
+                _, mg, _ = run("gen", ["gen", "--n", "1500", "--delta", str(delta),
+                                       "--pi", str(pi), "--seed", str(seed)])
+                _, full, _ = run("colour", ["colour"], mg)
+                run("schedule", ["schedule", "--L", "16"], mg)
+                code, partial, _ = run("schedule-max2", ["schedule", "--L", "16", "--max-rounds", "2"], mg)
+                if code != 2:
+                    raise AssertionError(f"{graph}: schedule --max-rounds 2 exited {code}, not 2")
+                for dump_name, dump in (("full", full), ("partial", partial)):
+                    for L in ("3", "5", "9", "16"):
+                        run(f"audit-{dump_name}-L{L}-simple-json",
+                            ["audit", "--L", L, "--mode", "simple", "--format", "json"], dump)
+                        run(f"audit-{dump_name}-L{L}-iterated-tsv",
+                            ["audit", "--L", L, "--mode", "iterated", "--format", "tsv"], dump)
+                run("stats", ["stats", "--L", "9,16"], mg)
+                if pi == 1:
+                    run("orient", ["orient"], full)
+    return runs
+
+
+def demo_digests() -> dict[str, str]:
+    """The digest of every demo's stdout, each demo run once."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = {}
+    with tempfile.TemporaryDirectory() as cwd:
+        for demo in DEMOS:
+            proc = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                                  capture_output=True, text=True, check=True)
+            out[demo.name] = demo_digest(demo.name, proc.stdout)
+    return out
+
+
+def load() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+if __name__ == "__main__":
+    manifest = {"cli": cli_digests(), "demos": demo_digests()}
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(manifest['cli'])} command and {len(manifest['demos'])} demo digests "
+          f"to {MANIFEST.relative_to(ROOT)}")

@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the current library."""
+"""Every demo runs to completion against the current library, and prints
+what the golden manifest pins."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import golden
 import vizing
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMOS = golden.DEMOS
 SRC = str(Path(vizing.__file__).resolve().parent.parent)
 
 
@@ -27,3 +29,4 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert golden.demo_digest(demo.name, proc.stdout) == golden.load()["demos"][demo.name]
