@@ -40,7 +40,7 @@ print("has alternating tail?", chain.tail is not None)
 # copy.
 d = c.copy()
 d.augment_in_place(chain.edges())
-print("after augmenting, edge 3 has colour", d.colour_of(3))
+print("after augmenting, edge 3 has colour", d.colours[3])
 print("all", g.m, "edges coloured?", d.uncoloured() == [])
 
 # Try the other endpoint too.  Pivot at vertex 2, which touches four
@@ -66,9 +66,9 @@ print()
 print("chain with a tail:", ch.edges())
 print("  fan part:", ch.edges()[:ch.fan_prefix_len])
 print("  tail in colours", ch.tail.alpha, "/", ch.tail.beta, "over edges", list(ch.tail.edges))
-before = [c2.colour_of(f) for f in ch.tail.edges]
+before = [c2.colours[f] for f in ch.tail.edges]
 d3 = c2.copy()
 d3.augment_in_place(ch.edges())
 print("  tail colours before:", before)
-print("  tail colours after: ", [d3.colour_of(f) for f in ch.tail.edges])
-print("  edge 5 landed colour", d3.colour_of(5))
+print("  tail colours after: ", [d3.colours[f] for f in ch.tail.edges])
+print("  edge 5 landed colour", d3.colours[5])

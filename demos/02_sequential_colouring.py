@@ -34,7 +34,7 @@ print("proper?", is_proper(c))
 
 # In[4]:
 
-hist = Counter(c.colour_of(e) for e in range(g.m))
+hist = Counter(c.colours[e] for e in range(g.m))
 for col in sorted(hist):
     print("colour", col, "used", hist[col], "times")
 print("palette size available:", g.delta + g.pi)

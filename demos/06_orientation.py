@@ -20,7 +20,7 @@ c = colour_sequential(g)
 o = orient(c)
 for e in range(g.m):
     tail, head = o.direction[e]
-    print(f"edge {e} ({g.edges[e][0]}-{g.edges[e][1]}) colour {c.colour_of(e)}: {tail} -> {head}")
+    print(f"edge {e} ({g.edges[e][0]}-{g.edges[e][1]}) colour {c.colours[e]}: {tail} -> {head}")
 print("out-degrees:", dict(sorted(o.out_degree_counts().items())),
       "max", o.max_out_degree(), "bound 2")
 

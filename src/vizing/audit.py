@@ -439,7 +439,12 @@ class AuditReport:
     iterated_bound are uncoloured_fraction_bounds in the two modes;
     min_uncoloured is the (edge, degree) pair of the simple graph's
     least-degree uncoloured edge.  superb_count_checks rows are (e, x,
-    gamma, theta, count, bound, verdict)."""
+    gamma, theta, count, bound, verdict).
+
+    to_json and to_tsv render the same fields: the four scalars and the
+    chain mass (rationals as ``p/q``; a missing mass is JSON null and an
+    empty TSV cell), then the superb rows, which the TSV writes one per
+    line after a ``superb_count_check`` cell."""
 
     __slots__ = (
         "simple_caps", "iterated_caps", "simple_bound", "iterated_bound",
@@ -480,21 +485,33 @@ class AuditReport:
     def uncoloured_fraction(self) -> Fraction:
         return self.simple_bound.fraction
 
-    def to_json(self) -> str:
-        doc = {
-            "max_deg_simple": self.max_deg_simple,
-            "max_deg_iterated": self.max_deg_iterated,
-            "min_uncoloured_deg": self.min_uncoloured_deg,
-            "uncoloured_fraction": _frac_str(self.uncoloured_fraction),
-            "superb_count_checks": [
+    def _fields(self) -> list[tuple[str, object]]:
+        """The one layout behind both renderings: (name, value) for each
+        scalar in TSV order, rationals as ``p/q`` and a missing mass as
+        None, then ("superb_count_checks", rows) with each bound as ``p/q``."""
+        mass = self.weighted_min_mass
+        return [
+            ("max_deg_simple", self.max_deg_simple),
+            ("max_deg_iterated", self.max_deg_iterated),
+            ("min_uncoloured_deg", self.min_uncoloured_deg),
+            ("uncoloured_fraction", _frac_str(self.uncoloured_fraction)),
+            ("weighted_min_mass", None if mass is None else _frac_str(mass)),
+            ("superb_count_checks", [
                 [e, x, gamma, theta, count, _frac_str(bound), verdict]
                 for (e, x, gamma, theta, count, bound, verdict) in self.superb_count_checks
-            ],
-            "weighted_min_mass": (
-                None if self.weighted_min_mass is None else _frac_str(self.weighted_min_mass)
-            ),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+            ]),
+        ]
+
+    def to_json(self) -> str:
+        return json.dumps(dict(self._fields()), sort_keys=True, indent=2)
+
+    def to_tsv(self) -> str:
+        """One ``name<TAB>value`` line per scalar, then one line per superb
+        row."""
+        *scalars, (_, rows) = self._fields()
+        lines = [f"{name}\t{'' if value is None else value}" for name, value in scalars]
+        lines += ["\t".join(map(str, ("superb_count_check", *row))) for row in rows]
+        return "\n".join(lines) + "\n"
 
 
 def audit_report(

@@ -73,9 +73,6 @@ class AlternatingPath:
         self.edges = edges
         self.last_vertex = last_vertex
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
     """The maximal alternating alpha/beta-path from vertex x, reading edge
@@ -296,9 +293,6 @@ class VizingChain:
                 seq = seq + self.tail.edges
             self._edge_list = seq
         return self._edge_list
-
-    def __len__(self) -> int:
-        return len(self.edges())
 
 
 def vizing_chain(c: Colouring, x: int, e: int) -> VizingChain:

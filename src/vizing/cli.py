@@ -5,7 +5,7 @@ Subcommands:
     gen       generate a random multigraph file (``mg`` format)
     colour    colour every edge sequentially; writes a graph+colouring dump
     schedule  colour by rounds of short chains; dump plus JSON round log
-    audit     recompute the counting checks for a dump; writes a JSON report
+    audit     recompute the counting checks for a dump; writes a JSON or TSV report
     stats     sweep the scheduler over several L values; fraction-vs-bound rows
     orient    orient a fully coloured multiplicity-1 graph; edge/tail/head rows
 
@@ -224,7 +224,7 @@ def _exit_for(offenders: list[str]) -> int:
     return EXIT_BOUND if offenders else EXIT_OK
 
 
-def _colour_offenders(c: Colouring) -> list[str]:
+def _colouring_offenders(c: Colouring) -> list[str]:
     """Substantive failures of a supposedly full proper colouring."""
     out: list[str] = []
     if c.uncoloured_count:
@@ -242,7 +242,7 @@ def cmd_colour(args) -> int:
 
     g = _load_graph(args)
     c = colour_sequential(g)
-    offenders = _colour_offenders(c)
+    offenders = _colouring_offenders(c)
     if not offenders:
         _emit(args, _dump_colouring(c))
     return _exit_for(offenders)
@@ -295,43 +295,11 @@ def _fraction_offenders(fb, mode: str, L: int) -> list[str]:
             f"{mode} bound {_frac_str(fb.bound)} at L={L}"]
 
 
-def _report_tsv(report) -> str:
-    from .audit import _frac_str
-
-    rows = [
-        ("max_deg_simple", str(report.max_deg_simple)),
-        ("max_deg_iterated", str(report.max_deg_iterated)),
-        ("min_uncoloured_deg", str(report.min_uncoloured_deg)),
-        ("uncoloured_fraction", _frac_str(report.uncoloured_fraction)),
-        (
-            "weighted_min_mass",
-            "" if report.weighted_min_mass is None else _frac_str(report.weighted_min_mass),
-        ),
-    ]
-    lines = ["\t".join(row) for row in rows]
-    for e, x, gamma, theta, count, bound, verdict in report.superb_count_checks:
-        lines.append(
-            "\t".join(
-                [
-                    "superb_count_check",
-                    str(e),
-                    str(x),
-                    str(gamma),
-                    str(theta),
-                    str(count),
-                    _frac_str(bound),
-                    verdict,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_audit(args) -> int:
     from .audit import audit_report
 
     report = audit_report(_load_colouring(args), args.L)
-    _emit(args, _report_tsv(report) if args.format == "tsv" else report.to_json() + "\n")
+    _emit(args, report.to_tsv() if args.format == "tsv" else report.to_json() + "\n")
     return _exit_for(_audit_offenders(report, args.L, args.mode))
 
 

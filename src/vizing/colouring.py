@@ -26,8 +26,9 @@ implements this ladder and referees every chain the library builds.
 array plus one used-colour bitmask per vertex, so missing-set probes are
 O(1) in the palette size).  A colouring is built whole, from a colour array
 (``from_assignment``, ``from_dump``) that is checked for properness, and
-then changes in place.  ``colour_sequential`` and the round scheduler
-write through three paths.  :meth:`Colouring._colour_free`
+then changes in place; :func:`is_proper` re-checks a Colouring from its
+colour array alone, without the masks.  ``colour_sequential`` and the
+round scheduler write through three paths.  :meth:`Colouring._colour_free`
 colours an edge whose maximal fan is the edge alone, most edges of a
 sparse graph, off two masks.  :meth:`Colouring._rotate_fan` applies any
 other augmenting maximal fan straight from the tuple ``chains._grow_fan``
@@ -124,7 +125,14 @@ class Colouring:
         Unmentioned edges are uncoloured; colour 0 also means uncoloured.
         Raises ValueError if the assignment is out of range or improper.
         """
-        return cls(graph, _colour_array(graph, assignment))
+        if isinstance(assignment, Mapping):
+            colours = [0] * graph.m
+            for e, col in assignment.items():
+                if not (0 <= e < graph.m):
+                    raise ValueError(f"edge id {e} out of range")
+                colours[e] = col
+            assignment = colours
+        return cls(graph, assignment)
 
     def copy(self) -> "Colouring":
         dup = Colouring.__new__(Colouring)
@@ -136,10 +144,6 @@ class Colouring:
         return dup
 
     # -- queries ------------------------------------------------------------
-
-    def colour_of(self, e: int) -> int:
-        """Colour of edge e (0 = uncoloured)."""
-        return self._colours[e]
 
     @property
     def colours(self) -> list[int]:
@@ -355,7 +359,7 @@ class Colouring:
     @staticmethod
     def parse_dump(graph: Multigraph, text: str) -> list[int]:
         """Parse a colouring dump into a raw colour array (no properness
-        check; use :func:`is_proper` or ``from_dump`` to validate).
+        check; ``from_dump`` validates).
 
         Raises ValueError with a 1-based line number on malformed input.
         """
@@ -413,48 +417,13 @@ def _check_edge_ids(ids: Sequence[int], m: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _colour_array(
-    graph: Multigraph, assignment: Mapping[int, int] | Sequence[int]
-) -> list[int]:
-    """A dict {edge: colour} or a dense colour sequence as a fresh colour
-    array.  Raises ValueError for an edge id out of range or a sequence
-    whose length is not the edge count; the colours are not checked."""
-    if isinstance(assignment, Mapping):
-        colours = [0] * graph.m
-        for e, col in assignment.items():
-            if not (0 <= e < graph.m):
-                raise ValueError(f"edge id {e} out of range")
-            colours[e] = col
-        return colours
-    if len(assignment) != graph.m:
-        raise ValueError("colour array length does not match edge count")
-    return list(assignment)
-
-
-def is_proper(
-    c: Colouring | Mapping[int, int] | Sequence[int],
-    graph: Multigraph | None = None,
-) -> bool:
-    """Check properness by direct re-scan (no reliance on cached masks).
-
-    Accepts a Colouring, or a raw assignment (dict or dense sequence) plus
-    the graph it colours.  True iff no two edges sharing a vertex carry the
-    same non-zero colour.  A raw assignment is range-checked as
-    :meth:`Colouring.from_assignment` does: an edge id out of range, a
-    sequence whose length is not the edge count, or a colour outside
-    0..palette raises ValueError.
-    """
-    if isinstance(c, Colouring):
-        graph = c.graph
-        colours = c.colours
-    else:
-        if graph is None:
-            raise ValueError("graph required when passing a raw assignment")
-        colours = _colour_array(graph, c)
-        palette = graph.palette
-        for e, col in enumerate(colours):
-            if not (0 <= col <= palette):
-                raise ValueError(f"edge {e}: colour {col} outside palette 1..{palette}")
+def is_proper(c: Colouring) -> bool:
+    """Check a colouring's properness by direct re-scan of its colour array,
+    with no reliance on the cached masks: True iff no two edges sharing a
+    vertex carry the same non-zero colour.  The constructors and write
+    paths keep every Colouring proper, so this is an independent check of
+    that invariant, for callers that want one."""
+    graph, colours = c.graph, c.colours
     for x in range(graph.n):
         seen = 0
         for e in graph.adj[x]:

@@ -351,10 +351,9 @@ def generate_random(
 # ---------------------------------------------------------------------------
 
 
-def line_distances(g: Multigraph, start: int, cap: int | None = None) -> dict[int, int]:
+def line_distances(g: Multigraph, start: int, cap: int) -> dict[int, int]:
     """Line-graph distances from the edge ``start`` to every edge within
-    distance ``cap`` of it (its whole line-graph component when cap is
-    None), as {edge: distance}.
+    distance ``cap`` of it, as {edge: distance}.
 
     Two edges are adjacent iff they share a vertex (parallel edges share
     two).  Breadth-first; cost is O(edges within the cap ball * delta).
@@ -364,7 +363,7 @@ def line_distances(g: Multigraph, start: int, cap: int | None = None) -> dict[in
     d = 0
     adj = g.adj
     edges = g.edges
-    while frontier and (cap is None or d < cap):
+    while frontier and d < cap:
         d += 1
         nxt: list[int] = []
         for f in frontier:

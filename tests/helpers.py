@@ -81,7 +81,7 @@ def random_shiftable_chain(g, c, seed: int, max_len: int = 8):
             h
             for x in (u, v)
             for h in g.adj[x]
-            if h not in used and c.colour_of(h) != 0
+            if h not in used and c.colours[h] != 0
         ]
         if not cand:
             break

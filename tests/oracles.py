@@ -345,7 +345,7 @@ def prefix_stability_check(c, d, x, alpha, beta):
             f"precondition violated: colour {beta} not missing at {x} under d"
         )
     for e in p_c.edges:
-        if c.colour_of(e) != d.colour_of(e):
+        if c.colours[e] != d.colours[e]:
             raise ValueError(
                 f"precondition violated: colourings disagree on path edge {e}"
             )
@@ -515,7 +515,7 @@ def weighted_chain_mass(c, e, x, weights):
     With unit weights this is the chain length minus one.  weights may be
     an EdgeWeights or any mapping from edge id to a positive rational.
     """
-    if c.colour_of(e) != 0:
+    if c.colours[e] != 0:
         raise ValueError(f"edge {e} is coloured; chain mass needs an uncoloured edge")
     total = sum(weights[f] for f in vizing_chain(c, x, e).edges() if f != e)
     return Fraction(total) / Fraction(weights[e])

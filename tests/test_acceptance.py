@@ -58,7 +58,7 @@ def assert_full_proper(g, c):
     no colour repeated at any vertex."""
     at_vertex: set[tuple[int, int]] = set()
     for e in range(g.m):
-        col = c.colour_of(e)
+        col = c.colours[e]
         assert 1 <= col <= g.delta + g.pi, (e, col)
         u, v, _ = g.edges[e]
         for x in (u, v):

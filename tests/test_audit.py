@@ -133,7 +133,7 @@ class TestBuildAuditGraph:
                 seen.discard(e)
                 assert partners == seen
                 for f in partners:
-                    assert c.colour_of(f) != 0
+                    assert c.colours[f] != 0
 
     @pytest.mark.parametrize("L_cap", [4, 12, 16, None])
     def test_iterated_union_matches_every_superb_chain(self, L_cap):

@@ -119,7 +119,7 @@ def test_path_properties_randomised():
             visits = {x: 1}
             v = x
             for i, e in enumerate(p.edges):
-                assert c.colour_of(e) == want[i % 2]
+                assert c.colours[e] == want[i % 2]
                 v = other_end(g, e, v)
                 visits[v] = visits.get(v, 0) + 1
             assert all(n <= 2 for n in visits.values())
@@ -127,7 +127,7 @@ def test_path_properties_randomised():
             assert visits[x] == 1
             if p.edges:
                 # walking back from the far end reverses the path
-                gamma = c.colour_of(p.edges[-1])
+                gamma = c.colours[p.edges[-1]]
                 delta = beta if gamma == alpha else alpha
                 q = _walk(g, c.colours, last, gamma, delta)
                 assert q.edges == list(reversed(p.edges))
@@ -283,7 +283,7 @@ def test_fan_matches_oracle_and_invariants():
                 assert all(x in g.edges[h][:2] for h in fan.edges)
                 assert len(set(fan.edges)) == len(fan.edges)
                 for i, col in enumerate(fan.colour_seq):
-                    assert c.colour_of(fan.edges[i + 1]) == col
+                    assert c.colours[fan.edges[i + 1]] == col
                 for a, b in zip(fan.far_endpoints, fan.far_endpoints[1:]):
                     assert a != b
                 # every fan prefix is proper-shiftable
@@ -393,7 +393,7 @@ def test_free_colour_is_the_one_edge_fan():
             u, v, _ = g.edges[e]
             for x, y in ((u, v), (v, u)):
                 d = c.copy()
-                col = d.colour_of(e) if d._colour_free(x, y, e) else 0
+                col = d.colours[e] if d._colour_free(x, y, e) else 0
                 alone = max_fan(c, x, e).edges == [e]
                 assert alone == bool(col), (x, e)
                 assert (oracle_max_fan(g, c.colours, x, e)["edges"] == [e]) == alone
@@ -404,7 +404,7 @@ def test_free_colour_is_the_one_edge_fan():
                     assert col == min(oracle_missing(g, c.colours, y))
                     d = c.copy()
                     d.augment_in_place([e])
-                    assert d.colour_of(e) == col
+                    assert d.colours[e] == col
                 else:
                     seen["shared_but_blocked"] += bool(
                         c.missing_mask(x) & c.missing_mask(y)
@@ -470,7 +470,6 @@ def test_chain_p3_fan_is_augmenting(p3):
     assert ch.edges() == [0, 1]
     assert ch.tail is None
     assert ch.fan_prefix_len == 2
-    assert len(ch) == 2
 
 
 def test_chain_p3_single_edge(p3):
@@ -586,7 +585,7 @@ def test_augment_randomised_properties():
             touched = set(ch.edges())
             for h in range(g.m):
                 if h not in touched:
-                    assert out.colour_of(h) == c.colour_of(h)
+                    assert out.colours[h] == c.colours[h]
 
 
 def test_full_colouring_by_repeated_augmentation():

@@ -16,7 +16,7 @@ import pytest
 
 import vizing
 from vizing import Colouring, FractionBound, Multigraph, audit_report
-from vizing.cli import _audit_offenders, _report_tsv, main
+from vizing.cli import _audit_offenders, main
 from vizing.multigraph import MAX_EDGES, MAX_VERTICES
 
 from gadgets import long_path_instance
@@ -195,12 +195,26 @@ class TestAudit:
             "weighted_min_mass\t0/1\n"
         )
 
+    def test_tsv_full_colouring_leaves_the_mass_cell_empty(self, cli):
+        # JSON writes the missing mass as null; the TSV cell is empty
+        _, out, _ = cli(["audit", "--L", "5"], stdin=P3_COLOURED)
+        assert json.loads(out)["weighted_min_mass"] is None
+        code, out, _ = cli(["audit", "--L", "5", "--format", "tsv"], stdin=P3_COLOURED)
+        assert code == 0
+        assert out == (
+            "max_deg_simple\t0\n"
+            "max_deg_iterated\t0\n"
+            "min_uncoloured_deg\t0\n"
+            "uncoloured_fraction\t0/1\n"
+            "weighted_min_mass\t\n"
+        )
+
     def test_tsv_probe_row(self):
         # the command line requests no probes; the library report's rows
         # format their bound as the JSON does
         inst = long_path_instance(12)
         rep = audit_report(inst.c, 12, superb_probes=((inst.e, inst.x),))
-        row = _report_tsv(rep).splitlines()[-1]
+        row = rep.to_tsv().splitlines()[-1]
         assert row == f"superb_count_check\t{inst.e}\t{inst.x}\t1\t2\t4\t-1415/24\tvacuous-pass"
 
     @pytest.mark.parametrize("failing", ["simple", "iterated"])

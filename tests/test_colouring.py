@@ -94,10 +94,18 @@ def test_missing_size_at_least_pi_and_matches_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _with_raw_colours(g, raw):
+    """A Colouring of g whose colour array is overwritten by raw, proper or
+    not, behind the constructor's checks: the input is_proper re-scans."""
+    c = Colouring.empty(g)
+    c._colours[:] = raw
+    return c
+
+
 def test_is_proper_examples(p3, dbl):
-    assert is_proper({0: 1, 1: 1}, p3) is False
-    assert is_proper({0: 1, 1: 2}, p3) is True
-    assert is_proper({0: 1, 1: 1}, dbl) is False
+    assert is_proper(Colouring.from_assignment(p3, {0: 1, 1: 2})) is True
+    assert is_proper(_with_raw_colours(p3, [1, 1])) is False
+    assert is_proper(_with_raw_colours(dbl, [1, 1])) is False
 
 
 def test_is_proper_raw_matches_oracle():
@@ -105,16 +113,10 @@ def test_is_proper_raw_matches_oracle():
     for g, _ in random_instances(6, seed=32, n=7, delta=3, pi=2):
         for _ in range(20):
             raw = [rng.randrange(0, g.palette + 1) for _ in range(g.m)]
-            assert is_proper(raw, g) == oracle_is_proper(g, raw)
+            assert is_proper(_with_raw_colours(g, raw)) == oracle_is_proper(g, raw)
 
 
-def test_is_proper_needs_graph_for_raw():
-    with pytest.raises(ValueError, match="graph required"):
-        is_proper([1, 2])
-
-
-def test_is_proper_rejects_raw_input_out_of_range(p3):
-    # raw input is range-checked exactly as Colouring.from_assignment does
+def test_from_assignment_rejects_raw_input_out_of_range(p3):
     for raw, match in (
         ({-1: 1, 1: 1}, "edge id -1 out of range"),
         ({0: 1, 5: 2}, "edge id 5 out of range"),
@@ -123,8 +125,6 @@ def test_is_proper_rejects_raw_input_out_of_range(p3):
         ({0: 99}, "colour 99 outside palette"),
         ([0, -1], "colour -1 outside palette"),
     ):
-        with pytest.raises(ValueError, match=match):
-            is_proper(raw, p3)
         with pytest.raises(ValueError, match=match):
             Colouring.from_assignment(p3, raw)
 
@@ -158,8 +158,8 @@ def test_copy_is_independent(p3):
     c = Colouring.from_assignment(p3, {0: 1})
     d = c.copy()
     d.augment_in_place([1])
-    assert d.colour_of(1) == 2
-    assert c.colour_of(1) == 0
+    assert d.colours[1] == 2
+    assert c.colours[1] == 0
     assert d != c
 
 
@@ -218,7 +218,7 @@ def test_shift_p3(p3):
     c = Colouring.from_assignment(p3, {1: 1})
     out = shift_along(c, [0, 1])
     assert out.colours == [1, 0]
-    assert out.colour_of(1) == 0
+    assert out.colours[1] == 0
     # the input colouring is untouched
     assert c.colours == [0, 1]
 
@@ -232,7 +232,7 @@ def test_shift_c4(c4):
     c = Colouring.from_assignment(c4, {1: 1, 2: 2, 3: 1})
     out = shift_along(c, [0, 1, 2, 3])
     assert out.colours == [1, 2, 1, 0]
-    assert out.colour_of(3) == 0
+    assert out.colours[3] == 0
 
 
 def test_shift_rejects_not_shiftable(p3):
@@ -265,14 +265,14 @@ def test_shift_matches_oracle_and_invariants():
             assert out.colours == expected
             assert out.uncoloured_count == c.uncoloured_count
             # the last edge is the unique chain edge left uncoloured
-            unc_in_chain = [e for e in chain if out.colour_of(e) == 0]
+            unc_in_chain = [e for e in chain if out.colours[e] == 0]
             assert unc_in_chain == [chain[-1]]
         else:
             with pytest.raises(ValueError):
                 shift_along(c, chain)
         # interior edges always change colour
         for j in range(1, len(chain) - 1):
-            assert expected[chain[j]] != c.colour_of(chain[j])
+            assert expected[chain[j]] != c.colours[chain[j]]
         checked += 1
     assert checked >= 8
 
@@ -568,7 +568,7 @@ def test_colour_free_matches_free_colour():
                     want.augment_in_place([e])
                     assert _state(g, got) == _state(g, want)
                     assert _state(g, got) == _oracle_state(g, got.colours)
-                    assert got.colour_of(e) == col
+                    assert got.colours[e] == col
                 else:
                     assert _state(g, got) == _state(g, c)
                 counts[coloured] += 1

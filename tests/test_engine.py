@@ -420,7 +420,7 @@ class TestCandidateChain:
         q = _probed_chain(inst.c, inst.e, 5)
         c2 = inst.c.copy()
         assert c2.augment_in_place(q) == 6
-        assert c2.colour_of(inst.e) != 0
+        assert c2.colours[inst.e] != 0
         assert is_proper(c2)
 
     @pytest.mark.parametrize("L", [8, 10])
@@ -442,7 +442,7 @@ class TestCandidateChain:
         assert q is not None and len(q) <= 21
         c2 = inst.c.copy()
         c2.augment_in_place(q)
-        assert c2.colour_of(inst.e) != 0
+        assert c2.colours[inst.e] != 0
         assert is_proper(c2)
 
 

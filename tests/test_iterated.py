@@ -134,7 +134,7 @@ def test_suitable_positions_on_plain_gadget():
         assert s.near_vertex == inst.q[t]
         assert s.far_vertex == inst.q[t + 1]
         # eligibility is exactly: coloured alpha, far from e, not last
-        assert inst.c.colour_of(s.edge) == inst.alpha
+        assert inst.c.colours[s.edge] == inst.alpha
         assert line_distances(inst.g, inst.e, 4).get(s.edge) is None
 
 
@@ -151,7 +151,7 @@ def test_near_and_last_edges_are_not_suitable():
     # positions 1 and 3 carry alpha but sit within distance 4 of e
     assert inst.path_edges[0] not in sus
     assert inst.path_edges[2] not in sus
-    assert line_distances(inst.g, inst.e).get(inst.path_edges[2]) == 3
+    assert line_distances(inst.g, inst.e, 4).get(inst.path_edges[2]) == 3
     # beta edges are never suitable
     assert inst.path_edges[5] not in sus
     # a tail of 8 edges keeps its last alpha edge only if it is not final:
@@ -362,7 +362,7 @@ def test_shift_through_suitable_edge_changes_missing_sets_locally():
             assert missing(cf, z) == missing(c, z) | {inst.beta}
             assert inst.beta not in missing(cf, y)
             assert inst.alpha not in missing(cf, z)
-            assert cf.colour_of(su.edge) == 0
+            assert cf.colours[su.edge] == 0
             for h in g.adj[y]:
                 for u in g.edges[h][:2]:
                     if u not in (y, z, inst.x):
@@ -510,7 +510,7 @@ def test_iterated_chain_augments_like_any_chain():
         chain = iterated_chain(inst.c, inst.x, inst.e, dec.f)
         out = augment(inst.c, chain)
         assert out.uncoloured_count == inst.c.uncoloured_count - 1
-        assert out.colour_of(inst.e) != 0
+        assert out.colours[inst.e] != 0
 
 
 def test_iterated_chain_lengths():

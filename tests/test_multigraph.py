@@ -185,9 +185,9 @@ def test_generate_rejects_degenerate_targets():
 
 
 def test_distance_examples(p3, path8):
-    assert line_distances(p3, 0).get(1) == 1
-    assert line_distances(p3, 0).get(0) == 0
-    assert line_distances(path8, 0).get(6) == 6
+    assert line_distances(p3, 0, p3.m).get(1) == 1
+    assert line_distances(p3, 0, p3.m).get(0) == 0
+    assert line_distances(path8, 0, path8.m).get(6) == 6
 
 
 def test_distance_cap(path8):
@@ -197,25 +197,25 @@ def test_distance_cap(path8):
 
 def test_distance_disconnected():
     g = build(4, [(0, 1, 1), (2, 3, 1)])
-    assert line_distances(g, 0).get(1) is None
+    assert line_distances(g, 0, g.m).get(1) is None
 
 
 def test_distance_parallel_edges(dbl):
-    assert line_distances(dbl, 0).get(1) == 1
+    assert line_distances(dbl, 0, dbl.m).get(1) == 1
 
 
 def test_line_distances_radius():
     # on a path the line-graph distance from edge 0 is the edge id
     g = build(200, [(i, i + 1, 1) for i in range(199)])
     assert line_distances(g, 0, 15) == {e: e for e in range(16)}
-    assert line_distances(g, 0) == {e: e for e in range(199)}
+    assert line_distances(g, 0, g.m) == {e: e for e in range(199)}
 
 
 def test_distance_matches_oracle():
     for g, _ in random_instances(6, seed=20, n=8, delta=3, pi=2):
         for e in range(g.m):
             for f in range(g.m):
-                assert line_distances(g, e).get(f) == oracle_line_distance(g, e, f)
+                assert line_distances(g, e, g.m).get(f) == oracle_line_distance(g, e, f)
 
 
 def test_distance_symmetry_and_triangle():
@@ -226,7 +226,7 @@ def test_distance_symmetry_and_triangle():
         for _ in range(30):
             e, f, h = (rng.randrange(g.m) for _ in range(3))
             def d(a, b):
-                got = line_distances(g, a).get(b)
+                got = line_distances(g, a, g.m).get(b)
                 return got if got is not None else float("inf")
             assert d(e, f) == d(f, e)
             assert d(e, h) <= d(e, f) + d(f, h)
