@@ -1,9 +1,10 @@
 """The golden manifest: SHA-256 digests of the command line's and the demos'
 output, pinned in ``tests/golden_cli.json``.
 
-The command-line matrix runs in process through ``vizing.cli.main``.  On
-each graph of ``gen --n 1500`` at delta 3 and 4, pi 1, 2 and 3, and seeds 0
-and 1, it runs ``gen`` itself, ``colour``, ``schedule --L 16`` with its round
+The command-line matrix runs in process through ``vizing.cli.main``.  Its
+graphs come from ``gen`` at delta 3 and 4 and pi 1, 2 and 3, two seeds each
+(``SIZES``), and each header's pi must be the requested one.  On each graph
+it runs ``gen`` itself, ``colour``, ``schedule --L 16`` with its round
 log, ``schedule --L 16 --max-rounds 2`` (exit 2), ``audit`` as simple JSON
 and as iterated TSV at L = 3, 5, 9 and 16 on both the full dump (from
 ``colour``) and the interrupted one, ``stats --L 9,16``, and ``orient``
@@ -35,6 +36,13 @@ MANIFEST = ROOT / "tests" / "golden_cli.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 _CLOCK = re.compile(r" in [0-9.]+ s;")
+
+# (n, seeds) of the matrix's graphs by (delta, pi), else (1500, (0, 1)).
+# gen --n 1500 never reaches multiplicity 3 at delta 3 or 4, so the pi = 3
+# graphs are small ones whose headers read pi 3; at delta 3 no n from 8 to
+# 40 does at seeds 0-39.  Delta stays at most 4, so L = 16 and 9 exceed
+# 2 delta as schedule and stats require.
+SIZES = {(3, 3): (6, (10, 13)), (4, 3): (16, (0, 22))}
 
 
 def digest(*parts) -> str:
@@ -68,7 +76,8 @@ def cli_digests() -> dict[str, str]:
     runs: dict[str, str] = {}
     for delta in (3, 4):
         for pi in (1, 2, 3):
-            for seed in (0, 1):
+            n, seeds = SIZES.get((delta, pi), (1500, (0, 1)))
+            for seed in seeds:
                 graph = f"d{delta}p{pi}s{seed}"
 
                 def run(name, argv, stdin=""):
@@ -76,8 +85,11 @@ def cli_digests() -> dict[str, str]:
                     runs[f"{graph} {name}"] = digest(*result)
                     return result
 
-                _, mg, _ = run("gen", ["gen", "--n", "1500", "--delta", str(delta),
+                _, mg, _ = run("gen", ["gen", "--n", str(n), "--delta", str(delta),
                                        "--pi", str(pi), "--seed", str(seed)])
+                header = mg.partition("\n")[0]
+                if header.split()[4] != str(pi):
+                    raise AssertionError(f"{graph}: gen wrote the header {header!r}, not pi {pi}")
                 _, full, _ = run("colour", ["colour"], mg)
                 run("schedule", ["schedule", "--L", "16"], mg)
                 code, partial, _ = run("schedule-max2", ["schedule", "--L", "16", "--max-rounds", "2"], mg)
