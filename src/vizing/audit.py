@@ -169,7 +169,7 @@ def _partners(
                 if tally is not None:
                     tally.add(entry)
                 if entry.superb:
-                    partners.update(entry._second_level())
+                    partners.update(entry.second.edges())
                     last = entry
                     if shortest is None or entry.second_len < shortest:
                         shortest = entry.second_len
@@ -366,7 +366,7 @@ class _SuperbTally:
 
     def add(self, entry: ScanEntry) -> None:
         if entry.superb:
-            self.by_colours[_path_colour_set(entry.second_path)] += 1
+            self.by_colours[_path_colour_set(entry.second.tail)] += 1
 
     def best(self, c: Colouring, L: int) -> SuperbCount:
         """The best colour-pair bucket (ties to the smallest pair) against

@@ -275,6 +275,10 @@ class VizingChain:
     alternating alpha/beta-path from v_i, which avoids the centre; the path
     colours are the tail's ``alpha`` and ``beta``.  Without a tail, ``tail``
     is None.
+
+    A suitable edge's second level (``iterated.ScanEntry.second``) is the
+    same record around the edge's far endpoint, with the conditional fan;
+    it augments only after the first-level chain's shift up to that edge.
     """
 
     __slots__ = ("fan", "fan_prefix_len", "tail", "_edge_list")

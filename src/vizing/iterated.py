@@ -20,16 +20,19 @@ builds the second level for each of them in path order:
   * the classification sorts a suitable edge into Type0 (chain-so-far
     already augmenting), TypeI (beta missing at the fan's last far
     endpoint), or TypeII (the fan stopped on a repeated colour epsilon;
-    delta is the smallest colour missing at y), and writes the type, the fan
-    and the TypeII witnesses into the edge's entry.  The Type0 test shifts
-    nothing: it reads the used masks of y and the fan's last far endpoint
-    under the original colouring, adds alpha, which the shift through f
-    frees at y, to y's missing colours, and intersects them.  The fan's
-    augmenting flag records that test, so Type0 holds exactly when the flag
-    is set; TypeII takes its repeated pair from repeated_colour_indices, as
-    a first-level chain does.  The fan and the classification read the
-    colouring's masks directly, with the alpha|beta stop mask computed once
-    per scan;
+    delta is the smallest colour missing at y), and writes the type and the
+    second level, one :class:`chains.VizingChain` around y, into the edge's
+    entry: the fan alone for Type0, the fan and the alpha/beta path from its
+    last far endpoint for TypeI, and for TypeII the fan cut at the second
+    critical index and the delta/epsilon path, chosen as
+    :func:`chains.vizing_chain` chooses.  The Type0 test shifts nothing: it
+    reads the used masks of y and the fan's last far endpoint under the
+    original colouring, adds alpha, which the shift through f frees at y,
+    to y's missing colours, and intersects them.  The fan's augmenting flag
+    records that test, so Type0 holds exactly when the flag is set; TypeII
+    takes its repeated pair from repeated_colour_indices, as a first-level
+    chain does.  The fan and the classification read the colouring's masks
+    directly, with the alpha|beta stop mask computed once per scan;
 
   * the superb test checks that the second alternating path (for TypeII,
     both candidate paths) is unaffected by the shift: the paths are walked
@@ -44,10 +47,9 @@ builds the second level for each of them in path order:
     shift's ValueError.  The scan never writes to the colouring;
 
   * each suitable edge is one :class:`ScanEntry`, filled in as the scan
-    goes (the edge, its type and fan, its verdict); the tail's colours stay
-    on ``chain.tail``.  A superb entry's edges() is its chain: everything
-    before f, the conditional fan (cut at the second critical index for
-    TypeII) and the second alternating path, joined on demand.
+    goes (the edge, its type and second level, its verdict); the tail's
+    colours stay on ``chain.tail``.  A superb entry's edges() is its chain:
+    the first-level chain up to f, then the second level, joined on demand.
 
 Everything is deterministic; minimal-colour choices use the natural order.
 """
@@ -87,25 +89,22 @@ class ScanEntry:
     far_vertex (y) is f's endpoint farther along the path; near_vertex (z)
     is the closer one.
 
-    The type: type_tag and the conditional fan around y.  For TypeII, delta
-    is the smallest colour missing at y, epsilon the repeated fan colour,
-    and repeat_index the earlier fan index that chose epsilon; with the
-    tail's alpha and beta (``chain.tail.alpha``/``.beta``, not repeated
-    here) all four colours are pairwise distinct.  The three are None for
-    the other types.
+    The type and the second level: type_tag, and ``second``, a
+    :class:`chains.VizingChain` around y on the input colouring whose fan
+    is the conditional fan: the whole fan alone for Type0, the whole fan
+    and the alpha/beta path from its last far endpoint for TypeI, and for
+    TypeII the fan cut at the second critical index and the delta/epsilon
+    path.  delta (``second.tail.alpha``) is the smallest colour missing at
+    y, epsilon (``.beta``) the repeated fan colour; with the first-level
+    tail's alpha and beta, all four are pairwise distinct.
 
-    The verdict: second_path is the second alternating path computed under
-    the *input* colouring: absent for Type0 (whose second path is empty by
-    convention) and for non-superb TypeII edges whose candidate paths both
-    end at y.  second_critical_index is the fan index it starts from (None
-    without it).
+    The verdict: superb, whether the second level's paths survive the
+    first-level shift through f.
     """
 
     __slots__ = (
         "edge", "position", "far_vertex", "near_vertex",
-        "type_tag", "fan", "delta", "epsilon", "repeat_index",
-        "superb", "second_path", "second_critical_index",
-        "_first_level", "_cut",
+        "type_tag", "second", "superb", "_first_level", "_cut",
     )
 
     def __init__(
@@ -116,94 +115,27 @@ class ScanEntry:
         self.position = position
         self.far_vertex = far_vertex
         self.near_vertex = near_vertex
-        # type_tag and fan are written by _classify, superb by the scan
-        self.delta = self.epsilon = self.repeat_index = None
-        self.second_path = self.second_critical_index = None
+        # type_tag and second are written by _classify, superb by the scan
         self._first_level = _first_level
         self._cut = _cut
 
     @property
     def second_len(self) -> int:
         """Edges on the second path (0 when there is none)."""
-        return 0 if self.second_path is None else len(self.second_path.edges)
+        tail = self.second.tail
+        return 0 if tail is None else len(tail.edges)
 
     def edges(self) -> list[int]:
         """A new list: the first-level chain (shared by the scan's entries)
-        cut just before the suitable edge, the conditional fan (through the
-        second critical index for TypeII), then the second path.  ValueError
-        when the edge is not superb."""
-        return self._first_level[: self._cut] + self._second_level()
-
-    def _second_level(self) -> list[int]:
-        """The chain's own part after the first-level cut: the conditional
-        fan (through the second critical index for TypeII), then the second
-        path.  The cuts grow in scan order, so the union of a scan's chains
-        is the last superb cut's prefix plus every superb entry's own part.
+        cut just before the suitable edge, then the second level.  The cuts
+        grow in scan order, so the union of a scan's chains is the last
+        superb cut's prefix plus every superb entry's second level.
         ValueError when the edge is not superb."""
         if not self.superb:
             raise ValueError(
                 f"edge {self.edge} is suitable but not superb; its chain is undefined"
             )
-        fan = self.fan.edges
-        if self.type_tag is SuitableType.TYPE2:
-            if self.second_path is None:  # unreachable for a superb edge
-                raise AssertionError("both candidate second paths end at the centre")
-            fan = fan[: self.second_critical_index + 1]
-        return fan if self.second_path is None else fan + self.second_path.edges
-
-
-# ---------------------------------------------------------------------------
-# Context shared by every operation on one (c, x, e)
-# ---------------------------------------------------------------------------
-
-
-class _Context:
-    """First-level chain data reused across suitable-edge operations."""
-
-    __slots__ = (
-        "c", "alpha", "beta", "alpha_bit", "beta_bit", "stop_mask",
-        "path_edges", "start_vertex", "prefix_len", "chain_edges",
-        "fan_vertices", "near_e",
-    )
-
-    def __init__(self, c: Colouring, vc: VizingChain):
-        if vc.tail is None:
-            raise ValueError(
-                "the fan around the edge is augmenting; there is no tail path "
-                "to pick suitable edges from"
-            )
-        self.c = c
-        self.alpha = alpha = vc.tail.alpha
-        self.beta = beta = vc.tail.beta
-        self.alpha_bit = 1 << (alpha - 1)
-        self.beta_bit = 1 << (beta - 1)
-        # the conditional fans stop at a far endpoint missing alpha or beta
-        self.stop_mask = self.alpha_bit | self.beta_bit
-        self.path_edges = vc.tail.edges
-        self.start_vertex = vc.tail.start_vertex
-        self.prefix_len = vc.fan_prefix_len
-        self.chain_edges = vc.edges()
-        # the vertices whose missing masks the first-level fan's shift moves
-        self.fan_vertices = {vc.fan.centre, *vc.fan.far_endpoints[: self.prefix_len]}
-        self.near_e = line_distances(c.graph, vc.fan.edges[0], 4)
-
-    def suitables(self, limit: int | None):
-        """A new entry for each suitable edge among the first ``limit`` path
-        edges, one at a time; the path's vertices are derived as the walk
-        reaches them, so none past the window is."""
-        path, ends, near_e = self.path_edges, self.c.graph.edges, self.near_e
-        chain, base = self.chain_edges, self.prefix_len
-        last = len(path) - 1
-        stop = last if limit is None else min(limit, last)
-        v = self.start_vertex
-        for t in range(stop):
-            f = path[t]
-            a, b, _ = ends[f]
-            w = b if v == a else a
-            # alpha-coloured edges sit at even offsets
-            if not t & 1 and f not in near_e:
-                yield ScanEntry(f, t + 1, w, v, chain, base + t)
-            v = w
+        return self._first_level[: self._cut] + self.second.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +143,17 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-def _classify(ctx: _Context, en: ScanEntry) -> None:
+def _classify(
+    c: Colouring, tail: AlternatingPath, en: ScanEntry, stop: int, fan_vertices: set[int]
+) -> tuple[AlternatingPath, ...]:
     """Grow the conditional fan around y and sort the suitable edge by how
-    it ends, reading the colouring's used masks directly; writes the type,
-    the fan and the TypeII witnesses into the entry.
+    it ends, reading the colouring's used masks directly; writes the type
+    and the second level into the entry and returns the alternating paths,
+    walked on c, that the superb test compares: none for Type0, the second
+    path for TypeI, and for TypeII the delta/epsilon paths from both the
+    repeated index's far endpoint and the last one.  ``tail`` is the
+    first-level path, ``stop`` its alpha|beta mask, and ``fan_vertices``
+    the vertices whose masks the first-level fan's shift moves.
 
     Type0 asks whether (chain before f) + (conditional fan) is augmenting,
     i.e. whether y and the fan's last far endpoint u_m share a missing
@@ -237,8 +176,7 @@ def _classify(ctx: _Context, en: ScanEntry) -> None:
         mask only by fan colours, which are all used at y, so neither
         change touches a colour missing at both.
     """
-    c, alpha, beta = ctx.c, ctx.alpha, ctx.beta
-    used, stop, alpha_bit = c._used, ctx.stop_mask, ctx.alpha_bit
+    used = c._used
     y = en.far_vertex
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0, unless the chain
@@ -247,62 +185,48 @@ def _classify(ctx: _Context, en: ScanEntry) -> None:
         raise ValueError("stale chain: the suitable edge's near vertex misses a path colour")
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, y, en.edge, stop)
     u_m = far[-1]
-    if u_m in ctx.fan_vertices:
+    if u_m in fan_vertices:
         raise AssertionError("the conditional fan reached the first-level fan")
     at_u_m = used[u_m]
+    alpha_bit = 1 << (tail.alpha - 1)
     augmenting = bool((c._full & ~used[y] | alpha_bit) & ~at_u_m)
-    en.fan = fan = Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
+    fan = Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
     if augmenting:
         en.type_tag = SuitableType.TYPE0
-        return
-    if not at_u_m & ctx.beta_bit:  # beta is missing at u_m
+        en.second = VizingChain(fan, len(edges))
+        return ()
+    g, colours, alpha, beta = c.graph, c._colours, tail.alpha, tail.beta
+    if not at_u_m & (1 << (beta - 1)):  # beta is missing at u_m
         # were alpha missing at u_m too, the chain would have been augmenting
         if not at_u_m & alpha_bit:
             raise AssertionError("a TypeI fan end misses both path colours")
         en.type_tag = SuitableType.TYPE1
-        return
+        p = _walk(g, colours, u_m, alpha, beta)
+        en.second = VizingChain(fan, len(edges), p)
+        return (p,)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
-    i, _, epsilon = repeated_colour_indices(fan)
+    i, m, epsilon = repeated_colour_indices(fan)
     delta = c.min_missing(y)
     if delta == epsilon or {delta, epsilon} & {alpha, beta}:  # only when stale
         raise ValueError("stale chain: the TypeII colours are not pairwise distinct")
     en.type_tag = SuitableType.TYPE2
-    en.delta, en.epsilon, en.repeat_index = delta, epsilon, i
+    p_i = _walk(g, colours, far[i], delta, epsilon)
+    p_m = _walk(g, colours, u_m, delta, epsilon)
+    # y misses delta, so it ends at most one of the paths; as in
+    # chains._path_chain, the earlier index's path is taken unless it ends at y
+    if p_i.last_vertex != y:
+        en.second = VizingChain(fan, i + 1, p_i)
+    elif p_m.last_vertex != y:
+        en.second = VizingChain(fan, m + 1, p_m)
+    else:  # unreachable: v_i and v_m differ and both miss epsilon
+        raise AssertionError("both candidate second paths end at the centre")
+    return p_i, p_m
 
 
 # ---------------------------------------------------------------------------
 # Superb tests and the scan
 # ---------------------------------------------------------------------------
-
-
-def _second_paths(ctx: _Context, en: ScanEntry) -> list[AlternatingPath]:
-    """The alternating paths a superb test must compare, walked under the
-    input colouring; writes the chain's second path and second critical
-    index into the entry when they are determined.
-
-    TypeI compares one alpha/beta path from the last far endpoint; its path
-    is also the chain's second path.  TypeII compares delta/epsilon paths
-    from both the repeated index's far endpoint and the last one; the chain
-    uses whichever avoids y (preferring the earlier index).
-    """
-    g, colours, fan = ctx.c.graph, ctx.c.colours, en.fan
-    last = len(fan.edges) - 1
-    if en.type_tag is SuitableType.TYPE1:
-        p = _walk(g, colours, fan.far_endpoints[-1], ctx.alpha, ctx.beta)
-        en.second_path, en.second_critical_index = p, last
-        return [p]
-    p_i, p_m = (
-        _walk(g, colours, fan.far_endpoints[q], en.delta, en.epsilon)
-        for q in (en.repeat_index, last)
-    )
-    # delta is missing at y, so y can only be an endpoint of a
-    # delta/epsilon path and the last-vertex test decides avoidance
-    if p_i.last_vertex != fan.centre:
-        en.second_path, en.second_critical_index = p_i, en.repeat_index
-    elif p_m.last_vertex != fan.centre:
-        en.second_path, en.second_critical_index = p_m, last
-    return [p_i, p_m]
 
 
 class _Shifted(dict):
@@ -358,7 +282,7 @@ class _Shifted(dict):
                     raise ValueError(f"colour {col} already used at an endpoint of edge {h}")
             self[h] = col
 
-    def stable(self, paths: list[AlternatingPath]) -> bool:
+    def stable(self, paths: tuple[AlternatingPath, ...]) -> bool:
         """Does every path come out the same when walked under the shift?"""
         g = self.c.graph
         for p in paths:
@@ -399,19 +323,39 @@ def superb_scan(
     edge, raises a ValueError that starts "stale chain:" when that edge is
     classified.
     """
-    ctx = _Context(c, chain)
+    tail = chain.tail
+    if tail is None:
+        raise ValueError(
+            "the fan around the edge is augmenting; there is no tail path "
+            "to pick suitable edges from"
+        )
+    ends = c.graph.edges
+    path, base, edges = tail.edges, chain.fan_prefix_len, chain.edges()
+    # the conditional fans stop at a far endpoint missing alpha or beta
+    stop = (1 << (tail.alpha - 1)) | (1 << (tail.beta - 1))
+    # the vertices whose missing masks the first-level fan's shift moves
+    fan_vertices = {chain.fan.centre, *chain.fan.far_endpoints[:base]}
+    near_e = line_distances(c.graph, chain.fan.edges[0], 4)
     shifted = _Shifted(c)
-    edges = ctx.chain_edges
     # the overlay holds the shift of edges[: end + 1] (the identity while
     # end is 0: the first edge is uncoloured); each segment starts at the
-    # last edge shifted so far and ends at the suitable edge, edges[en._cut]
+    # last edge shifted so far and ends at the suitable edge, edges[cut]
     end = 0
-    for en in ctx.suitables(limit):
-        shifted.advance(edges[end : en._cut + 1])
-        end = en._cut
-        _classify(ctx, en)
-        if en.type_tag is SuitableType.TYPE0:
-            en.superb = True
-        else:
-            en.superb = shifted.stable(_second_paths(ctx, en))
-        yield en
+    last = len(path) - 1
+    # the path's vertices are derived as the walk reaches them, so none
+    # past the window is
+    v = tail.start_vertex
+    for t in range(last if limit is None else min(limit, last)):
+        f = path[t]
+        a, b, _ = ends[f]
+        w = b if v == a else a
+        # alpha-coloured edges sit at even offsets
+        if not t & 1 and f not in near_e:
+            cut = base + t
+            shifted.advance(edges[end : cut + 1])
+            end = cut
+            en = ScanEntry(f, t + 1, w, v, edges, cut)
+            paths = _classify(c, tail, en, stop, fan_vertices)
+            en.superb = not paths or shifted.stable(paths)
+            yield en
+        v = w

@@ -46,12 +46,15 @@ MUTANTS = [
      "Fan(y, edges, far, colour_seq, False, next_colour, repeat_pos)", "test_iterated"),
     ("MaxRoundsExceeded stores rounds + 1", "engine.py",
      "self.rounds = rounds", "self.rounds = rounds + 1", "test_engine"),
-    ("a TypeI entry has no second critical index", "iterated.py",
-     "en.second_path, en.second_critical_index = p, last",
-     "en.second_path, en.second_critical_index = p, None", "test_iterated"),
-    ("a TypeI entry carries a delta", "iterated.py",
-     "en.type_tag = SuitableType.TYPE1",
-     "en.type_tag, en.delta = SuitableType.TYPE1, c.min_missing(y)", "test_iterated"),
+    ("a TypeI second level is cut one edge short", "iterated.py",
+     "en.second = VizingChain(fan, len(edges), p)",
+     "en.second = VizingChain(fan, len(edges) - 1, p)", "test_iterated"),
+    ("a TypeII entry prefers the last index's path", "iterated.py",
+     "    if p_i.last_vertex != y:\n        en.second = VizingChain(fan, i + 1, p_i)\n"
+     "    elif p_m.last_vertex != y:\n        en.second = VizingChain(fan, m + 1, p_m)\n",
+     "    if p_m.last_vertex != y:\n        en.second = VizingChain(fan, m + 1, p_m)\n"
+     "    elif p_i.last_vertex != y:\n        en.second = VizingChain(fan, i + 1, p_i)\n",
+     "test_iterated"),
     ("to_tsv prints None for a missing mass", "audit.py",
      "{'' if value is None else value}", "{value}", "test_cli"),
     ("is_proper skips vertex 0", "colouring.py",

@@ -201,22 +201,25 @@ def oracle_superb(g, cols, chain, entry, alpha, beta):
     """Is a suitable edge superb: do its second paths survive the shift?
 
     ``chain`` is the first-level chain cut right after the suitable edge,
-    ``entry`` the edge's scan entry, whose type, fan and TypeII witnesses
-    are read as plain data, and alpha/beta the tail's colours.  Type0 is superb
-    by definition.  Otherwise the shift of a copy of ``cols`` along the
-    chain must be proper at the endpoints of the shifted edges (ValueError
-    if not), and each compared walk must come out the same before and after
-    it: for TypeI the alpha/beta walk from the fan's last far endpoint, for
-    TypeII the delta/epsilon walks from the repeated index's far endpoint
-    and from the last one.
+    ``entry`` the edge's scan entry, whose type and second level (its fan,
+    and for TypeII the fan's repeat index and the tail's colours delta and
+    epsilon) are read as plain data, and alpha/beta the tail's colours.
+    Type0 is superb by definition.  Otherwise the shift of a copy of
+    ``cols`` along the chain must be proper at the endpoints of the shifted
+    edges (ValueError if not), and each compared walk must come out the
+    same before and after it: for TypeI the alpha/beta walk from the fan's
+    last far endpoint, for TypeII the delta/epsilon walks from the repeated
+    index's far endpoint and from the last one.
     """
-    kind, far = entry.type_tag.value, entry.fan.far_endpoints
+    kind, second = entry.type_tag.value, entry.second
+    far = second.fan.far_endpoints
     if kind == "Type0":
         return True
     if kind == "TypeI":
         walks = [(far[-1], alpha, beta)]
     else:
-        walks = [(far[q], entry.delta, entry.epsilon) for q in (entry.repeat_index, -1)]
+        delta, epsilon = second.tail.alpha, second.tail.beta
+        walks = [(far[q], delta, epsilon) for q in (second.fan.repeat_pos - 1, -1)]
     shifted = oracle_shift(cols, chain)
     for h in chain:
         col = shifted[h]
@@ -367,7 +370,8 @@ def check_shadow_fan(c, x, e, f):
     en = scan_entry(c, x, e, f)
     shifted = oracle_shift(c.colours, vc.edges()[: vc.fan_prefix_len + en.position])
     shadow = oracle_max_fan(c.graph, shifted, en.far_vertex, en.edge, big=vc.tail.beta)
-    return en.fan.edges == shadow["edges"][: len(en.fan.edges)]
+    fan = en.second.fan.edges
+    return fan == shadow["edges"][: len(fan)]
 
 
 def oracle_short_chain(c, e, L, second):
@@ -466,7 +470,7 @@ def scan_entry(c, x, e, f):
 
 def conditional_fan(c, x, e, f):
     """The conditional fan grown around the suitable edge's far vertex."""
-    return scan_entry(c, x, e, f).fan
+    return scan_entry(c, x, e, f).second.fan
 
 
 def classify_suitable(c, x, e, f):

@@ -19,7 +19,7 @@ from vizing import (
     vizing_chain,
 )
 from vizing import iterated
-from vizing.chains import _walk
+from vizing.chains import _path_chain, _walk
 from vizing.colouring import Colouring
 from vizing.multigraph import line_distances
 
@@ -117,6 +117,13 @@ def scanned_chains():
                     entries = list(superb_scan(c, vc))
                     if entries:
                         yield (delta, seed, e, x), g, c, vc, entries
+
+
+def type2_witnesses(en):
+    """A TypeII entry's (delta, epsilon, repeat index): its second level's
+    path colours and the earlier fan index that chose epsilon."""
+    second = en.second
+    return second.tail.alpha, second.tail.beta, second.fan.repeat_pos - 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +290,12 @@ def test_classification_on_gadgets():
             else:
                 assert cls.type_tag.value == dec.expected_type, (label, su.position)
                 if dec.expected_type == "TypeII":
-                    assert cls.delta == dec.delta
-                    assert cls.epsilon == dec.epsilon
-                    assert cls.repeat_index == dec.repeat_index
-                    assert cls.fan.colour_seq[cls.repeat_index] == cls.epsilon
-                    assert {cls.delta, cls.epsilon}.isdisjoint({tail.alpha, tail.beta})
+                    delta, epsilon, repeat_index = type2_witnesses(cls)
+                    assert delta == dec.delta
+                    assert epsilon == dec.epsilon
+                    assert repeat_index == dec.repeat_index
+                    assert cls.second.fan.colour_seq[repeat_index] == epsilon
+                    assert {delta, epsilon}.isdisjoint({tail.alpha, tail.beta})
 
 
 def ivc1_edges(c, x, e, su, fan):
@@ -302,19 +310,20 @@ def test_type0_iff_first_segment_augments():
     for label, inst in gadget_instances():
         for su in suitable_edges(inst.c, inst.x, inst.e):
             cls = classify_suitable(inst.c, inst.x, inst.e, su)
-            chain = ivc1_edges(inst.c, inst.x, inst.e, su, cls.fan)
+            chain = ivc1_edges(inst.c, inst.x, inst.e, su, cls.second.fan)
             status = oracle_classify(inst.g, inst.c.colours, chain)
             assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0), \
                 (label, su.position)
-            assert cls.fan.augmenting is (cls.type_tag is SuitableType.TYPE0), (label, su.position)
+            assert cls.second.fan.augmenting is (cls.type_tag is SuitableType.TYPE0), \
+                (label, su.position)
             seen += 1
     for g, c, e, x, sus in probes_with_suitables():
         for su in sus:
             cls = classify_suitable(c, x, e, su)
-            chain = ivc1_edges(c, x, e, su, cls.fan)
+            chain = ivc1_edges(c, x, e, su, cls.second.fan)
             status = oracle_classify(g, c.colours, chain)
             assert (status == "augmenting") == (cls.type_tag is SuitableType.TYPE0)
-            assert cls.fan.augmenting is (cls.type_tag is SuitableType.TYPE0)
+            assert cls.second.fan.augmenting is (cls.type_tag is SuitableType.TYPE0)
             seen += 1
     assert seen >= 20
 
@@ -325,17 +334,17 @@ def test_type1_keeps_beta_missing_at_last_endpoint():
         dec = inst.decorations[pos]
         cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
         assert cls.type_tag is SuitableType.TYPE1
-        u_last = cls.fan.far_endpoints[-1]
+        u_last = cls.second.fan.far_endpoints[-1]
         assert inst.beta in oracle_missing(inst.g, inst.c.colours, u_last)
         assert inst.alpha not in oracle_missing(inst.g, inst.c.colours, u_last)
     # the stable decoration's chain runs through the whole fan
     dec = inst.decorations[5]
     cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
     chain = iterated_chain(inst.c, inst.x, inst.e, dec.f)
-    assert chain.second_critical_index == len(cls.fan.edges) - 1
+    assert chain.second.fan_prefix_len == len(cls.second.fan.edges)
     vc = vizing_chain(inst.c, inst.x, inst.e)
     first = vc.edges()[: vc.fan_prefix_len + 5 - 1]
-    assert chain.edges() == first + cls.fan.edges + chain.second_path.edges
+    assert chain.edges() == first + cls.second.fan.edges + chain.second.tail.edges
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +425,21 @@ def test_type2_paths_on_forked_gadget():
     dec = inst.decorations[7]
     cls = classify_suitable(inst.c, inst.x, inst.e, dec.f)
     assert cls.type_tag is SuitableType.TYPE2
-    u_i = cls.fan.far_endpoints[cls.repeat_index]
-    u_m = cls.fan.far_endpoints[-1]
+    delta, epsilon, repeat_index = type2_witnesses(cls)
+    u_i = cls.second.fan.far_endpoints[repeat_index]
+    u_m = cls.second.fan.far_endpoints[-1]
     # the repeat-index path is empty, the last-index path takes the detour
     # through h2 and is cut by the shift: not superb
-    p_i = _walk(inst.g, inst.c.colours, u_i, cls.delta, cls.epsilon)
+    p_i = _walk(inst.g, inst.c.colours, u_i, delta, epsilon)
     assert p_i.edges == []
-    p_m = _walk(inst.g, inst.c.colours, u_m, cls.delta, cls.epsilon)
+    p_m = _walk(inst.g, inst.c.colours, u_m, delta, epsilon)
     assert p_m.edges == dec.second_path
     assert not is_superb(inst.c, inst.x, inst.e, dec.f)
     vc = vizing_chain(inst.c, inst.x, inst.e)
     chain = vc.edges()[: vc.fan_prefix_len + 7]
     assert not oracle_superb(inst.g, list(inst.c.colours), chain, cls, inst.alpha, inst.beta)
     cf = shift_along(inst.c, chain)
-    assert _walk(inst.g, cf.colours, u_m, cls.delta, cls.epsilon).edges == \
-        dec.second_path[:3]
+    assert _walk(inst.g, cf.colours, u_m, delta, epsilon).edges == dec.second_path[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +464,17 @@ def test_iterated_chain_composition_on_gadgets():
             if dec is None or dec.kind == BARE:
                 assert chain.type_tag is SuitableType.TYPE0
                 assert chain.edges() == first + [su.edge]
-                assert chain.second_path is None
+                assert chain.second.tail is None
             elif dec.kind == TYPE1:
                 assert chain.type_tag is SuitableType.TYPE1
                 assert fan_segment == dec.fan_edges
-                assert chain.second_path.edges == dec.second_path
+                assert chain.second.tail.edges == dec.second_path
                 assert chain.edges() == first + dec.fan_edges + dec.second_path
             else:  # TYPE2, superb, repeat index 0 with an empty path
                 assert chain.type_tag is SuitableType.TYPE2
-                assert chain.second_critical_index == 0
+                assert chain.second.fan_prefix_len == 1
                 assert fan_segment == [su.edge]
-                assert chain.second_path.edges == []
+                assert chain.second.tail.edges == []
                 assert chain.edges() == first + [su.edge]
             assert oracle_classify(inst.g, inst.c.colours, chain.edges()) == "augmenting"
 
@@ -496,9 +505,9 @@ def test_scan_entry_edges_join_prefix_fan_and_second_path():
         assert en.edges() == edges[:-1] and vc.edges() == inst.fan_prefix + inst.path_edges
     # TypeI runs through the whole fan; TypeII stops at its repeat index 0
     t1, t2 = entries[5], entries[9]
-    assert t1.second_critical_index == len(t1.fan.edges) - 1 == 1
+    assert t1.second.fan_prefix_len == len(t1.second.fan.edges) == 2
     assert t2.type_tag is SuitableType.TYPE2
-    assert len(t2.fan.edges) == 3 and t2.second_critical_index == 0
+    assert len(t2.second.fan.edges) == 3 and t2.second.fan_prefix_len == 1
     first = vc.edges()[: vc.fan_prefix_len + 8]
     assert t2.edges() == first + [t2.edge]
 
@@ -543,7 +552,7 @@ def test_frozen_instance_all_type0():
     for su in sus:
         cls = classify_suitable(c, x, e, su)
         assert cls.type_tag is SuitableType.TYPE0
-        assert cls.fan.edges == [su.edge]
+        assert cls.second.fan.edges == [su.edge]
         assert is_superb(c, x, e, su)
 
 
@@ -555,9 +564,9 @@ def test_frozen_instance_with_type2():
     assert cls5.type_tag is SuitableType.TYPE0
     cls7 = classify_suitable(c, x, e, sus[1])
     assert cls7.type_tag is SuitableType.TYPE2
-    assert cls7.fan.edges == [539, 174, 53]
-    assert cls7.fan.colour_seq == [2, 4]
-    assert (cls7.delta, cls7.epsilon, cls7.repeat_index) == (5, 2, 0)
+    assert cls7.second.fan.edges == [539, 174, 53]
+    assert cls7.second.fan.colour_seq == [2, 4]
+    assert type2_witnesses(cls7) == (5, 2, 0)
     assert is_superb(c, x, e, sus[1])
     chain = iterated_chain(c, x, e, sus[1])
     assert oracle_classify(c.graph, list(c.colours), chain.edges()) == "augmenting"
@@ -610,14 +619,16 @@ def test_scan_matches_pointwise_on_random_probes():
 
 
 def _entry_key(en):
-    second = None if en.second_path is None else en.second_path.edges
-    return suitable_key(en), en.type_tag, en.superb, second
+    second = en.second
+    tail = None if second.tail is None else second.tail.edges
+    return (suitable_key(en), en.type_tag, en.superb,
+            second.fan.edges, second.fan_prefix_len, tail)
 
 
 def test_scan_respects_limit():
     """A scan limited to the first k path edges yields exactly the entries
     of the unlimited scan at positions up to k, for every k from 1 to the
-    tail length: same suitable edge, type, superb flag and second path."""
+    tail length: same suitable edge, type, superb flag and second level."""
     inst = long_path_instance(16, {5: TYPE1, 7: BARE, 9: TYPE1_UNSTABLE})
     entries = list(superb_scan(inst.c, vizing_chain(inst.c, inst.x, inst.e), limit=9))
     assert [en.position for en in entries] == [5, 7, 9]
@@ -730,13 +741,13 @@ def test_scan_checks_each_second_path_start(monkeypatch):
     """A second path is walked under the shift only from a start that still
     misses its second colour there (the precondition of the walk);
     a path breaking it raises ValueError, also under python -O."""
-    real = iterated._second_paths
+    real = iterated._classify
 
-    def swapped(ctx, en):
-        return [AlternatingPath(p.start_vertex, p.beta, p.alpha, p.edges, p.last_vertex)
-                for p in real(ctx, en)]
+    def swapped(*args):
+        return tuple(AlternatingPath(p.start_vertex, p.beta, p.alpha, p.edges, p.last_vertex)
+                     for p in real(*args))
 
-    monkeypatch.setattr(iterated, "_second_paths", swapped)
+    monkeypatch.setattr(iterated, "_classify", swapped)
     inst = long_path_instance(16, {5: TYPE1})
     w = inst.decorations[5].w
     with pytest.raises(ValueError, match=f"colour 3 is not missing at vertex {w}"):
@@ -753,10 +764,10 @@ def test_scan_second_paths_match_oracle_walks():
     for en in superb_scan(inst.c, vc):
         if en.type_tag is not SuitableType.TYPE1:
             continue
-        u_m = en.fan.far_endpoints[-1]
+        u_m = en.second.fan.far_endpoints[-1]
         edges_c, _ = oracle_alternating_path(
             inst.g, cols, u_m, inst.alpha, inst.beta)
-        assert en.second_path.edges == edges_c
+        assert en.second.tail.edges == edges_c
         chain = vc.edges()[: vc.fan_prefix_len + en.position]
         shifted = oracle_shift(cols, chain)
         edges_cf, _ = oracle_alternating_path(
@@ -768,13 +779,14 @@ def test_every_scan_entry_is_complete():
     """Every field of every entry a scan yields is set (none raises
     AttributeError) and agrees with the references, on gadgets giving Type0,
     TypeI and TypeII, superb and not.  The suitable edge is the tail edge at
-    its position with its near and far ends; the fan is the conditional fan
-    of the shadow-fan oracle, and Type0 holds exactly when the chain up to
-    it augments; TypeII witnesses are the smallest colour missing at y and
-    the repeated fan colour, distinct from each other and from the tail's
-    colours, and None for the other types; the superb flag is the oracle's,
-    and the second path is the walk from its critical index's far endpoint
-    that the chain uses."""
+    its position with its near and far ends; the second level's fan is the
+    conditional fan of the shadow-fan oracle, and Type0 holds exactly when
+    the chain up to it augments; TypeII's delta and epsilon are the smallest
+    colour missing at y and the repeated fan colour, distinct from each
+    other and from the tail's colours; the superb flag is the oracle's; and
+    the second level is the whole fan alone for Type0, and otherwise the
+    fan through the critical index whose walk the chain uses, with that
+    walk as its tail."""
     locked = locked_instance(16)
     probes = [(label, inst.c, inst.e, inst.x) for label, inst in gadget_instances()]
     probes += [("locked", locked.c, locked.e, x) for x in (locked.x, locked.a)]
@@ -795,41 +807,82 @@ def test_every_scan_entry_is_complete():
             first = vc.edges()[: vc.fan_prefix_len + en.position - 1]
             assert en._cut == len(first), where
             # its type
-            assert en.fan.centre == en.far_vertex and en.fan.edges[0] == en.edge, where
+            second = en.second
+            fan = second.fan
+            assert fan.centre == en.far_vertex and fan.edges[0] == en.edge, where
             assert check_shadow_fan(c, x, e, en), where
-            status = oracle_classify(g, cols, first + en.fan.edges)
+            status = oracle_classify(g, cols, first + fan.edges)
             assert (status == "augmenting") == (en.type_tag is SuitableType.TYPE0), where
-            witnesses = (en.delta, en.epsilon, en.repeat_index)
             if en.type_tag is SuitableType.TYPE2:
-                assert en.delta == min(oracle_missing(g, cols, en.far_vertex)), where
-                assert en.fan.colour_seq[en.repeat_index] == en.epsilon != en.delta, where
-                assert {en.delta, en.epsilon}.isdisjoint({alpha, beta}), where
-            else:
-                assert witnesses == (None, None, None), where
+                delta, epsilon, repeat_index = type2_witnesses(en)
+                assert delta == min(oracle_missing(g, cols, en.far_vertex)), where
+                assert fan.colour_seq[repeat_index] == epsilon == fan.next_colour, where
+                assert epsilon != delta, where
+                assert {delta, epsilon}.isdisjoint({alpha, beta}), where
             if en.type_tag is SuitableType.TYPE1:
-                assert beta in oracle_missing(g, cols, en.fan.far_endpoints[-1]), where
+                assert beta in oracle_missing(g, cols, fan.far_endpoints[-1]), where
             # its verdict
             assert en.superb == oracle_superb(g, cols, first + [en.edge], en, alpha, beta), where
+            # its second level
             if en.type_tag is SuitableType.TYPE0:
-                assert (en.second_path, en.second_critical_index) == (None, None), where
-                assert en.edges() == first + en.fan.edges, where
-            elif en.second_path is None:
-                assert en.type_tag is SuitableType.TYPE2 and not en.superb, where
-                assert en.second_critical_index is None, where
+                assert (second.fan_prefix_len, second.tail) == (len(fan.edges), None), where
+                assert en.edges() == first + fan.edges, where
             else:
+                assert second.tail is not None, where
                 # TypeI starts at the fan's last index; TypeII at the repeat
                 # index unless that walk ends at y
-                far, index = en.fan.far_endpoints, len(en.fan.edges) - 1
+                far, index = fan.far_endpoints, len(fan.edges) - 1
                 colours = (alpha, beta)
                 if en.type_tag is SuitableType.TYPE2:
-                    colours = (en.delta, en.epsilon)
-                    if oracle_alternating_path(g, cols, far[en.repeat_index], *colours)[1] \
+                    colours = (delta, epsilon)
+                    if oracle_alternating_path(g, cols, far[repeat_index], *colours)[1] \
                             != en.far_vertex:
-                        index = en.repeat_index
-                assert en.second_critical_index == index, where
+                        index = repeat_index
+                assert second.fan_prefix_len == index + 1, where
                 walk, last = oracle_alternating_path(g, cols, far[index], *colours)
-                assert en.second_path.edges == walk and last != en.far_vertex, where
+                assert (second.tail.alpha, second.tail.beta) == colours, where
+                assert second.tail.start_vertex == far[index], where
+                assert second.tail.edges == walk and last != en.far_vertex, where
                 assert en.second_len == len(walk), where
             seen[en.type_tag.value, en.superb] += 1
     assert set(seen) == {("Type0", True), ("TypeI", True), ("TypeI", False),
                          ("TypeII", True), ("TypeII", False)}, seen
+
+
+def test_second_level_follows_the_first_level_rule():
+    """A suitable edge's second level is built as a first-level chain is.
+    TypeII's is what ``chains._path_chain`` builds on its fan: the fan cut
+    at the earlier critical index whose delta/epsilon path avoids y, then
+    that path.  TypeI's is the whole fan, then the alpha/beta path from its
+    last far endpoint; Type0's is the whole fan alone.  Checked on TypeII
+    gadgets at delta 4, on the gadgets of the complete-entry test, and on
+    the seeded random probes of ``scanned_chains``."""
+    locked = locked_instance(16)
+    instances = [(f"type2-{p}", long_path_instance(16, {p: TYPE2}, delta=4))
+                 for p in (5, 7, 9, 11, 13)]
+    instances.append(("forked", forked_type2_instance(12, 7)))
+    probes = [(label, inst.c, vizing_chain(inst.c, inst.x, inst.e))
+              for label, inst in instances]
+    probes += [("locked", locked.c, vizing_chain(locked.c, x, locked.e))
+               for x in (locked.x, locked.a)]
+    probes += [(label, c, vc) for label, _g, c, vc, _full in scanned_chains()]
+    seen = Counter()
+    for label, c, vc in probes:
+        g, cols = c.graph, list(c.colours)
+        for en in superb_scan(c, vc):
+            where = (label, en.position)
+            second, fan = en.second, en.second.fan
+            if en.type_tag is SuitableType.TYPE2:
+                chain = _path_chain(c, fan)
+                assert second.edges() == chain.edges(), where
+                assert second.fan_prefix_len == chain.fan_prefix_len, where
+            elif en.type_tag is SuitableType.TYPE1:
+                walk, _ = oracle_alternating_path(
+                    g, cols, fan.far_endpoints[-1], vc.tail.alpha, vc.tail.beta)
+                assert second.fan_prefix_len == len(fan.edges), where
+                assert second.edges() == fan.edges + walk, where
+            else:
+                assert second.fan_prefix_len == len(fan.edges), where
+                assert second.tail is None and second.edges() == fan.edges, where
+            seen[en.type_tag.value] += 1
+    assert seen["TypeII"] >= 10 and seen["TypeI"] >= 5 and seen["Type0"] >= 20, seen

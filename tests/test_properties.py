@@ -219,11 +219,11 @@ def _check_scan(g, c, e, x, seen: Counter, source: str) -> None:
         else:
             with pytest.raises(ValueError, match="not superb"):
                 iterated_chain(c, x, e, en)
-        status = oracle_classify(g, before, first + en.fan.edges)
+        status = oracle_classify(g, before, first + en.second.fan.edges)
         assert (status == "augmenting") == (en.type_tag is SuitableType.TYPE0)
         seen[source] += 1
         seen[en.type_tag.value, en.superb] += 1
-        seen["u_m is z"] += en.fan.far_endpoints[-1] == en.near_vertex
+        seen["u_m is z"] += en.second.fan.far_endpoints[-1] == en.near_vertex
     assert c.colours == before
 
 
