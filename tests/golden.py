@@ -8,9 +8,15 @@ it runs ``gen`` itself, ``colour``, ``schedule --L 16`` with its round
 log, ``schedule --L 16 --max-rounds 2`` (exit 2), ``audit`` as simple JSON
 and as iterated TSV at L = 3, 5, 9 and 16 on both the full dump (from
 ``colour``) and the interrupted one, ``stats --L 9,16``, and ``orient``
-when pi = 1: 256 runs.  Each run's digest covers its exit code, stdout and
-stderr.  Each demo's digest covers its stdout, with the wall-clock figure
-of demo 02 masked; ``tests/test_demos.py`` checks those on its own runs.
+when pi = 1: 256 runs.  Then it audits two stuck dumps built from the
+gadgets of ``tests/gadgets.py``, at the scales ``STUCK_L``, as simple JSON
+and as iterated TSV: locked instances beside a fully coloured random
+background, and decorated long tails whose suitable edges are of every
+type, superb and not.  These twelve runs reach the second-order scan, which
+the graphs above barely do.  Each run's digest covers its exit code, stdout
+and stderr.  Each demo's digest covers its stdout, with the wall-clock
+figure of demo 02 masked; ``tests/test_demos.py`` checks those on its own
+runs.
 
 A change that alters output bytes on purpose regenerates the manifest and
 says why::
@@ -43,6 +49,10 @@ _CLOCK = re.compile(r" in [0-9.]+ s;")
 # 40 does at seeds 0-39.  Delta stays at most 4, so L = 16 and 9 exceed
 # 2 delta as schedule and stats require.
 SIZES = {(3, 3): (6, (10, 13)), (4, 3): (16, (0, 22))}
+
+# the scales of the stuck dumps' audits: below the first suitable position
+# (5), inside the tails, and past the longest tail
+STUCK_L = ("3", "40", "400")
 
 
 def digest(*parts) -> str:
@@ -104,7 +114,46 @@ def cli_digests() -> dict[str, str]:
                 run("stats", ["stats", "--L", "9,16"], mg)
                 if pi == 1:
                     run("orient", ["orient"], full)
+    for name, dump in stuck_dumps().items():
+        for L in STUCK_L:
+            for mode, fmt in (("simple", "json"), ("iterated", "tsv")):
+                argv = ["audit", "--L", L, "--mode", mode, "--format", fmt]
+                runs[f"stuck-{name} audit-L{L}-{mode}-{fmt}"] = digest(*_run(argv, dump))
     return runs
+
+
+def _union_dump(parts) -> str:
+    """The dump of the disjoint union of (graph, colouring) parts, in order."""
+    from vizing import Colouring, build
+
+    triples, colours, n = [], [], 0
+    for g, c in parts:
+        triples += [(u + n, v + n, k) for u, v, k in g.edges]
+        colours += c.colours
+        n += g.n
+    g = build(n, triples)
+    return g.to_text() + Colouring.from_assignment(g, colours).to_text()
+
+
+def stuck_dumps() -> dict[str, str]:
+    """Dumps with uncoloured edges whose chains end in long tails: every
+    graph has delta 4 and pi 1, so the union keeps each gadget's palette."""
+    from gadgets import BARE, TYPE1, TYPE1_UNSTABLE, TYPE2, locked_instance, long_path_instance
+    from vizing import colour_sequential, generate_random
+
+    background = generate_random(300, 4, 1, seed=0)
+    locked = [locked_instance(T) for T in (300, 121)]
+    decorated = [
+        long_path_instance(260, {5: TYPE1, 9: TYPE2, 13: BARE, 17: TYPE1_UNSTABLE,
+                                 41: TYPE2, 97: TYPE1}, delta=4),
+        long_path_instance(200, {7: TYPE2, 11: TYPE1, 15: TYPE2}, delta=4, side=3),
+    ]
+    return {
+        "locked": _union_dump([(i.g, i.c) for i in locked[:1]]
+                              + [(background, colour_sequential(background))]
+                              + [(i.g, i.c) for i in locked[1:]]),
+        "decorated": _union_dump([(i.g, i.c) for i in decorated]),
+    }
 
 
 def demo_digests() -> dict[str, str]:
