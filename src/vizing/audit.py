@@ -109,24 +109,23 @@ class AuditGraph:
         self.reverse_degrees = reverse_degrees
 
     def min_uncoloured_degree(self) -> tuple[int | None, int]:
-        """(edge, degree) minimising over uncoloured edges; (None, 0) when
-        the colouring is full."""
-        best: tuple[int | None, int] = (None, 0)
-        for e in sorted(self.adjacency):
-            d = len(self.adjacency[e])
-            if best[0] is None or d < best[1]:
-                best = (e, d)
-        return best
+        """(edge, degree) minimising over uncoloured edges, the smallest
+        edge among ties; (None, 0) when the colouring is full."""
+        best, low = None, 0
+        for e, partners in self.adjacency.items():
+            d = len(partners)
+            if best is None or d < low or (d == low and e < best):
+                best, low = e, d
+        return best, low
 
     def max_coloured_degree(self) -> tuple[int | None, int]:
-        """(edge, degree) maximising over coloured edges; (None, 0) when no
-        coloured edge appears in any chain."""
-        best: tuple[int | None, int] = (None, 0)
-        for f in sorted(self.reverse_degrees):
-            d = self.reverse_degrees[f]
-            if best[0] is None or d > best[1]:
-                best = (f, d)
-        return best
+        """(edge, degree) maximising over coloured edges, the smallest edge
+        among ties; (None, 0) when no coloured edge appears in any chain."""
+        best, top = None, 0
+        for f, d in self.reverse_degrees.items():
+            if best is None or d > top or (d == top and f < best):
+                best, top = f, d
+        return best, top
 
 
 def _check_scale(L: int) -> None:

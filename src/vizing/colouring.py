@@ -382,21 +382,20 @@ def _parse_dump_lines(graph: Multigraph, lines: list[str], offset: int = 0) -> l
             f"found {len(lines)}"
         )
     colours = [0] * graph.m
+    palette = graph.palette
     for off, line in enumerate(lines):
         lineno = off + 1 + offset
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'edge_index colour'")
         try:
-            e, col = int(parts[0]), int(parts[1])
+            e, col = map(int, parts)
         except ValueError:
             raise ValueError(f"line {lineno}: fields must be integers") from None
         if e != off:
             raise ValueError(f"line {lineno}: expected edge index {off}, got {e}")
-        if not (0 <= col <= graph.palette):
-            raise ValueError(
-                f"line {lineno}: colour {col} outside 0..{graph.palette}"
-            )
+        if not (0 <= col <= palette):
+            raise ValueError(f"line {lineno}: colour {col} outside 0..{palette}")
         colours[e] = col
     return colours
 

@@ -37,14 +37,17 @@ builds the second level for each of them in path order:
   * the superb test checks that the second alternating path (for TypeII,
     both candidate paths) is unaffected by the shift: the paths are walked
     on the colouring itself and again under a small overlay holding the
-    shifted chain's colours.  The overlay grows one path segment per
-    suitable edge, because shift composition makes consecutive shifted
-    colourings differ only on that segment, so a full scan costs about one
-    pass over the path rather than one shift per suitable edge.  Each step
-    writes the segment's shifted colours straight into the overlay, with no
-    shift logs, and still checks the cut as a shift would: an uncoloured
-    edge after the first, a repeated edge or an improper result raises the
-    shift's ValueError.  The scan never writes to the colouring;
+    shifted chain's colours.  Shift composition makes consecutive cuts'
+    shifts differ only on the path segment between them, so the overlay
+    grows segment by segment and a scan reads the path about once.  It is
+    written only when an edge has second paths to compare, so a run of
+    Type0 edges writes nothing.  The first cut, which shifts the fan, is
+    checked as a shift would be (an uncoloured edge after the first, a
+    repeated edge or an improper result raises the shift's ValueError); a
+    later cut is proven proper while the path up to it still alternates
+    alpha/beta on the colouring, since its shift only swaps the two
+    colours along the segment, and checked once it does not.  The scan
+    never writes to the colouring;
 
   * each suitable edge is one :class:`ScanEntry`, filled in as the scan
     goes (the edge, its type and second level, its verdict); the tail's
@@ -233,32 +236,47 @@ class _Shifted(dict):
     """Edge colours under the shift of a first-level chain prefix, with c
     left as it is: the shifted edges' colours, and c's for every other edge.
 
-    The two checks a real shift would make stay explicit raises:
-    :meth:`advance` rejects an improper shift, and :meth:`stable` a second
-    path whose start no longer misses its second colour (the precondition
-    of the walk, ``chains._walk``).
+    The overlay holds the shift of ``chain[: end + 1]``.  :meth:`advance`
+    extends it with the checks a real shift makes and rejects an improper
+    one; :meth:`write` extends it without them, for cuts whose properness
+    the scan has proven.  :meth:`stable` rejects a second path whose start
+    no longer misses its second colour (the precondition of the walk,
+    ``chains._walk``).
     """
 
-    __slots__ = ("c", "colours", "adj", "ends")
+    __slots__ = ("c", "colours", "adj", "ends", "chain", "end")
 
-    def __init__(self, c: Colouring):
+    def __init__(self, c: Colouring, chain: list[int]):
         super().__init__()
         self.c = c
         self.colours = c._colours
         self.adj = c.graph.adj
         self.ends = c.graph.edges
+        self.chain = chain
+        # the identity while end is 0: the chain's first edge is uncoloured
+        self.end = 0
 
     def __missing__(self, e: int) -> int:
         return self.colours[e]
 
-    def advance(self, seg: list[int]) -> None:
-        """Extend the shift along ``seg``, whose first edge is the last one
-        shifted so far (or the chain's first edge): each edge takes its
-        successor's colour in c and the last edge none, written straight
-        into the overlay.  The cut is checked as the shift in
+    def write(self, cut: int) -> None:
+        """Extend the shift to ``chain[: cut + 1]`` with no checks: each
+        edge from the last one shifted so far takes its successor's colour
+        in c, and chain[cut] none."""
+        chain, colours = self.chain, self.colours
+        for i in range(self.end, cut):
+            self[chain[i]] = colours[chain[i + 1]]
+        self[chain[cut]] = 0
+        self.end = cut
+
+    def advance(self, prev: int, cut: int) -> None:
+        """Extend the shift to ``chain[: prev + 1]`` unchecked, then along
+        the segment ``chain[prev : cut + 1]`` as the shift in
         :meth:`Colouring.augment_in_place` checks it, with its three
         ValueErrors: an uncoloured edge after the first, a repeated edge, or
         a colour already used at an endpoint."""
+        self.write(prev)
+        seg = self.chain[prev : cut + 1]
         colours = self.colours
         cols = [colours[h] for h in seg]
         if 0 in cols[1:]:
@@ -281,6 +299,7 @@ class _Shifted(dict):
                 if get(other, colours[other]) == col:
                     raise ValueError(f"colour {col} already used at an endpoint of edge {h}")
             self[h] = col
+        self.end = cut
 
     def stable(self, paths: tuple[AlternatingPath, ...]) -> bool:
         """Does every path come out the same when walked under the shift?"""
@@ -311,17 +330,35 @@ def superb_scan(
     edges are found as the scan reaches them, and the path's vertices past
     the ``limit`` window are never derived, so a caller that stops at the
     first hit pays for no more.  The scan only reads c, so stopping early
-    needs no clean-up.  Each edge's second paths are walked on c and again
-    under an overlay of the shifted chain's colours, which grows by the
-    segment since the previous suitable edge (shift composition), written
-    in directly, so the whole scan reads the path once instead of shifting
-    it once per suitable edge.  Each cut is still checked as the shift it
-    stands for: a stale chain whose shift c no longer admits (an uncoloured
-    edge after the first, a repeated edge, or an improper result) raises
-    the shift's ValueError at that step.  A stale chain that still shifts
-    properly, but no longer alternates alpha and beta around a suitable
-    edge, raises a ValueError that starts "stale chain:" when that edge is
-    classified.
+    needs no clean-up.
+
+    Each edge's second paths are walked on c and again under an overlay of
+    the chain's colours shifted up to that edge.  Shift composition lets
+    the overlay grow from the last cut written, and it is written only for
+    an edge with second paths, so the scan reads the path once.  Each cut
+    stands for a shift, and a stale chain whose shift c no longer admits
+    (an uncoloured edge after the first, a repeated edge, or an improper
+    result) raises the shift's ValueError at that step.  The first cut,
+    fan included, is checked as that shift.  A later cut is *proven*, and
+    not checked, while the path up to it alternates alpha/beta on c; once
+    the path stops alternating, every cut is checked.
+
+    A proven cut cannot fail.  Each edge p_s of its segment takes the
+    colour col of p_s+1, alpha or beta.  In c, the col-edges at the ends of
+    p_s are p_s-1 and p_s+1 alone (a vertex has at most one edge of each
+    colour), and the shift recolours the first and has not yet placed the
+    second.  Another edge holding col there under the shift is a shifted
+    one, as the others keep their colours in c: an earlier path edge p_r,
+    holding the colour of p_r+1, and then p_r or p_r+1 would be a second
+    edge of one colour at that end in c (the walk's edges are distinct,
+    and alternate); or a fan edge,
+    whose shifted colour the first cut's check compared with the path
+    edges at its ends while they still held their colours in c (those it
+    shifted meet later segments only at the first suitable edge's ends,
+    at line distance more than 4 from e, out of the fan's reach).  A stale
+    chain that still shifts properly, but no longer alternates alpha and
+    beta around a suitable edge, raises a ValueError that starts "stale
+    chain:" when that edge is classified.
     """
     tail = chain.tail
     if tail is None:
@@ -329,18 +366,19 @@ def superb_scan(
             "the fan around the edge is augmenting; there is no tail path "
             "to pick suitable edges from"
         )
-    ends = c.graph.edges
+    ends, colours = c.graph.edges, c._colours
     path, base, edges = tail.edges, chain.fan_prefix_len, chain.edges()
+    alpha, beta = tail.alpha, tail.beta
     # the conditional fans stop at a far endpoint missing alpha or beta
-    stop = (1 << (tail.alpha - 1)) | (1 << (tail.beta - 1))
+    stop = (1 << (alpha - 1)) | (1 << (beta - 1))
     # the vertices whose missing masks the first-level fan's shift moves
     fan_vertices = {chain.fan.centre, *chain.fan.far_endpoints[:base]}
     near_e = line_distances(c.graph, chain.fan.edges[0], 4)
-    shifted = _Shifted(c)
-    # the overlay holds the shift of edges[: end + 1] (the identity while
-    # end is 0: the first edge is uncoloured); each segment starts at the
-    # last edge shifted so far and ends at the suitable edge, edges[cut]
-    end = 0
+    shifted = _Shifted(c, edges)
+    # prev is the last cut, edges[prev] the last suitable edge (0 before the
+    # first); alternates, whether the path so far alternates alpha/beta on c
+    prev = 0
+    alternates = True
     last = len(path) - 1
     # the path's vertices are derived as the walk reaches them, so none
     # past the window is
@@ -350,12 +388,21 @@ def superb_scan(
         a, b, _ = ends[f]
         w = b if v == a else a
         # alpha-coloured edges sit at even offsets
-        if not t & 1 and f not in near_e:
-            cut = base + t
-            shifted.advance(edges[end : cut + 1])
-            end = cut
-            en = ScanEntry(f, t + 1, w, v, edges, cut)
-            paths = _classify(c, tail, en, stop, fan_vertices)
-            en.superb = not paths or shifted.stable(paths)
-            yield en
+        if t & 1:
+            alternates = alternates and colours[f] == beta
+        else:
+            alternates = alternates and colours[f] == alpha
+            if f not in near_e:
+                cut = base + t
+                if not (prev and alternates):
+                    shifted.advance(prev, cut)
+                prev = cut
+                en = ScanEntry(f, t + 1, w, v, edges, cut)
+                paths = _classify(c, tail, en, stop, fan_vertices)
+                if paths:
+                    shifted.write(cut)
+                    en.superb = shifted.stable(paths)
+                else:
+                    en.superb = True
+                yield en
         v = w

@@ -246,7 +246,7 @@ def _parse_mg_lines(lines: list[str]) -> Multigraph:
     if len(head) != 5 or head[0] != "mg":
         raise ValueError("line 1: expected header 'mg <n> <m> <delta> <pi>'")
     try:
-        n, m, delta, pi = (int(t) for t in head[1:])
+        n, m, delta, pi = map(int, head[1:])
     except ValueError:
         raise ValueError("line 1: header fields must be integers") from None
     if n < 0 or m < 0:
@@ -268,7 +268,7 @@ def _parse_mg_lines(lines: list[str]) -> Multigraph:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'u v k'")
         try:
-            u, v, k = (int(t) for t in parts)
+            u, v, k = map(int, parts)
         except ValueError:
             raise ValueError(f"line {lineno}: fields must be integers") from None
         if not (0 <= u < n) or not (0 <= v < n):

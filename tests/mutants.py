@@ -55,6 +55,12 @@ MUTANTS = [
      "    if p_m.last_vertex != y:\n        en.second = VizingChain(fan, m + 1, p_m)\n"
      "    elif p_i.last_vertex != y:\n        en.second = VizingChain(fan, i + 1, p_i)\n",
      "test_iterated"),
+    ("superb_scan proves a cut on a path that no longer alternates", "iterated.py",
+     "if not (prev and alternates):", "if not prev:", "test_iterated"),
+    ("superb_scan proves the first cut, the fan's", "iterated.py",
+     "if not (prev and alternates):", "if not alternates:", "test_iterated"),
+    ("superb_scan compares second paths on an overlay not written to the cut", "iterated.py",
+     "                    shifted.write(cut)\n", "", "test_iterated"),
     ("to_tsv prints None for a missing mass", "audit.py",
      "{'' if value is None else value}", "{value}", "test_cli"),
     ("is_proper skips vertex 0", "colouring.py",

@@ -219,11 +219,19 @@ class TestDegreeBounds:
             assert iterated.ok, f"iterated degree {iterated.max_degree} > {iterated.bound}"
 
     def test_worst_edge_attains_max_degree(self):
+        """The worst coloured edge is the smallest one of maximum degree,
+        and the report's uncoloured edge the smallest one of minimum
+        degree."""
         for g, c in audit_instances():
             ag = build_audit_graph(c, "simple")
             res = _check_degree_bounds(ag, g.delta, g.pi)
             if res.worst_edge is not None:
                 assert ag.reverse_degrees.get(res.worst_edge, 0) == res.max_degree
+                assert res.worst_edge == min(f for f, d in ag.reverse_degrees.items()
+                                             if d == res.max_degree)
+            low = min((len(p) for p in ag.adjacency.values()), default=0)
+            want = min((e for e, p in ag.adjacency.items() if len(p) == low), default=None)
+            assert ag.min_uncoloured_degree() == (want, low)
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,98 @@ def test_scan_matches_a_reference_stepper_on_stale_chains():
     assert min(outcomes.values()) >= 5 and entries >= 200, outcomes
 
 
+def _fresh_chains():
+    """The chains of ``scanned_chains`` (the gadgets among them) and the
+    locked gadget's two, with the cut lengths of their unlimited scans."""
+    for label, g, c, vc, full in scanned_chains():
+        yield label, g, c, vc, [vc.fan_prefix_len + en.position for en in full]
+    locked = locked_instance(16)
+    for x in (locked.x, locked.a):
+        vc = vizing_chain(locked.c, x, locked.e)
+        full = list(superb_scan(locked.c, vc))
+        yield ("locked", x), locked.g, locked.c, vc, [vc.fan_prefix_len + en.position
+                                                       for en in full]
+
+
+def test_every_cut_of_a_fresh_chain_shifts_properly():
+    """The premise of the scan's proven cuts: on a chain built under the
+    colouring it is scanned on, every suitable cut passes every check of
+    the reference stepper :func:`oracles.oracle_scan_cuts`."""
+    cuts = 0
+    for label, g, c, vc, lengths in _fresh_chains():
+        for n, step in oracle_scan_cuts(g, list(c.colours), vc.edges(), lengths):
+            assert not isinstance(step, str), (label, n, step)
+            cuts += 1
+    assert cuts >= 80, cuts
+
+
+def test_scan_shifts_the_overlay_to_every_compared_cut(monkeypatch):
+    """Wherever the scan compares second paths, its overlay holds the
+    chain's colours shifted exactly to the entry's cut (oracles.oracle_shift)
+    on every edge, however many proven cuts it skipped writing."""
+    current = {}
+    compared = Counter()
+    classify, stable = iterated._classify, iterated._Shifted.stable
+
+    def note(c, tail, en, *rest):
+        current["entry"] = en
+        return classify(c, tail, en, *rest)
+
+    def compare(self, paths):
+        en = current["entry"]
+        want = oracle_shift(list(self.c.colours), en._first_level[: en._cut + 1])
+        assert [self[h] for h in range(self.c.graph.m)] == want, en.position
+        compared[en.type_tag] += 1
+        return stable(self, paths)
+
+    monkeypatch.setattr(iterated, "_classify", note)
+    monkeypatch.setattr(iterated._Shifted, "stable", compare)
+    for _ in _fresh_chains():
+        pass
+    assert compared[SuitableType.TYPE1] >= 10 and compared[SuitableType.TYPE2] >= 5, compared
+    assert compared[SuitableType.TYPE0] == 0, compared
+
+
+def test_a_fresh_scan_checks_only_its_first_cut(monkeypatch):
+    """On a gadget's tail, which alternates from start to end, the first
+    cut (the one that shifts the fan) is the scan's one checked step."""
+    checked = []
+    advance = iterated._Shifted.advance
+
+    def count(self, prev, cut):
+        checked.append(cut)
+        return advance(self, prev, cut)
+
+    monkeypatch.setattr(iterated._Shifted, "advance", count)
+    locked = locked_instance(16)
+    probes = [(label, inst.c, inst.e, inst.x) for label, inst in gadget_instances()]
+    probes += [("locked", locked.c, locked.e, x) for x in (locked.x, locked.a)]
+    for label, c, e, x in probes:
+        vc = vizing_chain(c, x, e)
+        checked.clear()
+        entries = list(superb_scan(c, vc))
+        assert len(entries) >= 4, label
+        assert checked == [entries[0]._cut], (label, checked)
+
+
+def test_scan_checks_the_fan_at_the_first_cut():
+    """A stale chain whose path still alternates but whose fan no longer
+    shifts properly is rejected at the first cut, as the reference stepper
+    rejects it: the fan edge h1 at x recoloured alpha = 3 clashes with e,
+    which the shift colours alpha."""
+    inst = long_path_instance(16, {5: TYPE1, 9: TYPE1_UNSTABLE})
+    vc = vizing_chain(inst.c, inst.x, inst.e)
+    lengths = [vc.fan_prefix_len + en.position for en in superb_scan(inst.c, vc)]
+    h1 = next(h for h in inst.g.adj[inst.x] if inst.c.colours[h] == 1)
+    cols = list(inst.c.colours)
+    cols[h1] = inst.alpha
+    stale = Colouring.from_assignment(inst.g, cols)
+    n, step = next(oracle_scan_cuts(inst.g, cols, vc.edges(), lengths))
+    assert (n, step) == (lengths[0], f"colour 3 already used at an endpoint of edge {inst.e}")
+    with pytest.raises(ValueError, match=f"^{re.escape(step)}$"):
+        next(superb_scan(stale, vc))
+
+
 def test_scan_checks_each_second_path_start(monkeypatch):
     """A second path is walked under the shift only from a start that still
     misses its second colour there (the precondition of the walk);
