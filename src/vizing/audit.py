@@ -356,16 +356,22 @@ def _path_colour_set(path: AlternatingPath | None) -> frozenset[int]:
 
 class _SuperbTally:
     """The superb edges of one scan, counted by the colour set of their
-    second paths and fed one entry at a time, so no entry is kept."""
+    second paths and fed one entry at a time, so no entry is kept.  Those
+    whose second path uses no colour count for every pair, in one int."""
 
-    __slots__ = ("by_colours",)
+    __slots__ = ("by_colours", "colourless")
 
     def __init__(self) -> None:
         self.by_colours: Counter[frozenset[int]] = Counter()
+        self.colourless = 0
 
     def add(self, entry: ScanEntry) -> None:
         if entry.superb:
-            self.by_colours[_path_colour_set(entry.second.tail)] += 1
+            cols = _path_colour_set(entry.second.tail)
+            if cols:
+                self.by_colours[cols] += 1
+            else:
+                self.colourless += 1
 
     def best(self, c: Colouring, L: int) -> SuperbCount:
         """The best colour-pair bucket (ties to the smallest pair) against
@@ -376,7 +382,9 @@ class _SuperbTally:
         for gamma in range(1, palette + 1):
             for theta in range(gamma + 1, palette + 1):
                 pair = {gamma, theta}
-                count = sum(n for cols, n in self.by_colours.items() if cols <= pair)
+                count = self.colourless + sum(
+                    n for cols, n in self.by_colours.items() if cols <= pair
+                )
                 if best is None or count > best[2]:
                     best = (gamma, theta, count)
         if best is None:

@@ -26,7 +26,8 @@ place the construction could branch (two candidate critical indices) has a
 fixed preference.  Safe to run concurrently on shared read-only snapshots.
 
 The fan and walk loops scan the incident edges for the wanted colour and
-unpack endpoints inline; there is no adjacency-scan helper.  The per-chain
+step to an edge's other end with one read of the graph's endpoint table
+(``w ^ _xor[e]``); there is no adjacency-scan helper.  The per-chain
 records are slotted classes built positionally (a keyword call costs
 more).  The colourers (``colour_sequential``, the round scheduler) grow a
 fan once with ``_grow_fan``, rotate it in place if it is augmenting
@@ -83,7 +84,7 @@ def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
     alpha != beta and beta missing at x; the path is then unique,
     edge-injective, and visits no vertex more than twice.
     """
-    adj, ends = g.adj, g.edges
+    adj, xor = g.adj, g._xor
     edges: list[int] = []
     v = x
     want, succ = alpha, beta
@@ -96,8 +97,7 @@ def _walk(g, colours, x: int, alpha: int, beta: int) -> AlternatingPath:
         else:
             return AlternatingPath(x, alpha, beta, edges, v)
         edges.append(e)
-        a, b, _ = ends[e]
-        v = b if v == a else a
+        v ^= xor[e]
         want, succ = succ, want
         guard -= 1
         if guard < 0:  # unreachable: the walk uses each edge at most once
@@ -167,9 +167,9 @@ def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
     """
     g = c.graph
     colours, used, full = c._colours, c._used, c._full
-    ends = g.edges
+    xor = g._xor
     around = g.adj[centre]
-    u, v, _ = ends[first]
+    u, v, _ = g.edges[first]
     if centre != u and centre != v:
         raise ValueError(f"vertex {centre} is not an endpoint of edge {first}")
     tip = v if u == centre else u
@@ -195,8 +195,7 @@ def _grow_fan(c: Colouring, centre: int, first: int, stop_mask: int = 0):
             return edges, far, colour_seq, col, edges.index(nxt)
         chosen_at[tip] = chosen_at.get(tip, 0) | bit
         edges.append(nxt)
-        u, v, _ = ends[nxt]
-        tip = v if u == centre else u
+        tip = centre ^ xor[nxt]
         far.append(tip)
         colour_seq.append(col)
         if stop_mask & ~used[tip]:

@@ -131,12 +131,11 @@ def _apply(c: Colouring, batch: list[tuple]) -> int:
     and augment_in_place, and return the number of edges recoloured.  The
     plans of a batch are vertex-disjoint, so each is still exact on c, and
     one that c refuses raises rather than being skipped."""
-    edges = c.graph.edges
+    xor = c.graph._xor
     recoloured = 0
     for kind, x, q in batch:
         if kind == "free":
-            u, v, _ = edges[q]
-            if c._colour_free(x, v if x == u else u, q):
+            if c._colour_free(x, x ^ xor[q], q):
                 recoloured += 1
                 continue
         elif kind == "fan":
@@ -285,10 +284,9 @@ def _orient_walk(
     walk reaches a path end or closes the cycle; an edge already in
     `direction` stops it at once.  A vertex has at most two incident edges
     here, so the next edge is the one that is not f."""
-    edges = g.edges
+    xor = g._xor
     while f not in direction:
-        u, v, _ = edges[f]
-        y = v if x == u else u
+        y = x ^ xor[f]
         direction[f] = (x, y)
         ends = incident[y]
         f = ends[-1] if ends[0] == f else ends[0]

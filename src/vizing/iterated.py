@@ -25,13 +25,15 @@ builds the second level for each of them in path order:
     entry: the fan alone for Type0, the fan and the alpha/beta path from its
     last far endpoint for TypeI, and for TypeII the fan cut at the second
     critical index and the delta/epsilon path, chosen as
-    :func:`chains.vizing_chain` chooses.  The Type0 test shifts nothing: it
-    reads the used masks of y and the fan's last far endpoint under the
-    original colouring, adds alpha, which the shift through f frees at y,
-    to y's missing colours, and intersects them.  The fan's augmenting flag
-    records that test, so Type0 holds exactly when the flag is set; TypeII
-    takes its repeated pair from repeated_colour_indices, as a first-level
-    chain does.  The fan and the classification read the colouring's masks
+    :func:`chains.vizing_chain` chooses.  When y misses the smallest
+    colour missing at f's near endpoint, the fan is f alone and Type0, so
+    two masks decide it and no fan is grown.  Otherwise the Type0 test
+    shifts nothing: it reads the used masks of y and the fan's last far
+    endpoint under the original colouring, adds alpha, which the shift
+    through f frees at y, to y's missing colours, and intersects them.
+    The fan's augmenting flag records that test, so Type0 holds exactly
+    when the flag is set; TypeII takes its repeated pair from
+    repeated_colour_indices, as a first-level chain does.  The fan and the classification read the colouring's masks
     directly, with the alpha|beta stop mask computed once per scan;
 
   * the superb test checks that the second alternating path (for TypeII,
@@ -158,6 +160,15 @@ def _classify(
     first-level path, ``stop`` its alpha|beta mask, and ``fan_vertices``
     the vertices whose masks the first-level fan's shift moves.
 
+    A one-edge fan is decided first, off the masks of z and y.  Its first
+    step takes ``bit``, the smallest colour missing at z, as no earlier
+    choice at z excludes any; when y misses ``bit`` too, the fan stops
+    there with f alone, before the stop mask is read (it is read only at a
+    new far endpoint).  Its chain is augmenting, since y and u_m = z then
+    share ``bit``, which is neither alpha nor beta (z uses both) and so is
+    still missing at both after the shift below.  So the entry is Type0
+    without a fan being grown.
+
     Type0 asks whether (chain before f) + (conditional fan) is augmenting,
     i.e. whether y and the fan's last far endpoint u_m share a missing
     colour after that shift.  The chain is proper-shiftable (the shadow-fan
@@ -180,12 +191,22 @@ def _classify(
         change touches a colour missing at both.
     """
     used = c._used
-    y = en.far_vertex
+    y, z = en.far_vertex, en.near_vertex
+    at_z = used[z]
     # the near vertex sits between two path edges coloured alpha and beta,
     # so the early-stop condition cannot trigger at step 0, unless the chain
     # is stale there
-    if used[en.near_vertex] & stop != stop:
+    if at_z & stop != stop:
         raise ValueError("stale chain: the suitable edge's near vertex misses a path colour")
+    # the one-edge fan, decided off two masks
+    avail = c._full & ~at_z
+    bit = avail & -avail
+    if not used[y] & bit:
+        if z in fan_vertices:
+            raise AssertionError("the conditional fan reached the first-level fan")
+        en.type_tag = SuitableType.TYPE0
+        en.second = VizingChain(Fan(y, [en.edge], [z], [], True, bit.bit_length(), None), 1)
+        return ()
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, y, en.edge, stop)
     u_m = far[-1]
     if u_m in fan_vertices:
@@ -366,7 +387,7 @@ def superb_scan(
             "the fan around the edge is augmenting; there is no tail path "
             "to pick suitable edges from"
         )
-    ends, colours = c.graph.edges, c._colours
+    xor, colours = c.graph._xor, c._colours
     path, base, edges = tail.edges, chain.fan_prefix_len, chain.edges()
     alpha, beta = tail.alpha, tail.beta
     # the conditional fans stop at a far endpoint missing alpha or beta
@@ -385,8 +406,7 @@ def superb_scan(
     v = tail.start_vertex
     for t in range(last if limit is None else min(limit, last)):
         f = path[t]
-        a, b, _ = ends[f]
-        w = b if v == a else a
+        w = v ^ xor[f]
         # alpha-coloured edges sit at even offsets
         if t & 1:
             alternates = alternates and colours[f] == beta

@@ -26,12 +26,17 @@ recomputed tight bounds and the k values per vertex pair must form exactly
 both are checked before anything is allocated, since isolated vertices make
 ``n`` unbounded by the input's size.
 
+Besides its five fields, a graph keeps one derived table, ``u ^ v`` per
+edge, from which the other end of an edge is read in one step; it takes no
+part in equality, hashing, copies or pickles.
+
 Instances are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 __all__ = [
     "MAX_EDGES",
@@ -48,9 +53,10 @@ __all__ = [
 MAX_VERTICES = 1_000_000
 
 # The largest edge count an ``mg`` header may announce, and ``vizing gen``
-# may aim for.  Parsing peaks at about 400 bytes per edge beyond the text
-# (tracemalloc on Python 3.11, random graphs of 2e5 edges), so a graph at
-# the limit parses in about 1.6 GB, within a 2 GB budget.
+# may aim for.  Parsing peaks at about 420 bytes per edge beyond the text
+# (tracemalloc on Python 3.11, random graphs of 2e5 edges; 8 of them the
+# endpoint table), so a graph at the limit parses in about 1.7 GB, within
+# a 2 GB budget.
 MAX_EDGES = 4_000_000
 
 
@@ -73,12 +79,18 @@ class Multigraph:
                one vertex pair; 0 iff the graph has no edges).
         adj:   Per-vertex tuple of incident edge ids, ascending.
 
+    The constructor also derives a private endpoint table, ``u ^ v`` per
+    edge id, so that the other end of edge e from its endpoint w is
+    ``w ^ _xor[e]``, one read where unpacking ``edges[e]`` takes a branch.
+    The walks, the fans and the scan step along it.
+
     Assigning or deleting an attribute raises AttributeError.  Two graphs
-    are equal, and hash alike, when all five attributes are equal; copies
-    and pickles rebuild the graph through the constructor.
+    are equal, and hash alike, when all five attributes are equal (the
+    derived table is left out); copies and pickles rebuild the graph
+    through the constructor.
     """
 
-    __slots__ = ("n", "edges", "delta", "pi", "adj")
+    __slots__ = ("n", "edges", "delta", "pi", "adj", "_xor")
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
@@ -100,6 +112,8 @@ class Multigraph:
         init(self, "delta", delta)
         init(self, "pi", pi)
         init(self, "adj", adj)
+        # a generator, not a list: the table adds 8 bytes per edge at peak
+        init(self, "_xor", array("q", (u ^ v for u, v, _ in edges)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -44,6 +44,12 @@ MUTANTS = [
     ("_classify builds its fan with augmenting=False", "iterated.py",
      "Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)",
      "Fan(y, edges, far, colour_seq, False, next_colour, repeat_pos)", "test_iterated"),
+    ("the one-edge Type0 fan has no next colour", "iterated.py",
+     "Fan(y, [en.edge], [z], [], True, bit.bit_length(), None)",
+     "Fan(y, [en.edge], [z], [], True, None, None)", "test_iterated"),
+    ("superb_scan inverts every stable() verdict", "iterated.py",
+     "en.superb = shifted.stable(paths)", "en.superb = not shifted.stable(paths)",
+     "test_golden"),
     ("MaxRoundsExceeded stores rounds + 1", "engine.py",
      "self.rounds = rounds", "self.rounds = rounds + 1", "test_engine"),
     ("a TypeI second level is cut one edge short", "iterated.py",

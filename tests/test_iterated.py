@@ -903,6 +903,16 @@ def test_every_scan_entry_is_complete():
             fan = second.fan
             assert fan.centre == en.far_vertex and fan.edges[0] == en.edge, where
             assert check_shadow_fan(c, x, e, en), where
+            # its colours: each fan edge's own, then the stop colour, the
+            # smallest missing at the last far endpoint but those chosen
+            # there before, or None after an early stop at alpha or beta
+            far = fan.far_endpoints
+            assert fan.colour_seq == [cols[h] for h in fan.edges[1:]], where
+            if fan.next_colour is None:
+                assert {alpha, beta} & oracle_missing(g, cols, far[-1]), where
+            else:
+                chosen = {a for a, v in zip(fan.colour_seq, far) if v == far[-1]}
+                assert fan.next_colour == min(oracle_missing(g, cols, far[-1]) - chosen), where
             status = oracle_classify(g, cols, first + fan.edges)
             assert (status == "augmenting") == (en.type_tag is SuitableType.TYPE0), where
             if en.type_tag is SuitableType.TYPE2:

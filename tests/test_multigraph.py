@@ -106,8 +106,14 @@ def test_graphs_are_immutable_values(c4):
     twin = build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
     assert twin is not c4 and twin == c4 and hash(twin) == hash(c4)
     assert twin != build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    for dup in (copy.copy(c4), pickle.loads(pickle.dumps(c4))):
+    # each way of making a graph derives its own endpoint table, u ^ v per
+    # edge, and the table takes no part in equality
+    table = [u ^ v for u, v, _ in c4.edges]
+    assert list(c4._xor) == table
+    made = (twin, Multigraph.from_text(c4.to_text()), copy.copy(c4), pickle.loads(pickle.dumps(c4)))
+    for dup in made:
         assert dup == c4 and hash(dup) == hash(c4)
+        assert list(dup._xor) == table and dup._xor is not c4._xor
 
 
 def test_load_reports_a_non_ascii_byte_with_its_line():
