@@ -51,7 +51,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import AlternatingPath, VizingChain, vizing_chain
+from .chains import VizingChain, vizing_chain
 from .colouring import Colouring
 from .iterated import ScanEntry, superb_scan
 
@@ -168,7 +168,7 @@ def _partners(
                 if tally is not None:
                     tally.add(entry)
                 if entry.superb:
-                    partners.update(entry.second.edges())
+                    partners.update(entry.second_edges())
                     last = entry
                     if shortest is None or entry.second_len < shortest:
                         shortest = entry.second_len
@@ -344,16 +344,6 @@ def superb_count_bound(delta: int, pi: int, L: int) -> Fraction:
     return (Fraction(L, 2) - delta**5 - 1) / (3 * (delta + pi) ** 2) - 2 * delta**3
 
 
-def _path_colour_set(path: AlternatingPath | None) -> frozenset[int]:
-    """Colours actually used by a second path: empty paths use none and a
-    single-edge path uses only its first colour."""
-    if path is None or not path.edges:
-        return frozenset()
-    if len(path.edges) == 1:
-        return frozenset((path.alpha,))
-    return frozenset((path.alpha, path.beta))
-
-
 class _SuperbTally:
     """The superb edges of one scan, counted by the colour set of their
     second paths and fed one entry at a time, so no entry is kept.  Those
@@ -366,10 +356,14 @@ class _SuperbTally:
         self.colourless = 0
 
     def add(self, entry: ScanEntry) -> None:
+        """Count a superb entry by the colours its second path uses: none
+        when it is empty, only its first colour when it has one edge."""
         if entry.superb:
-            cols = _path_colour_set(entry.second.tail)
-            if cols:
-                self.by_colours[cols] += 1
+            n = entry.second_len
+            if n:
+                tail = entry.second.tail
+                cols = (tail.alpha,) if n == 1 else (tail.alpha, tail.beta)
+                self.by_colours[frozenset(cols)] += 1
             else:
                 self.colourless += 1
 

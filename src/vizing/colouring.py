@@ -155,8 +155,13 @@ class Colouring:
         return self._uncoloured
 
     def uncoloured(self) -> list[int]:
-        """Ids of uncoloured edges, ascending."""
-        return [e for e, col in enumerate(self._colours) if col == 0]
+        """Ids of uncoloured edges, ascending: the count is exact, so each
+        is one ``index`` call from the last."""
+        index, out, e = self._colours.index, [], -1
+        for _ in range(self._uncoloured):
+            e = index(0, e + 1)
+            out.append(e)
+        return out
 
     def missing_mask(self, x: int) -> int:
         """Bitmask of colours missing at vertex x."""

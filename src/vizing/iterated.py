@@ -27,13 +27,15 @@ builds the second level for each of them in path order:
     critical index and the delta/epsilon path, chosen as
     :func:`chains.vizing_chain` chooses.  When y misses the smallest
     colour missing at f's near endpoint, the fan is f alone and Type0, so
-    two masks decide it and no fan is grown.  Otherwise the Type0 test
-    shifts nothing: it reads the used masks of y and the fan's last far
-    endpoint under the original colouring, adds alpha, which the shift
-    through f frees at y, to y's missing colours, and intersects them.
-    The fan's augmenting flag records that test, so Type0 holds exactly
-    when the flag is set; TypeII takes its repeated pair from
-    repeated_colour_indices, as a first-level chain does.  The fan and the classification read the colouring's masks
+    two masks decide it, no fan is grown, and the entry keeps that colour
+    in place of its second level, which is built only if read.  Otherwise
+    the Type0 test shifts nothing: it reads the used masks of y and the
+    fan's last far endpoint under the original colouring, adds alpha,
+    which the shift through f frees at y, to y's missing colours, and
+    intersects them.  The fan's augmenting flag records that test, so
+    Type0 holds exactly when the flag is set; TypeII takes its repeated
+    pair from repeated_colour_indices, as a first-level chain does.  The
+    fan and the classification read the colouring's masks
     directly, with the alpha|beta stop mask computed once per scan;
 
   * the superb test checks that the second alternating path (for TypeII,
@@ -101,7 +103,11 @@ class ScanEntry:
     TypeII the fan cut at the second critical index and the delta/epsilon
     path.  delta (``second.tail.alpha``) is the smallest colour missing at
     y, epsilon (``.beta``) the repeated fan colour; with the first-level
-    tail's alpha and beta, all four are pairwise distinct.
+    tail's alpha and beta, all four are pairwise distinct.  A Type0 entry
+    whose fan is f alone keeps only that fan's next colour, and builds the
+    record from its own fields when ``second`` is first read;
+    :attr:`second_len`, :meth:`second_edges` and :meth:`edges` do not
+    build it.
 
     The verdict: superb, whether the second level's paths survive the
     first-level shift through f.
@@ -109,7 +115,7 @@ class ScanEntry:
 
     __slots__ = (
         "edge", "position", "far_vertex", "near_vertex",
-        "type_tag", "second", "superb", "_first_level", "_cut",
+        "type_tag", "superb", "_first_level", "_cut", "_next_colour", "_second",
     )
 
     def __init__(
@@ -120,15 +126,35 @@ class ScanEntry:
         self.position = position
         self.far_vertex = far_vertex
         self.near_vertex = near_vertex
-        # type_tag and second are written by _classify, superb by the scan
+        # type_tag, _next_colour (the one-edge fan's, None for a grown fan)
+        # and _second are written by _classify, superb by the scan
         self._first_level = _first_level
         self._cut = _cut
 
     @property
+    def second(self) -> VizingChain:
+        """The second level (cached; built on first read for a one-edge
+        Type0 entry)."""
+        if self._second is None:
+            fan = Fan(self.far_vertex, [self.edge], [self.near_vertex], [], True,
+                      self._next_colour, None)
+            self._second = VizingChain(fan, 1)
+        return self._second
+
+    @property
     def second_len(self) -> int:
         """Edges on the second path (0 when there is none)."""
-        tail = self.second.tail
+        if self._next_colour is not None:
+            return 0
+        tail = self._second.tail
         return 0 if tail is None else len(tail.edges)
+
+    def second_edges(self) -> list[int]:
+        """The second level's edges, f alone for a one-edge Type0 entry
+        (without building its record)."""
+        if self._next_colour is not None:
+            return [self.edge]
+        return self._second.edges()
 
     def edges(self) -> list[int]:
         """A new list: the first-level chain (shared by the scan's entries)
@@ -140,7 +166,9 @@ class ScanEntry:
             raise ValueError(
                 f"edge {self.edge} is suitable but not superb; its chain is undefined"
             )
-        return self._first_level[: self._cut] + self.second.edges()
+        if self._next_colour is not None:  # the second level is f alone
+            return self._first_level[: self._cut + 1]
+        return self._first_level[: self._cut] + self._second.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +195,7 @@ def _classify(
     new far endpoint).  Its chain is augmenting, since y and u_m = z then
     share ``bit``, which is neither alpha nor beta (z uses both) and so is
     still missing at both after the shift below.  So the entry is Type0
-    without a fan being grown.
+    without a fan being grown, and keeps only ``bit``'s colour.
 
     Type0 asks whether (chain before f) + (conditional fan) is augmenting,
     i.e. whether y and the fan's last far endpoint u_m share a missing
@@ -205,8 +233,10 @@ def _classify(
         if z in fan_vertices:
             raise AssertionError("the conditional fan reached the first-level fan")
         en.type_tag = SuitableType.TYPE0
-        en.second = VizingChain(Fan(y, [en.edge], [z], [], True, bit.bit_length(), None), 1)
+        en._next_colour = bit.bit_length()
+        en._second = None
         return ()
+    en._next_colour = None
     edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(c, y, en.edge, stop)
     u_m = far[-1]
     if u_m in fan_vertices:
@@ -217,7 +247,7 @@ def _classify(
     fan = Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)
     if augmenting:
         en.type_tag = SuitableType.TYPE0
-        en.second = VizingChain(fan, len(edges))
+        en._second = VizingChain(fan, len(edges))
         return ()
     g, colours, alpha, beta = c.graph, c._colours, tail.alpha, tail.beta
     if not at_u_m & (1 << (beta - 1)):  # beta is missing at u_m
@@ -226,7 +256,7 @@ def _classify(
             raise AssertionError("a TypeI fan end misses both path colours")
         en.type_tag = SuitableType.TYPE1
         p = _walk(g, colours, u_m, alpha, beta)
-        en.second = VizingChain(fan, len(edges), p)
+        en._second = VizingChain(fan, len(edges), p)
         return (p,)
     # the fan neither stopped early nor ran out of edges at y (a no-edge stop
     # makes the chain augmenting), so a repeated colour forced the stop
@@ -240,9 +270,9 @@ def _classify(
     # y misses delta, so it ends at most one of the paths; as in
     # chains._path_chain, the earlier index's path is taken unless it ends at y
     if p_i.last_vertex != y:
-        en.second = VizingChain(fan, i + 1, p_i)
+        en._second = VizingChain(fan, i + 1, p_i)
     elif p_m.last_vertex != y:
-        en.second = VizingChain(fan, m + 1, p_m)
+        en._second = VizingChain(fan, m + 1, p_m)
     else:  # unreachable: v_i and v_m differ and both miss epsilon
         raise AssertionError("both candidate second paths end at the centre")
     return p_i, p_m

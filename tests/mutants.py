@@ -45,21 +45,23 @@ MUTANTS = [
      "Fan(y, edges, far, colour_seq, augmenting, next_colour, repeat_pos)",
      "Fan(y, edges, far, colour_seq, False, next_colour, repeat_pos)", "test_iterated"),
     ("the one-edge Type0 fan has no next colour", "iterated.py",
-     "Fan(y, [en.edge], [z], [], True, bit.bit_length(), None)",
-     "Fan(y, [en.edge], [z], [], True, None, None)", "test_iterated"),
+     "self._next_colour, None)", "None, None)", "test_iterated"),
+    ("a one-edge Type0 entry's chain stops short of its edge", "iterated.py",
+     "return self._first_level[: self._cut + 1]", "return self._first_level[: self._cut]",
+     "test_iterated"),
     ("superb_scan inverts every stable() verdict", "iterated.py",
      "en.superb = shifted.stable(paths)", "en.superb = not shifted.stable(paths)",
      "test_golden"),
     ("MaxRoundsExceeded stores rounds + 1", "engine.py",
      "self.rounds = rounds", "self.rounds = rounds + 1", "test_engine"),
     ("a TypeI second level is cut one edge short", "iterated.py",
-     "en.second = VizingChain(fan, len(edges), p)",
-     "en.second = VizingChain(fan, len(edges) - 1, p)", "test_iterated"),
+     "en._second = VizingChain(fan, len(edges), p)",
+     "en._second = VizingChain(fan, len(edges) - 1, p)", "test_iterated"),
     ("a TypeII entry prefers the last index's path", "iterated.py",
-     "    if p_i.last_vertex != y:\n        en.second = VizingChain(fan, i + 1, p_i)\n"
-     "    elif p_m.last_vertex != y:\n        en.second = VizingChain(fan, m + 1, p_m)\n",
-     "    if p_m.last_vertex != y:\n        en.second = VizingChain(fan, m + 1, p_m)\n"
-     "    elif p_i.last_vertex != y:\n        en.second = VizingChain(fan, i + 1, p_i)\n",
+     "    if p_i.last_vertex != y:\n        en._second = VizingChain(fan, i + 1, p_i)\n"
+     "    elif p_m.last_vertex != y:\n        en._second = VizingChain(fan, m + 1, p_m)\n",
+     "    if p_m.last_vertex != y:\n        en._second = VizingChain(fan, m + 1, p_m)\n"
+     "    elif p_i.last_vertex != y:\n        en._second = VizingChain(fan, i + 1, p_i)\n",
      "test_iterated"),
     ("superb_scan proves a cut on a path that no longer alternates", "iterated.py",
      "if not (prev and alternates):", "if not prev:", "test_iterated"),

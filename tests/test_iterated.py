@@ -13,13 +13,16 @@ from vizing import (
     AlternatingPath,
     ScanEntry,
     SuitableType,
+    audit_report,
     build,
+    check_unimprovable,
     generate_random,
+    superb_count_check,
     superb_scan,
     vizing_chain,
 )
 from vizing import iterated
-from vizing.chains import _path_chain, _walk
+from vizing.chains import Fan, VizingChain, _grow_fan, _path_chain, _walk
 from vizing.colouring import Colouring
 from vizing.multigraph import line_distances
 
@@ -900,6 +903,7 @@ def test_every_scan_entry_is_complete():
             assert en._cut == len(first), where
             # its type
             second = en.second
+            assert en.second_edges() == second.edges(), where
             fan = second.fan
             assert fan.centre == en.far_vertex and fan.edges[0] == en.edge, where
             assert check_shadow_fan(c, x, e, en), where
@@ -988,3 +992,60 @@ def test_second_level_follows_the_first_level_rule():
                 assert second.tail is None and second.edges() == fan.edges, where
             seen[en.type_tag.value] += 1
     assert seen["TypeII"] >= 10 and seen["TypeI"] >= 5 and seen["Type0"] >= 20, seen
+
+
+def test_one_edge_type0_entries_build_their_second_level_when_read():
+    """A Type0 entry whose conditional fan is the edge alone keeps only the
+    fan's next colour: second_len, second_edges() and edges() answer
+    without building the record, and ``second``, first read after the scan
+    has moved on, is the fan that ``_grow_fan`` grows on the same
+    colouring, as a one-edge chain with no tail."""
+    locked = locked_instance(16)
+    probes = [(label, inst.c, inst.e, inst.x) for label, inst in gadget_instances()]
+    probes += [("locked", locked.c, locked.e, x) for x in (locked.x, locked.a)]
+    seen = 0
+    for label, c, e, x in probes:
+        vc = vizing_chain(c, x, e)
+        stop = (1 << (vc.tail.alpha - 1)) | (1 << (vc.tail.beta - 1))
+        for en in list(superb_scan(c, vc)):
+            if en._next_colour is None:
+                continue
+            where = (label, x, en.position)
+            first = vc.edges()[: vc.fan_prefix_len + en.position - 1]
+            assert en.type_tag is SuitableType.TYPE0 and en.superb, where
+            assert en.second_len == 0 and en.second_edges() == [en.edge], where
+            assert en.edges() == first + [en.edge], where
+            assert en._second is None, where
+            edges, far, colour_seq, next_colour, repeat_pos = _grow_fan(
+                c, en.far_vertex, en.edge, stop)
+            want = VizingChain(
+                Fan(en.far_vertex, edges, far, colour_seq, True, next_colour, repeat_pos), 1)
+            second = en.second
+            assert (second.fan_prefix_len, second.tail) == (want.fan_prefix_len, want.tail), where
+            assert [getattr(second.fan, name) for name in Fan.__slots__] \
+                == [getattr(want.fan, name) for name in Fan.__slots__], where
+            assert en.second is second, where
+            seen += 1
+    assert seen >= 20, seen
+
+
+def test_audits_of_one_edge_type0_entries_build_no_second_level(monkeypatch):
+    """On the locked gadget every suitable edge is a one-edge Type0 entry,
+    so the census, the audit report and the iterated predicate grow and
+    build no fan past the first-level ones (``chains.max_fan``'s)."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fan(*args)
+
+    monkeypatch.setattr(iterated, "Fan", counted)
+    inst = locked_instance(200)
+    c, e, L = inst.c, inst.e, 200
+    scanned = sum(1 for x in (inst.x, inst.a) for _ in superb_scan(c, vizing_chain(c, x, e)))
+    assert scanned == 2 * 98
+    assert superb_count_check(c, e, inst.x, L).count == 98
+    report = audit_report(c, L, ((e, inst.x), (e, inst.a)))
+    assert [row[4] for row in report.superb_count_checks] == [98, 98]
+    assert check_unimprovable(c, L, "iterated") is False
+    assert built == []
