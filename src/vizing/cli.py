@@ -11,9 +11,12 @@ Subcommands:
 
 Artifacts are plain text.  A graph file is the ``mg`` format; a colouring
 dump is the graph followed by one ``edge_index colour`` line per edge, so
-every artifact is self-contained.  ``--input``/``--output`` default to
-stdin/stdout.  Every command is a pure function of its input bytes, flags,
-and seed: repeated runs are byte-identical.
+every artifact is self-contained.  ``c.to_text()`` writes exactly the
+bytes ``colour`` and ``schedule`` write for the colouring c, and
+``Colouring.from_dump(text)`` reads them, as ``audit`` and ``orient`` do.
+``--input``/``--output`` default to stdin/stdout.  Every command is a pure
+function of its input bytes, flags, and seed: repeated runs are
+byte-identical.
 
 Exit codes: 0 when all asserted checks pass, 2 when a substantive bound
 fails (the offender is described on stderr), 1 for usage and I/O errors,
@@ -32,15 +35,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .colouring import Colouring, _parse_dump_lines, is_proper
-from .multigraph import (
-    MAX_EDGES,
-    MAX_VERTICES,
-    Multigraph,
-    _check_characters,
-    _parse_mg_lines,
-    generate_random,
-)
+from .colouring import Colouring, is_proper
+from .multigraph import MAX_EDGES, MAX_VERTICES, Multigraph, generate_random
 
 __all__ = ["main"]
 
@@ -176,28 +172,6 @@ def _load_graph(args) -> Multigraph:
     return Multigraph.from_text(_read_text(args))
 
 
-def _dump_colouring(c: Colouring) -> str:
-    return c.graph.to_text() + c.to_text()
-
-
-def _load_colouring(args) -> Colouring:
-    """Parse a combined dump: the mg block, then one colour line per edge.
-
-    The text is checked and split once; colour-line errors carry whole-file
-    line numbers.  As in :meth:`Colouring.from_dump`, a trailing blank line
-    is one line too many.
-    """
-    text = _read_text(args)
-    _check_characters(text, header=True)  # before splitlines() eats a \x0c
-    lines = text.splitlines() or [""]  # empty input: a blank header line
-    try:
-        m = max(int(lines[0].split()[2]), 0)
-    except (IndexError, ValueError):
-        m = 0  # the graph parser reports the malformed header
-    g = _parse_mg_lines(lines[: m + 1])
-    return Colouring(g, _parse_dump_lines(g, lines[m + 1 :], m + 1))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -244,7 +218,7 @@ def cmd_colour(args) -> int:
     c = colour_sequential(g)
     offenders = _colouring_offenders(c)
     if not offenders:
-        _emit(args, _dump_colouring(c))
+        _emit(args, c.to_text())
     return _exit_for(offenders)
 
 
@@ -255,9 +229,9 @@ def cmd_schedule(args) -> int:
     try:
         c = run_scheduler(g, args.L, args.seed, max_rounds=args.max_rounds, log=sys.stderr)
     except MaxRoundsExceeded as ex:
-        _emit(args, _dump_colouring(ex.colouring))
+        _emit(args, ex.colouring.to_text())
         return _exit_for([str(ex)])
-    _emit(args, _dump_colouring(c))
+    _emit(args, c.to_text())
     return EXIT_OK
 
 
@@ -298,7 +272,7 @@ def _fraction_offenders(fb, mode: str, L: int) -> list[str]:
 def cmd_audit(args) -> int:
     from .audit import audit_report
 
-    report = audit_report(_load_colouring(args), args.L)
+    report = audit_report(Colouring.from_dump(_read_text(args)), args.L)
     _emit(args, report.to_tsv() if args.format == "tsv" else report.to_json() + "\n")
     return _exit_for(_audit_offenders(report, args.L, args.mode))
 
@@ -306,7 +280,7 @@ def cmd_audit(args) -> int:
 def cmd_stats(args) -> int:
     import json
 
-    from .audit import _frac_str, uncoloured_fraction_bounds
+    from .audit import _frac_str, _fraction_bound
     from .engine import MaxRoundsExceeded, run_scheduler
 
     g = _load_graph(args)
@@ -317,8 +291,11 @@ def cmd_stats(args) -> int:
             c = run_scheduler(g, L, args.seed, max_rounds=args.max_rounds)
         except MaxRoundsExceeded as ex:
             return _exit_for([str(ex)])
-        simple = uncoloured_fraction_bounds(c, L, mode="simple")
-        iterated = uncoloured_fraction_bounds(c, L, mode="iterated")
+        # the scheduler's last round probed every uncoloured edge with the
+        # second-path bound L and found no chain, so check_unimprovable
+        # holds in both modes: its bounds, L - 1 and None, accept fewer
+        simple = _fraction_bound(c, L, "simple", True)
+        iterated = _fraction_bound(c, L, "iterated", True)
         rows.append(
             {
                 "L": L,
@@ -344,7 +321,7 @@ def cmd_stats(args) -> int:
 def cmd_orient(args) -> int:
     from .engine import orient
 
-    c = _load_colouring(args)
+    c = Colouring.from_dump(_read_text(args))
     o = orient(c)
     bound = (c.graph.delta + 3) // 2
     counts = o.out_degree_counts()

@@ -40,6 +40,12 @@ an undo log for :meth:`Colouring.apply_undo`.  No library path calls either
 (the superb scan shifts a colours-only overlay instead); they stay only
 because the benchmark's tracer wraps them by name.
 
+A colouring travels as its dump, the text ``vizing colour`` writes: the
+graph's ``mg`` block, then one ``edge_index colour`` line per edge.
+``c.to_text()`` writes exactly those bytes and ``Colouring.from_dump(text)``
+reads them back, an equal colouring; they are the format's only writer and
+reader.
+
 Shifts along infinite chains never arise here: all inputs are finite, so
 every chain is a finite list.
 
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .multigraph import Multigraph, _check_characters
+from .multigraph import Multigraph, _check_characters, _parse_mg_lines
 
 __all__ = ["Colouring", "is_proper"]
 
@@ -177,8 +183,8 @@ class Colouring:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Colouring)
-            and self.graph is other.graph
             and self._colours == other._colours
+            and (self.graph is other.graph or self.graph == other.graph)
         )
 
     __hash__ = None  # mutable; not usable as a dict key
@@ -357,30 +363,36 @@ class Colouring:
     # -- serialisation ------------------------------------------------------
 
     def to_text(self) -> str:
-        """Dump format: one line per edge, ``edge_index colour``, 0 meaning
-        uncoloured, edges in ascending id order."""
-        return "".join(f"{e} {col}\n" for e, col in enumerate(self._colours))
+        """The dump: the graph's ``mg`` block, then one ``edge_index colour``
+        line per edge, 0 meaning uncoloured, edges in ascending id order.
+        These are the bytes ``vizing colour`` writes."""
+        return self.graph.to_text() + "".join(
+            f"{e} {col}\n" for e, col in enumerate(self._colours)
+        )
 
-    @staticmethod
-    def parse_dump(graph: Multigraph, text: str) -> list[int]:
-        """Parse a colouring dump into a raw colour array (no properness
-        check; ``from_dump`` validates).
+    @classmethod
+    def from_dump(cls, text: str) -> "Colouring":
+        """Read a dump as :meth:`to_text` writes it, and validate it as a
+        proper colouring.
 
-        Raises ValueError with a 1-based line number on malformed input.
+        The text is checked and split once; errors are ValueErrors with
+        1-based line numbers of the whole text.  A trailing blank line is
+        one line too many.
         """
-        _check_characters(text)
-        return _parse_dump_lines(graph, text.splitlines())
+        _check_characters(text)  # before splitlines() eats a \x0c
+        lines = text.splitlines() or [""]  # empty input: a blank header line
+        try:
+            m = max(int(lines[0].split()[2]), 0)
+        except (IndexError, ValueError):
+            m = 0  # the graph parser reports the malformed header
+        g = _parse_mg_lines(lines[: m + 1])
+        return cls(g, _parse_dump_lines(g, lines[m + 1 :], m + 1))
 
-    @staticmethod
-    def from_dump(graph: Multigraph, text: str) -> "Colouring":
-        """Parse a dump and validate it as a proper colouring."""
-        return Colouring(graph, Colouring.parse_dump(graph, text))
 
-
-def _parse_dump_lines(graph: Multigraph, lines: list[str], offset: int = 0) -> list[int]:
-    """The body of :meth:`Colouring.parse_dump`, on the lines of a checked
-    text that sit ``offset`` lines into their file (errors give file line
-    numbers)."""
+def _parse_dump_lines(graph: Multigraph, lines: list[str], offset: int) -> list[int]:
+    """The colour lines of a checked dump, which sit ``offset`` lines into
+    the text, as a raw colour array (errors give the text's line numbers;
+    properness is the constructor's check)."""
     if len(lines) != graph.m:
         raise ValueError(
             f"line {len(lines) + offset}: expected one line per edge ({graph.m}), "

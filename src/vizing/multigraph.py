@@ -161,7 +161,7 @@ class Multigraph:
 
         Raises ValueError with a 1-based line number on any malformed input.
         """
-        _check_characters(text, header=True)
+        _check_characters(text)
         lines = text.splitlines()
         if not lines:
             raise ValueError("line 1: empty input, expected 'mg' header")
@@ -233,21 +233,21 @@ def _finish(
 _TEXT_BYTES = bytes([9, 10, 13, *range(32, 127)]).translate(None, b"+_")
 
 
-def _check_characters(text: str, header: bool = False) -> None:
+def _check_characters(text: str) -> None:
     """Reject what int() accepts beyond the text formats' integers (an
     optional '-' then ASCII digits) and what split() and splitlines() take
     for a separator or a line break: non-ASCII characters, '+', '_' and the
     ASCII control characters but tab, '\\n' and '\\r'.  One scan of the whole
     text clears the usual input; the lines, numbered as the parsers number
-    them, are searched for the message only on failure.  ``header`` names
-    line 1's fields as the ``mg`` header's."""
+    them, are searched for the message only on failure.  Line 1's fields
+    are named as the ``mg`` header's, which begins every text format."""
     if text.isascii() and not text.encode("ascii").translate(None, _TEXT_BYTES):
         return
     for lineno, line in enumerate(text.splitlines(True), 1):
         if not line.isascii():
             raise ValueError(f"line {lineno}: non-ASCII character")
         if "+" in line or "_" in line:
-            kind = "header fields" if header and lineno == 1 else "fields"
+            kind = "header fields" if lineno == 1 else "fields"
             raise ValueError(f"line {lineno}: {kind} must be integers")
         if line.encode("ascii").translate(None, _TEXT_BYTES):
             raise ValueError(f"line {lineno}: control character")

@@ -81,39 +81,46 @@ def _run(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def cli_digests() -> dict[str, str]:
-    """The digest of every run of the command-line matrix, by run name."""
-    runs: dict[str, str] = {}
+def matrix_graphs():
+    """(delta, pi, n, seed) of each graph of the command-line matrix, in
+    order: ``gen --n n --delta delta --pi pi --seed seed`` writes it."""
     for delta in (3, 4):
         for pi in (1, 2, 3):
             n, seeds = SIZES.get((delta, pi), (1500, (0, 1)))
             for seed in seeds:
-                graph = f"d{delta}p{pi}s{seed}"
+                yield delta, pi, n, seed
 
-                def run(name, argv, stdin=""):
-                    result = _run(argv, stdin)
-                    runs[f"{graph} {name}"] = digest(*result)
-                    return result
 
-                _, mg, _ = run("gen", ["gen", "--n", str(n), "--delta", str(delta),
-                                       "--pi", str(pi), "--seed", str(seed)])
-                header = mg.partition("\n")[0]
-                if header.split()[4] != str(pi):
-                    raise AssertionError(f"{graph}: gen wrote the header {header!r}, not pi {pi}")
-                _, full, _ = run("colour", ["colour"], mg)
-                run("schedule", ["schedule", "--L", "16"], mg)
-                code, partial, _ = run("schedule-max2", ["schedule", "--L", "16", "--max-rounds", "2"], mg)
-                if code != 2:
-                    raise AssertionError(f"{graph}: schedule --max-rounds 2 exited {code}, not 2")
-                for dump_name, dump in (("full", full), ("partial", partial)):
-                    for L in ("3", "5", "9", "16"):
-                        run(f"audit-{dump_name}-L{L}-simple-json",
-                            ["audit", "--L", L, "--mode", "simple", "--format", "json"], dump)
-                        run(f"audit-{dump_name}-L{L}-iterated-tsv",
-                            ["audit", "--L", L, "--mode", "iterated", "--format", "tsv"], dump)
-                run("stats", ["stats", "--L", "9,16"], mg)
-                if pi == 1:
-                    run("orient", ["orient"], full)
+def cli_digests() -> dict[str, str]:
+    """The digest of every run of the command-line matrix, by run name."""
+    runs: dict[str, str] = {}
+    for delta, pi, n, seed in matrix_graphs():
+        graph = f"d{delta}p{pi}s{seed}"
+
+        def run(name, argv, stdin=""):
+            result = _run(argv, stdin)
+            runs[f"{graph} {name}"] = digest(*result)
+            return result
+
+        _, mg, _ = run("gen", ["gen", "--n", str(n), "--delta", str(delta),
+                               "--pi", str(pi), "--seed", str(seed)])
+        header = mg.partition("\n")[0]
+        if header.split()[4] != str(pi):
+            raise AssertionError(f"{graph}: gen wrote the header {header!r}, not pi {pi}")
+        _, full, _ = run("colour", ["colour"], mg)
+        run("schedule", ["schedule", "--L", "16"], mg)
+        code, partial, _ = run("schedule-max2", ["schedule", "--L", "16", "--max-rounds", "2"], mg)
+        if code != 2:
+            raise AssertionError(f"{graph}: schedule --max-rounds 2 exited {code}, not 2")
+        for dump_name, dump in (("full", full), ("partial", partial)):
+            for L in ("3", "5", "9", "16"):
+                run(f"audit-{dump_name}-L{L}-simple-json",
+                    ["audit", "--L", L, "--mode", "simple", "--format", "json"], dump)
+                run(f"audit-{dump_name}-L{L}-iterated-tsv",
+                    ["audit", "--L", L, "--mode", "iterated", "--format", "tsv"], dump)
+        run("stats", ["stats", "--L", "9,16"], mg)
+        if pi == 1:
+            run("orient", ["orient"], full)
     for name, dump in stuck_dumps().items():
         for L in STUCK_L:
             for mode, fmt in (("simple", "json"), ("iterated", "tsv")):
@@ -132,7 +139,7 @@ def _union_dump(parts) -> str:
         colours += c.colours
         n += g.n
     g = build(n, triples)
-    return g.to_text() + Colouring.from_assignment(g, colours).to_text()
+    return Colouring.from_assignment(g, colours).to_text()
 
 
 def stuck_dumps() -> dict[str, str]:

@@ -74,6 +74,9 @@ MUTANTS = [
     ("is_proper skips vertex 0", "colouring.py",
      "    for x in range(graph.n):\n        seen = 0",
      "    for x in range(1, graph.n):\n        seen = 0", "test_colouring"),
+    ("the dump reader numbers colour lines from the colour block, not the text", "colouring.py",
+     "_parse_dump_lines(g, lines[m + 1 :], m + 1)", "_parse_dump_lines(g, lines[m + 1 :], 0)",
+     "test_colouring"),
 ]
 
 

@@ -639,7 +639,7 @@ class TestOneChainPerProbe:
             n += inst.g.n
         c = Colouring.from_assignment(build(n, triples), colours)
         dump = tmp_path / "stuck.dump"
-        dump.write_text(c.graph.to_text() + c.to_text())
+        dump.write_text(c.to_text())
         assert cli_main(["audit", "--L", str(L), "--mode", mode, "--input", str(dump)]) == 0
         assert json.loads(capsys.readouterr().out)["min_uncoloured_deg"] >= 16
 

@@ -15,11 +15,22 @@ from pathlib import Path
 import pytest
 
 import vizing
-from vizing import Colouring, FractionBound, Multigraph, audit_report
+from vizing import (
+    Colouring,
+    FractionBound,
+    Multigraph,
+    audit,
+    audit_report,
+    check_unimprovable,
+    generate_random,
+    run_scheduler,
+)
 from vizing.cli import _audit_offenders, main
+from vizing.engine import _probe
 from vizing.multigraph import MAX_EDGES, MAX_VERTICES
 
-from gadgets import long_path_instance
+import golden
+from gadgets import locked_instance, long_path_instance
 
 P3_MG = "mg 3 2 2 1\n0 1 1\n1 2 1\n"
 P3_PARTIAL = P3_MG + "0 0\n1 1\n"
@@ -105,9 +116,9 @@ class TestColour:
         code, out, err = cli(["colour", "--input", str(src), "--output", str(dst)])
         assert (code, out, err) == (0, "", "")
         text = dst.read_text()
-        assert text.startswith(src.read_text())
-        g = Multigraph.from_text(src.read_text())
-        c = Colouring.from_dump(g, "".join(text.splitlines(True)[g.m + 1 :]))
+        c = Colouring.from_dump(text)
+        assert c.graph == Multigraph.from_text(src.read_text())
+        assert c.to_text() == text
         assert c.uncoloured_count == 0
 
     def test_output_passes_audit(self, cli):
@@ -310,6 +321,39 @@ class TestStats:
         code, _, err = cli(["stats", "--L", "a,b"], stdin=P3_MG)
         assert code == 1
         assert "comma-separated" in err
+
+    def test_reads_the_schedulers_verdict(self, cli, monkeypatch):
+        # run_scheduler returns once a round finds no chain for any
+        # uncoloured edge, which settles check_unimprovable; stats does
+        # not ask it again
+        calls = []
+        monkeypatch.setattr(audit, "check_unimprovable", lambda *args, **kw: calls.append(args))
+        graph = generate_random(300, 3, 1, 11).to_text()
+        code, _, err = cli(["stats", "--L", "8,16", "--seed", "2"], stdin=graph)
+        assert (code, err, calls) == (0, "", [])
+
+    def test_scheduler_output_is_unimprovable_on_every_stats_input(self):
+        """The verdict stats takes as settled, on each graph, scale and
+        seed a stats run in the suite uses.  The scheduler colours all of
+        them fully, so the locked gadgets add colourings with uncoloured
+        edges: where no _probe at the second-path bound L finds a chain,
+        the state the scheduler returns in, both modes hold."""
+        inputs = [(Multigraph.from_text(P3_MG), (5, 10), 0),
+                  (generate_random(300, 3, 1, 11), (8, 16), 2)]
+        inputs += [(generate_random(n, delta, pi, seed), (9, 16), 0)
+                   for delta, pi, n, seed in golden.matrix_graphs()]
+        for g, scales, seed in inputs:
+            for L in scales:
+                c = run_scheduler(g, L, seed)
+                assert check_unimprovable(c, L, "simple") and check_unimprovable(c, L, "iterated")
+        settled = 0
+        for T in (2, 10, 16):
+            c = locked_instance(T).c
+            for L in range(1, T + 3):
+                if all(_probe(c, e, L, L) is None for e in c.uncoloured()):
+                    settled += 1
+                    assert check_unimprovable(c, L, "simple") and check_unimprovable(c, L, "iterated")
+        assert settled == 10
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ are pinned here by hand-derived examples."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -697,15 +699,15 @@ def test_fan_rotation_checks_fire_and_restore():
 def test_dump_round_trip(c4):
     c = Colouring.from_assignment(c4, {1: 1, 2: 2, 3: 1})
     text = c.to_text()
-    assert text == "0 0\n1 1\n2 2\n3 1\n"
-    assert Colouring.from_dump(c4, text) == c
+    assert text == "mg 4 4 2 1\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n0 0\n1 1\n2 2\n3 1\n"
+    assert Colouring.from_dump(text) == c
 
 
 def test_dump_load_reports_a_non_ascii_byte_with_its_line(p3):
     # decoded as the command line decodes a file it reads
-    text = b"0 0\n1 \xff\n".decode("ascii", "surrogateescape")
-    with pytest.raises(ValueError, match=r"^line 2: non-ASCII character$"):
-        Colouring.from_dump(p3, text)
+    text = (p3.to_text().encode() + b"0 0\n1 \xff\n").decode("ascii", "surrogateescape")
+    with pytest.raises(ValueError, match=r"^line 5: non-ASCII character$"):
+        Colouring.from_dump(text)
 
 
 @pytest.mark.parametrize(
@@ -720,10 +722,22 @@ def test_dump_load_reports_a_non_ascii_byte_with_its_line(p3):
     ],
 )
 def test_dump_parse_errors(p3, text, lineno):
-    with pytest.raises(ValueError, match=f"line {lineno}:"):
-        Colouring.parse_dump(p3, text)
+    # the colour block's line k is line k + m + 1 of the dump
+    with pytest.raises(ValueError, match=f"^line {lineno + p3.m + 1}:"):
+        Colouring.from_dump(p3.to_text() + text)
 
 
 def test_from_dump_rejects_improper(p3):
     with pytest.raises(ValueError, match="already used"):
-        Colouring.from_dump(p3, "0 1\n1 1\n")
+        Colouring.from_dump(p3.to_text() + "0 1\n1 1\n")
+
+
+def test_equality_compares_graphs_by_value(c4):
+    c = Colouring.from_assignment(c4, {1: 1, 2: 2, 3: 1})
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert copy.deepcopy(c) == c
+    assert Colouring.from_dump(c.to_text()) == c
+    assert Colouring.from_assignment(build(4, list(c4.edges)), c.colours) == c
+    # an edge moved from 0-3 to 1-3: same m and colours, unequal graphs
+    moved = build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1)])
+    assert Colouring.empty(moved) != Colouring.empty(c4)
